@@ -12,13 +12,13 @@ import numpy as np
 from bellspace import (
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
+    QuantumLocalizedChannel,
     alice_direction,
     bob_direction,
     canonical_chsh_settings,
-    make_generator,
     quantum_chsh,
-    sample_singlet_outcomes,
     singlet_correlation,
+    split_generators,
     unit_from_planar_angle,
 )
 
@@ -52,13 +52,17 @@ print("  the crossing sits exactly at g = 1/sqrt(2).")
 
 print()
 print("=== Sampling outcomes ===")
-rng = make_generator(2)
-a = alice_direction(0.0)
-b = bob_direction(math.pi / 4)
+print("  the QKD singlet channel measures both wings along alice_direction,")
+print("  so its outcomes follow E(a, b) = -cos(alpha - beta)")
+rng_channel, rng_signs = split_generators(2, 2)
 n = 200_000
-total = sum(sample_singlet_outcomes(a, b, rng).product for _ in range(n))
-analytic = singlet_correlation(a, b)
-print(f"  empirical E over {n} draws: {total / n:+.5f}")
+alpha, beta = 0.0, math.pi / 4
+_, s_a, s_b = QuantumLocalizedChannel(g=1.0).sample(
+    np.full(n, alpha), np.full(n, beta), rng_channel, rng_signs
+)
+empirical = float(np.mean(s_a * s_b))
+analytic = singlet_correlation(alice_direction(alpha), alice_direction(beta))
+print(f"  empirical E over {n} draws: {empirical:+.5f}")
 print(f"  analytic value:             {analytic:+.5f}")
-print(f"  difference: {abs(total / n - analytic):.2e} "
+print(f"  difference: {abs(empirical - analytic):.2e} "
       f"(standard error {math.sqrt((1 - analytic**2) / n):.2e})")

@@ -3,8 +3,8 @@
 A simulation and analysis toolkit for entangled spin-1/2 pairs whose
 wave function has both a spin part and a spatial part:
 
-* :mod:`bellspace.spin` - exact singlet correlations, outcome sampling and
-  CHSH statistics;
+* :mod:`bellspace.spin` - exact singlet correlations, joint outcome
+  probabilities and CHSH statistics;
 * :mod:`bellspace.spatial` - Gaussian packets, detector regions, the
   localization factor g and wave-packet spreading;
 * :mod:`bellspace.lhv` - local-hidden-variable models with bounded response
@@ -38,7 +38,6 @@ from .lhv import (
     model_expectation_exact,
     model_expectation_mc,
     random_bounded_model,
-    sample_model_signs,
 )
 from .qkd import (
     ChshPair,
@@ -46,9 +45,8 @@ from .qkd import (
     QkdConfig,
     QkdSessionReport,
     QuantumLocalizedChannel,
+    RoundLog,
     RoundRecord,
-    channel_round_lhv,
-    channel_round_quantum,
     decide_verdict,
     detectability_threshold_report,
     run_session,
@@ -67,6 +65,7 @@ from .spatial import (
     packet_probability_in_box,
     product_density,
     separated_gaussian_setup,
+    setup_from_dict,
     setup_g_factor,
 )
 from .spin import (
@@ -82,7 +81,6 @@ from .spin import (
     chsh_statistic,
     joint_outcome_probability,
     quantum_chsh,
-    sample_singlet_outcomes,
     singlet_correlation,
     unit_from_planar_angle,
 )
@@ -110,6 +108,7 @@ __all__ = [
     "QkdSessionReport",
     "QuadratureError",
     "QuantumLocalizedChannel",
+    "RoundLog",
     "RoundRecord",
     "SpatialSetup",
     "UnitVector3",
@@ -117,8 +116,6 @@ __all__ = [
     "bob_direction",
     "canonical_chsh_settings",
     "canonical_cosine_target",
-    "channel_round_lhv",
-    "channel_round_quantum",
     "chsh_certificate",
     "chsh_statistic",
     "cosine_model",
@@ -141,9 +138,8 @@ __all__ = [
     "quantum_chsh",
     "random_bounded_model",
     "run_session",
-    "sample_model_signs",
-    "sample_singlet_outcomes",
     "separated_gaussian_setup",
+    "setup_from_dict",
     "setup_g_factor",
     "singlet_correlation",
     "split_generators",

@@ -58,7 +58,7 @@ from .spatial import (
     SpatialSetup,
     g_decay_curve,
     packet_probability_in_box,
-    separated_gaussian_setup,
+    setup_from_dict,
     setup_g_factor,
 )
 from .spin import ChshSettings, canonical_chsh_settings, quantum_chsh
@@ -217,17 +217,10 @@ def _parse_region(spec: dict, where: str) -> BoxRegion:
 
 def _parse_setup(params: dict) -> SpatialSetup:
     if "setup" in params:
-        spec = params["setup"]
-        _reject_unknown(spec, {"width_param", "separation", "mass", "hbar"}, "setup")
         try:
-            return separated_gaussian_setup(
-                float(spec["width_param"]),
-                tuple(float(v) for v in spec["separation"]),
-                mass=float(spec.get("mass", 1.0)),
-                hbar=float(spec.get("hbar", 1.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad setup: {exc}") from exc
+            return setup_from_dict(params["setup"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     needed = {"packet_a", "packet_b", "region_a", "region_b"}
     if not needed <= set(params):
         raise ConfigError(

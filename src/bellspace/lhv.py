@@ -30,13 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spin import (
-    TWO_PI,
-    ChshSettings,
-    OutcomePair,
-    as_angle,
-    chsh_statistic,
-)
+from .spin import TWO_PI, ChshSettings, as_angle, chsh_statistic
 
 #: Response function: (setting angle, lambda array) -> values, vectorized
 #: over lambda (and broadcastable over an array of angles).
@@ -77,7 +71,9 @@ class HiddenVariableModel:
     ``density`` is the probability density of lambda with respect to
     d(lambda); ``None`` means uniform (1 / 2*pi).  Response boundedness is
     checked statistically at construction: 10^5 sampled lambdas against a
-    probe set of angles, with a fixed probe seed.
+    probe set of angles, with a fixed probe seed.  ``spec`` holds the JSON
+    parameters that rebuild the model (``{"model": "cosine", "g": g}``), or
+    None when the model has no JSON form.
     """
 
     xi: ResponseFn
@@ -85,6 +81,7 @@ class HiddenVariableModel:
     sample_lambda: LambdaSampler = _uniform_lambda
     density: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = field(default="", compare=False)
+    spec: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         rng = np.random.default_rng(_PROBE_SEED)
@@ -127,7 +124,9 @@ def cosine_model(g: float) -> HiddenVariableModel:
     def eta(beta: float, lam: np.ndarray) -> np.ndarray:
         return amplitude * np.cos(beta - lam)
 
-    return HiddenVariableModel(xi=xi, eta=eta, label=f"cosine(g={g!r})")
+    return HiddenVariableModel(
+        xi=xi, eta=eta, label=f"cosine(g={g!r})", spec={"model": "cosine", "g": g}
+    )
 
 
 def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:
@@ -193,30 +192,6 @@ def model_expectation_mc(
     mean = float(np.mean(products))
     std_error = float(np.std(products, ddof=1) / math.sqrt(n))
     return CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)
-
-
-def sample_model_signs(
-    model: HiddenVariableModel,
-    alpha: float,
-    beta: float,
-    lam: float,
-    rng: np.random.Generator,
-) -> OutcomePair:
-    """Draw +-1 outcomes from the responses at a fixed lambda.
-
-    s_a is +1 with probability (1 + xi)/2, independently s_b with
-    (1 + eta)/2, so averaging over the sign noise and lambda reproduces every
-    pairwise expectation E[xi * eta].  Consumes two uniforms in fixed order.
-    """
-    lam_arr = np.asarray([float(lam)])
-    xi_val = float(np.asarray(model.xi(as_angle(alpha), lam_arr))[0])
-    eta_val = float(np.asarray(model.eta(as_angle(beta), lam_arr))[0])
-    for name, value in (("xi", xi_val), ("eta", eta_val)):
-        if abs(value) > 1.0 + _BOUND_SLACK:
-            raise ValueError(f"|{name}| = {value!r} exceeds 1 at lambda={lam!r}")
-    s_a = 1 if rng.random() < (1.0 + xi_val) / 2.0 else -1
-    s_b = 1 if rng.random() < (1.0 + eta_val) / 2.0 else -1
-    return OutcomePair(s_a, s_b)
 
 
 def model_chsh(

@@ -1,12 +1,15 @@
 """Two-particle entanglement-based key distribution with localized detectors.
 
 Each round the source emits a singlet pair; Alice and Bob draw independent
-uniform settings from three directions each and measure.  The quantum
-channel registers a coincidence with probability g (the localization factor
-of the detector regions) and, conditioned on detection, produces full
-singlet statistics.  The eavesdropper channel replaces the pair by a local
-hidden-variable model: lambda plays the role of Eve, every round is
-detected, and outcomes come from the model's bounded responses.
+uniform settings from three directions each and measure.  :func:`run_session`
+draws all settings, then the channel's ``sample`` method, its one vectorized
+rule, produces every round's detection and outcomes.  The quantum channel
+registers a coincidence with probability g (the localization factor of the
+detector regions) and, conditioned on detection, produces full singlet
+statistics.  The eavesdropper channel replaces the pair by a local
+hidden-variable model: lambda plays the role of Eve, every round is detected,
+and outcomes come from the model's bounded responses, Bob's sign negated so
+that, like the singlet's, her raw correlations are -E[xi * eta].
 
 After the public announcement of settings, rounds split into key rounds
 (equal angles on both wings), test rounds (the four configured CHSH setting
@@ -14,7 +17,8 @@ pairs) and discarded rounds.  Bob flips all of his announced outcomes: the
 physical singlet anticorrelates at equal angles (E = -cos(alpha - beta) with
 both wings measuring along (cos, 0, sin)), so the flip makes matched-round
 key bits agree and turns the test-round correlations into +cos(alpha -
-beta).  Each CHSH pair additionally carries an explicit sign with which its
+beta).  A cosine-model Eve therefore errs on (1 - g)/2 of the key bits.
+Each CHSH pair additionally carries an explicit sign with which its
 correlation enters the statistic; the default grids need signs (+,-,+,-) to
 map Bob's 3*pi/4 setting onto the canonical -pi/4 slot (cos(x - 3*pi/4) =
 -cos(x + pi/4)).
@@ -26,28 +30,23 @@ whose expectation is g*cos(alpha - beta): the g-scaled correlation law made
 empirical.  Whether post-selected statistics legitimately certify security
 when g <= 1/2 is exactly the fair-sampling question; the report shows both
 numbers and takes no side.
+
+``return_rounds=True`` adds the per-round log as numpy columns
+(:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .lhv import HiddenVariableModel, cosine_model, sample_model_signs
+from .lhv import _BOUND_SLACK, HiddenVariableModel, ResponseFn, cosine_model
 from .rng import split_generators
-from .spatial import SpatialSetup, separated_gaussian_setup, setup_g_factor
-from .spin import (
-    CHSH_QUANTUM_BOUND,
-    TWO_PI,
-    OutcomePair,
-    UnitVector3,
-    as_angle,
-    sample_singlet_outcomes,
-)
+from .spatial import SpatialSetup, setup_from_dict, setup_g_factor
+from .spin import CHSH_QUANTUM_BOUND, TWO_PI, OutcomePair, as_angle
 
 SECURE = "secure"
 EVE_DETECTED = "eve_detected"
@@ -57,6 +56,29 @@ INCONCLUSIVE = "inconclusive"
 MIN_TEST_ROUNDS_PER_PAIR = 50
 
 _ANGLE_MATCH_TOL = 1e-12
+
+
+Rng = np.random.Generator
+#: A channel's per-round output: (detected, s_a, s_b).
+Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@runtime_checkable
+class ChannelModel(Protocol):
+    """A channel: one vectorized sampling rule plus its JSON spec.
+
+    ``sample`` gets every round's setting angles and returns (detected, s_a,
+    s_b): physical (unflipped) +-1 outcomes on every round, lost or not.
+    ``rng_channel`` drives detection or the hidden variable; ``rng_signs``
+    gives two uniforms per round, all of Alice's, then all of Bob's.
+    ``to_dict`` is the spec that :func:`config_from_dict` reads back.
+    """
+
+    def sample(
+        self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
+    ) -> Draws: ...
+
+    def to_dict(self) -> dict: ...
 
 
 @dataclass(frozen=True)
@@ -74,6 +96,55 @@ class QuantumLocalizedChannel:
         """Derive g from a spatial packet/region setup at time t."""
         return cls(g=setup_g_factor(setup, t).g)
 
+    def sample(
+        self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
+    ) -> Draws:
+        """Coincidences with probability g, singlet outcomes on every round.
+
+        Both wings measure along (cos t, 0, sin t), so a . b = cos(alpha -
+        beta): s_a is a fair coin and s_b equals s_a with probability
+        (1 - a . b)/2, giving E[s_a * s_b] = -cos(alpha - beta) and exact
+        anticorrelation at equal angles.
+        """
+        n = alice_theta.size
+        detected = rng_channel.random(n) < self.g
+        dot = np.cos(alice_theta - bob_theta)
+        s_a = np.where(rng_signs.random(n) < 0.5, 1, -1)
+        s_b = np.where(rng_signs.random(n) < (1.0 - dot) / 2.0, s_a, -s_a)
+        return detected, s_a, s_b
+
+    def to_dict(self) -> dict:
+        return {"variant": "quantum_localized", "g": self.g}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "QuantumLocalizedChannel":
+        """Channel from ``g``, or from a separated-Gaussian ``setup`` block and time ``t``."""
+        unknown = set(data) - {"variant", "g", "setup", "t"}
+        if unknown:
+            raise ValueError(f"unknown channel keys: {sorted(unknown)}")
+        if "g" in data:
+            if "setup" in data:
+                raise ValueError("give either g or setup, not both")
+            return cls(g=float(data["g"]))
+        if "setup" not in data:
+            raise ValueError("quantum_localized channel needs g or setup")
+        return cls.from_setup(setup_from_dict(data["setup"]), t=float(data.get("t", 0.0)))
+
+
+def _responses(fn: ResponseFn, theta: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
+    """fn at every round's angle: one call per distinct angle, bound-checked."""
+    values = np.empty_like(lam)
+    pending = np.ones(lam.size, dtype=bool)
+    while pending.any():
+        angle = theta[pending.argmax()]
+        mask = theta == angle
+        values[mask] = fn(float(angle), lam[mask])
+        pending &= ~mask
+    if not np.all(np.abs(values) <= 1.0 + _BOUND_SLACK):
+        worst = float(np.max(np.abs(values)))
+        raise ValueError(f"response {name} exceeds the unit bound: max |{name}| = {worst!r}")
+    return values
+
 
 @dataclass(frozen=True)
 class LhvEveChannel:
@@ -81,8 +152,44 @@ class LhvEveChannel:
 
     model: HiddenVariableModel
 
+    def sample(
+        self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
+    ) -> Draws:
+        """One lambda per round, every round detected.
 
-ChannelModel = Union[QuantumLocalizedChannel, LhvEveChannel]
+        s_a is +1 with probability (1 + xi)/2; independently Bob's sign is -1
+        with probability (1 + eta)/2.  Negating Bob's sign gives the singlet's
+        convention, E[s_a * s_b] = -E[xi * eta], so after Bob's public flip the
+        key bits agree exactly as often as the model correlates.  Raises
+        ValueError if any response value leaves [-1, 1].
+        """
+        n = alice_theta.size
+        lam = np.asarray(self.model.sample_lambda(rng_channel, n), dtype=float)
+        xi = _responses(self.model.xi, alice_theta, lam, "xi")
+        eta = _responses(self.model.eta, bob_theta, lam, "eta")
+        s_a = np.where(rng_signs.random(n) < (1.0 + xi) / 2.0, 1, -1)
+        s_b = np.where(rng_signs.random(n) < (1.0 + eta) / 2.0, -1, 1)
+        return np.ones(n, dtype=bool), s_a, s_b
+
+    def to_dict(self) -> dict:
+        if self.model.spec is None:
+            raise ValueError(
+                "only cosine hidden-variable channels are JSON-serializable; "
+                f"got model {self.model.label or '<unlabeled>'!r}"
+            )
+        return {"variant": "lhv_eve", **self.model.spec}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LhvEveChannel":
+        unknown = set(data) - {"variant", "model", "g"}
+        if unknown:
+            raise ValueError(f"unknown channel keys: {sorted(unknown)}")
+        if data.get("model") != "cosine":
+            raise ValueError("only the 'cosine' hidden-variable model is supported in JSON")
+        return cls(model=cosine_model(float(data["g"])))
+
+
+_CHANNEL_VARIANTS = {"quantum_localized": QuantumLocalizedChannel, "lhv_eve": LhvEveChannel}
 
 
 @dataclass(frozen=True)
@@ -175,7 +282,7 @@ class QkdConfig:
                     f"CHSH pair {pair} uses matched angles; those rounds are key rounds"
                 )
         object.__setattr__(self, "chsh_pairs", pairs)
-        if not isinstance(self.channel, (QuantumLocalizedChannel, LhvEveChannel)):
+        if not isinstance(self.channel, ChannelModel):
             raise ValueError(f"unsupported channel {self.channel!r}")
 
 
@@ -191,6 +298,33 @@ class RoundRecord:
     def __post_init__(self) -> None:
         if self.detected != (self.outcomes is not None):
             raise ValueError("outcomes must be present exactly when detected")
+
+
+@dataclass(frozen=True, eq=False)
+class RoundLog:
+    """Per-round session log as numpy columns.
+
+    ``s_a`` and ``s_b`` are the physical (unflipped) int8 outcomes, 0 where the
+    round was lost.  ``len()``, indexing and iteration yield
+    :class:`RoundRecord` rows, built on demand.
+    """
+
+    a_idx: np.ndarray
+    b_idx: np.ndarray
+    detected: np.ndarray
+    s_a: np.ndarray
+    s_b: np.ndarray
+
+    def __len__(self) -> int:
+        return self.a_idx.size
+
+    def __getitem__(self, i: int) -> RoundRecord:
+        detected = bool(self.detected[i])
+        outcomes = OutcomePair(int(self.s_a[i]), int(self.s_b[i])) if detected else None
+        return RoundRecord(int(self.a_idx[i]), int(self.b_idx[i]), detected, outcomes)
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -216,34 +350,6 @@ class QkdSessionReport:
     n_detected: int
     n_key_rounds: int
     n_test_rounds: tuple[int, int, int, int]
-
-
-def channel_round_quantum(
-    g: float, a: UnitVector3, b: UnitVector3, rng: np.random.Generator
-) -> RoundRecord:
-    """One quantum-channel round at directions (a, b).
-
-    Detection fires with probability g; conditioned on it the outcomes are
-    full singlet statistics, so the unconditioned expectation of
-    s_a * s_b * detected is g * (-(a . b)).
-    """
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"detection probability g={g!r} outside [0, 1]")
-    detected = bool(rng.random() < g)
-    outcomes = sample_singlet_outcomes(a, b, rng) if detected else None
-    return RoundRecord(0, 0, detected, outcomes)
-
-
-def channel_round_lhv(
-    model: HiddenVariableModel,
-    alpha: float,
-    beta: float,
-    rng: np.random.Generator,
-) -> RoundRecord:
-    """One hidden-variable-channel round: draw lambda, always detected."""
-    lam = float(model.sample_lambda(rng, 1)[0])
-    outcomes = sample_model_signs(model, alpha, beta, lam, rng)
-    return RoundRecord(0, 0, True, outcomes)
 
 
 def decide_verdict(s_value: float, std_error: float, k: float) -> str:
@@ -317,12 +423,13 @@ def _chsh_from_pairs(
 
 def run_session(
     config: QkdConfig, return_rounds: bool = False
-) -> QkdSessionReport | tuple[QkdSessionReport, list[RoundRecord]]:
+) -> QkdSessionReport | tuple[QkdSessionReport, RoundLog]:
     """Simulate a full session: rounds, sifting, CHSH audit, verdict.
 
     Three independent generator streams (settings, channel, outcome signs)
-    are split from the seed, and all rounds are generated vectorized in a
-    fixed order, so reports are bit-reproducible for a fixed config.
+    are split from the seed.  All settings are drawn first, then the channel
+    samples every round at once, so reports are bit-reproducible for a fixed
+    config.  ``return_rounds=True`` adds the per-round :class:`RoundLog`.
     """
     n = config.n_rounds
     rng_settings, rng_channel, rng_signs = split_generators(config.seed, 3)
@@ -332,30 +439,7 @@ def run_session(
     alice_theta = np.asarray(config.alice_angles)[a_idx]
     bob_theta = np.asarray(config.bob_angles)[b_idx]
 
-    if isinstance(config.channel, QuantumLocalizedChannel):
-        detected = rng_channel.random(n) < config.channel.g
-        # Both wings measure along (cos t, 0, sin t); a . b = cos(da - db).
-        dot = np.cos(alice_theta - bob_theta)
-        u_a = rng_signs.random(n)
-        u_b = rng_signs.random(n)
-        s_a = np.where(u_a < 0.5, 1, -1)
-        s_b = np.where(u_b < (1.0 - dot) / 2.0, s_a, -s_a)
-    else:
-        model = config.channel.model
-        lam = np.asarray(model.sample_lambda(rng_channel, n), dtype=float)
-        detected = np.ones(n, dtype=bool)
-        xi = np.empty(n)
-        eta = np.empty(n)
-        for setting in range(3):
-            mask = a_idx == setting
-            xi[mask] = np.asarray(model.xi(config.alice_angles[setting], lam[mask]))
-            mask = b_idx == setting
-            eta[mask] = np.asarray(model.eta(config.bob_angles[setting], lam[mask]))
-        u_a = rng_signs.random(n)
-        u_b = rng_signs.random(n)
-        s_a = np.where(u_a < (1.0 + xi) / 2.0, 1, -1)
-        s_b = np.where(u_b < (1.0 + eta) / 2.0, 1, -1)
-
+    detected, s_a, s_b = config.channel.sample(alice_theta, bob_theta, rng_channel, rng_signs)
     s_a = np.where(detected, s_a, 0).astype(np.int8)
     s_b = np.where(detected, s_b, 0).astype(np.int8)
     # Bob's public flip: physical singlet outcomes anticorrelate at matched
@@ -399,8 +483,8 @@ def run_session(
         )
 
     report = QkdSessionReport(
-        sifted_key_alice="".join("1" if b else "0" for b in alice_bits),
-        sifted_key_bob="".join("1" if b else "0" for b in bob_bits),
+        sifted_key_alice=_bit_string(alice_bits),
+        sifted_key_bob=_bit_string(bob_bits),
         qber=qber,
         chsh_estimate=chsh_cond,
         chsh_unconditioned=chsh_uncond,
@@ -413,82 +497,56 @@ def run_session(
     )
     if not return_rounds:
         return report
-    rounds = [
-        RoundRecord(
-            int(a_idx[i]),
-            int(b_idx[i]),
-            bool(detected[i]),
-            OutcomePair(int(s_a[i]), int(s_b[i])) if detected[i] else None,
-        )
-        for i in range(n)
+    return report, RoundLog(a_idx, b_idx, detected, s_a, s_b)
+
+
+def _bit_string(bits: np.ndarray) -> str:
+    """0/1 array as a string of '0'/'1' characters."""
+    return (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
+def rounds_to_csv(rounds: RoundLog) -> str:
+    """Per-round log: round, a_idx, b_idx, detected, s_a, s_b (blank if lost).
+
+    Built without a per-row loop: each row is the round number's digits
+    followed by one of the few possible ``,a,b,d,s_a,s_b`` tails, laid out in
+    a NUL-padded byte matrix whose padding is then dropped.
+    """
+    n = len(rounds)
+    tails = [
+        f",{a},{b},{d},{s_a or ''},{s_b or ''}\n"
+        for a in range(3)
+        for b in range(3)
+        for d in range(2)
+        for s_a in (-1, 0, 1)
+        for s_b in (-1, 0, 1)
     ]
-    return report, rounds
-
-
-def rounds_to_csv(rounds: Sequence[RoundRecord]) -> str:
-    """Per-round log: round, a_idx, b_idx, detected, s_a, s_b (blank if lost)."""
-    buffer = io.StringIO()
-    buffer.write("round,a_idx,b_idx,detected,s_a,s_b\n")
-    for i, record in enumerate(rounds):
-        if record.outcomes is None:
-            s_a = s_b = ""
-        else:
-            s_a = str(record.outcomes.s_a)
-            s_b = str(record.outcomes.s_b)
-        buffer.write(
-            f"{i},{record.alice_setting},{record.bob_setting},"
-            f"{int(record.detected)},{s_a},{s_b}\n"
-        )
-    return buffer.getvalue()
+    tail_bytes = np.array(tails, dtype="S").view(np.uint8).reshape(len(tails), -1)
+    code = (
+        ((rounds.a_idx * 3 + rounds.b_idx) * 2 + rounds.detected) * 3 + rounds.s_a + 1
+    ) * 3 + rounds.s_b + 1
+    width = len(str(n - 1))
+    cells = np.zeros((n, width + tail_bytes.shape[1]), dtype=np.uint8)
+    number = np.arange(n)
+    for p in range(width):
+        # rows from 10**p on have a digit at place p; row 0 still needs its "0"
+        first = 10**p if p else 0
+        cells[first:, width - 1 - p] = ord("0") + number[first:] // 10**p % 10
+    cells[:, width:] = tail_bytes[code]
+    body = cells[cells != 0].tobytes().decode("ascii")
+    return "round,a_idx,b_idx,detected,s_a,s_b\n" + body
 
 
 # --- JSON (de)serialization -------------------------------------------------
 
 
-def _channel_to_dict(channel: ChannelModel) -> dict:
-    if isinstance(channel, QuantumLocalizedChannel):
-        return {"variant": "quantum_localized", "g": channel.g}
-    label = channel.model.label
-    if label.startswith("cosine(g="):
-        g = float(label[len("cosine(g=") : -1])
-        return {"variant": "lhv_eve", "model": "cosine", "g": g}
-    raise ValueError(
-        "only cosine hidden-variable channels are JSON-serializable; "
-        f"got model {label or '<unlabeled>'!r}"
-    )
-
-
 def _channel_from_dict(data: dict) -> ChannelModel:
+    if not isinstance(data, dict):
+        raise ValueError("channel must be a JSON object")
     variant = data.get("variant")
-    if variant == "quantum_localized":
-        unknown = set(data) - {"variant", "g", "setup", "t"}
-        if unknown:
-            raise ValueError(f"unknown channel keys: {sorted(unknown)}")
-        if "g" in data:
-            if "setup" in data:
-                raise ValueError("give either g or setup, not both")
-            return QuantumLocalizedChannel(g=float(data["g"]))
-        setup_spec = data.get("setup")
-        if setup_spec is None:
-            raise ValueError("quantum_localized channel needs g or setup")
-        unknown = set(setup_spec) - {"width_param", "separation", "mass", "hbar"}
-        if unknown:
-            raise ValueError(f"unknown setup keys: {sorted(unknown)}")
-        setup = separated_gaussian_setup(
-            float(setup_spec["width_param"]),
-            tuple(float(v) for v in setup_spec["separation"]),
-            mass=float(setup_spec.get("mass", 1.0)),
-            hbar=float(setup_spec.get("hbar", 1.0)),
-        )
-        return QuantumLocalizedChannel.from_setup(setup, t=float(data.get("t", 0.0)))
-    if variant == "lhv_eve":
-        unknown = set(data) - {"variant", "model", "g"}
-        if unknown:
-            raise ValueError(f"unknown channel keys: {sorted(unknown)}")
-        if data.get("model") != "cosine":
-            raise ValueError("only the 'cosine' hidden-variable model is supported in JSON")
-        return LhvEveChannel(model=cosine_model(float(data["g"])))
-    raise ValueError(f"unknown channel variant {variant!r}")
+    if variant not in _CHANNEL_VARIANTS:
+        raise ValueError(f"unknown channel variant {variant!r}")
+    return _CHANNEL_VARIANTS[variant].from_dict(data)
 
 
 def config_to_dict(config: QkdConfig) -> dict:
@@ -498,82 +556,49 @@ def config_to_dict(config: QkdConfig) -> dict:
         "bob_angles": list(config.bob_angles),
         "chsh_pairs": [[p.alice_idx, p.bob_idx, p.sign] for p in config.chsh_pairs],
         "alarm_sigma": config.alarm_sigma,
-        "channel": _channel_to_dict(config.channel),
+        "channel": config.channel.to_dict(),
         "seed": config.seed,
     }
 
 
 def config_from_dict(data: dict) -> QkdConfig:
-    known = {
-        "n_rounds",
-        "alice_angles",
-        "bob_angles",
-        "chsh_pairs",
-        "alarm_sigma",
-        "channel",
-        "seed",
-    }
-    unknown = set(data) - known
+    """Session config from its JSON form; any malformed input raises ValueError.
+
+    Values pass to :class:`QkdConfig` and :class:`ChshPair` unconverted, so
+    their checks see non-integral round counts, seeds and indices as given.
+    """
+    unknown = set(data) - {f.name for f in fields(QkdConfig)}
     if unknown:
         raise ValueError(f"unknown QKD config keys: {sorted(unknown)}")
     if "channel" not in data:
         raise ValueError("QKD config needs a channel")
-    kwargs: dict = {"channel": _channel_from_dict(data["channel"])}
-    if "n_rounds" in data:
-        kwargs["n_rounds"] = int(data["n_rounds"])
-    if "alice_angles" in data:
-        kwargs["alice_angles"] = tuple(float(a) for a in data["alice_angles"])
-    if "bob_angles" in data:
-        kwargs["bob_angles"] = tuple(float(b) for b in data["bob_angles"])
-    if "chsh_pairs" in data:
-        kwargs["chsh_pairs"] = tuple(
-            ChshPair(int(p[0]), int(p[1]), int(p[2]) if len(p) > 2 else 1)
-            for p in data["chsh_pairs"]
-        )
-    if "alarm_sigma" in data:
-        kwargs["alarm_sigma"] = float(data["alarm_sigma"])
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    return QkdConfig(**kwargs)
+    try:
+        kwargs: dict = {"channel": _channel_from_dict(data["channel"])}
+        for key in ("n_rounds", "seed"):
+            if key in data:
+                kwargs[key] = data[key]
+        if "alice_angles" in data:
+            kwargs["alice_angles"] = tuple(float(a) for a in data["alice_angles"])
+        if "bob_angles" in data:
+            kwargs["bob_angles"] = tuple(float(b) for b in data["bob_angles"])
+        if "chsh_pairs" in data:
+            kwargs["chsh_pairs"] = tuple(ChshPair(*p) for p in data["chsh_pairs"])
+        if "alarm_sigma" in data:
+            kwargs["alarm_sigma"] = float(data["alarm_sigma"])
+        return QkdConfig(**kwargs)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed QKD config: {exc!r}") from exc
 
 
 def report_to_dict(report: QkdSessionReport) -> dict:
-    return {
-        "sifted_key_alice": report.sifted_key_alice,
-        "sifted_key_bob": report.sifted_key_bob,
-        "qber": report.qber,
-        "chsh_estimate": {
-            "s_value": report.chsh_estimate.s_value,
-            "std_error": report.chsh_estimate.std_error,
-        },
-        "chsh_unconditioned": {
-            "s_value": report.chsh_unconditioned.s_value,
-            "std_error": report.chsh_unconditioned.std_error,
-        },
-        "verdict": report.verdict,
-        "coincidence_rate": report.coincidence_rate,
-        "n_rounds": report.n_rounds,
-        "n_detected": report.n_detected,
-        "n_key_rounds": report.n_key_rounds,
-        "n_test_rounds": list(report.n_test_rounds),
-    }
+    """JSON form of a report, keys in field order."""
+    payload = asdict(report)
+    payload["n_test_rounds"] = list(report.n_test_rounds)
+    return payload
 
 
 def report_from_dict(data: dict) -> QkdSessionReport:
-    known = {
-        "sifted_key_alice",
-        "sifted_key_bob",
-        "qber",
-        "chsh_estimate",
-        "chsh_unconditioned",
-        "verdict",
-        "coincidence_rate",
-        "n_rounds",
-        "n_detected",
-        "n_key_rounds",
-        "n_test_rounds",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(QkdSessionReport)}
     if unknown:
         raise ValueError(f"unknown QKD report keys: {sorted(unknown)}")
     return QkdSessionReport(

@@ -160,15 +160,20 @@ def packet_probability_in_box(
     """Probability that a single packet is found inside the region at time t.
 
     Product over axes of Phi((hi - c)/sigma_t) - Phi((lo - c)/sigma_t), where
-    Phi is the standard normal CDF and sigma_t the expanded width.
+    Phi is the standard normal CDF and sigma_t the expanded width.  An
+    interval wholly on the + side is taken as the difference of upper tails,
+    Phi(-lo') - Phi(-hi'), so far-tail boxes do not cancel to 0 near 1 - 1.
     """
     sigma = packet.sigma_at(t)
     prob = 1.0
     for axis in range(3):
         c = packet.center[axis]
-        upper = ndtr((region.hi[axis] - c) / sigma)
-        lower = ndtr((region.lo[axis] - c) / sigma)
-        prob *= float(upper - lower)
+        lo = (region.lo[axis] - c) / sigma
+        hi = (region.hi[axis] - c) / sigma
+        if lo > 0.0:
+            prob *= float(ndtr(-lo) - ndtr(-hi))
+        else:
+            prob *= float(ndtr(hi) - ndtr(lo))
     return min(max(prob, 0.0), 1.0)
 
 
@@ -311,6 +316,26 @@ def separated_gaussian_setup(
     region_a = BoxRegion.centered_cube((0.0, 0.0, 0.0), half)
     region_b = region_a.translate(sep)
     return SpatialSetup(packet_a, packet_b, region_a, region_b)
+
+
+def setup_from_dict(spec: dict) -> SpatialSetup:
+    """:func:`separated_gaussian_setup` from its JSON block.
+
+    Keys: ``width_param`` and ``separation`` (required), ``mass`` and
+    ``hbar`` (default 1).  Any malformed block raises ValueError.
+    """
+    try:
+        unknown = set(spec) - {"width_param", "separation", "mass", "hbar"}
+        if unknown:
+            raise ValueError(f"unknown setup keys: {sorted(unknown)}")
+        return separated_gaussian_setup(
+            float(spec["width_param"]),
+            tuple(float(v) for v in spec["separation"]),
+            mass=float(spec.get("mass", 1.0)),
+            hbar=float(spec.get("hbar", 1.0)),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad setup: {exc!r}") from exc
 
 
 def setup_g_factor(setup: SpatialSetup, t: float = 0.0) -> LocalizationFactor:

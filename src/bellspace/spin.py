@@ -12,8 +12,8 @@ so that ``singlet_correlation(alice_direction(a), bob_direction(b))`` equals
 ``-cos(a - b)`` instead, i.e. perfect anticorrelation at equal angles; the
 QKD simulation relies on that form.
 
-All functions here are pure; every stochastic operation takes an explicit
-``numpy.random.Generator`` (see :mod:`bellspace.rng`).
+All functions here are pure and deterministic; outcome sampling lives with
+the channels in :mod:`bellspace.qkd`.
 """
 
 from __future__ import annotations
@@ -158,21 +158,6 @@ def joint_outcome_probability(a: UnitVector3, b: UnitVector3, s: OutcomePair) ->
     unbiased +-1 marginals whose outcome-product expectation is -(a . b).
     """
     return (1.0 - s.product * a.dot(b)) / 4.0
-
-
-def sample_singlet_outcomes(
-    a: UnitVector3, b: UnitVector3, rng: np.random.Generator
-) -> OutcomePair:
-    """Draw one outcome pair from the singlet joint distribution.
-
-    Deterministic for a fixed generator state: consumes exactly two uniforms,
-    the first for Alice's fair marginal, the second for Bob's conditional.
-    """
-    dot = a.dot(b)
-    s_a = 1 if rng.random() < 0.5 else -1
-    # P(s_b = s_a | s_a) = (1 - a.b)/2
-    s_b = s_a if rng.random() < (1.0 - dot) / 2.0 else -s_a
-    return OutcomePair(s_a, s_b)
 
 
 def chsh_statistic(p11: float, p12: float, p21: float, p22: float) -> float:

@@ -267,6 +267,24 @@ class TestQkdCommand:
         code, _, _ = run_cli(["qkd", "--config", cfg], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"chsh_pairs": [[1]]},
+            {"chsh_pairs": [[2, 0, 1, 5], [2, 2, -1], [0, 0, 1], [0, 2, -1]]},
+            {"channel": {"variant": "lhv_eve", "model": "cosine"}},
+            {"channel": {"variant": "quantum_localized", "setup": {"separation": [100, 0, 0]}}},
+            {"channel": "quantum"},
+            {"n_rounds": 1500.5},
+            {"seed": 3.5},
+        ],
+    )
+    def test_malformed_config_is_config_error(self, overrides, tmp_path, capsys):
+        cfg = write_json(tmp_path / "q.json", self.qkd_params(**overrides))
+        code, out, err = run_cli(["qkd", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and "error" in err
+
 
 class TestThresholdsCommand:
     def test_regimes(self, tmp_path, capsys):

@@ -15,9 +15,9 @@ from bellspace.lhv import (
     model_expectation_exact,
     model_expectation_mc,
     random_bounded_model,
-    sample_model_signs,
 )
-from bellspace.rng import make_generator
+from bellspace.qkd import LhvEveChannel, QkdConfig, run_session
+from bellspace.rng import make_generator, split_generators
 from bellspace.spin import ChshSettings, canonical_chsh_settings
 
 TWO_PI = 2 * math.pi
@@ -155,58 +155,65 @@ class TestMonteCarlo:
             CorrelationEstimate(mean=0.0, std_error=0.0, n_samples=0)
 
 
+def sample_eve(model, alpha, beta, n, seed):
+    """(s_a, s_b) from the eavesdropper channel at per-round or fixed angles."""
+    rng_channel, rng_signs = split_generators(seed, 2)
+    detected, s_a, s_b = LhvEveChannel(model=model).sample(
+        np.broadcast_to(np.asarray(alpha, dtype=float), (n,)),
+        np.broadcast_to(np.asarray(beta, dtype=float), (n,)),
+        rng_channel,
+        rng_signs,
+    )
+    assert detected.all()
+    return s_a, s_b
+
+
 class TestSignSampling:
     def test_saturated_response_is_deterministic(self):
-        model = constant_model(1.0, -1.0)
-        rng = make_generator(89)
-        for _ in range(100):
-            s = sample_model_signs(model, 0.0, 0.0, 1.0, rng)
-            assert s.s_a == 1
-            assert s.s_b == -1
+        s_a, s_b = sample_eve(constant_model(1.0, -1.0), 0.0, 0.0, 100, 89)
+        assert np.all(s_a == 1)
+        # Bob's outcome is the negated eta sign (the singlet's convention)
+        assert np.all(s_b == 1)
 
     def test_null_response_is_fair_coin(self):
-        model = constant_model(0.0, 0.0)
-        rng = make_generator(97)
         n = 4000
-        total = sum(sample_model_signs(model, 0.0, 0.0, 0.5, rng).s_a for _ in range(n))
-        assert abs(total / n) < 4 / math.sqrt(n)
+        s_a, s_b = sample_eve(constant_model(0.0, 0.0), 0.0, 0.0, n, 97)
+        assert abs(float(np.mean(s_a))) < 4 / math.sqrt(n)
+        assert abs(float(np.mean(s_b))) < 4 / math.sqrt(n)
 
     def test_out_of_bounds_lambda_rejected(self):
         model = types.SimpleNamespace(
             xi=lambda a, lam: 1.5 * np.ones_like(lam),
             eta=lambda b, lam: np.zeros_like(lam),
+            sample_lambda=lambda rng, n: rng.uniform(0.0, TWO_PI, n),
         )
-        with pytest.raises(ValueError):
-            sample_model_signs(model, 0.0, 0.0, 0.1, make_generator(1))
+        with pytest.raises(ValueError, match="xi"):
+            sample_eve(model, 0.0, 0.0, 100, 1)
+        with pytest.raises(ValueError, match="xi"):
+            run_session(QkdConfig(channel=LhvEveChannel(model=model), n_rounds=1000, seed=1))
 
     def test_correlation_preserved(self):
-        # empirical sign correlation reproduces E[xi*eta] at the 1/sqrt(n) rate
+        # empirical sign correlation reproduces -E[xi*eta] at the 1/sqrt(n) rate
         model = cosine_model(0.4)
         alpha, beta = 0.9, 0.9 - math.pi / 5
         exact = 0.4 * math.cos(math.pi / 5)
-        rng = make_generator(101)
         for n in (10_000, 100_000, 1_000_000):
-            lam = model.sample_lambda(rng, n)
-            xi = model.xi(alpha, lam)
-            eta = model.eta(beta, lam)
-            s_a = np.where(rng.random(n) < (1 + xi) / 2, 1, -1)
-            s_b = np.where(rng.random(n) < (1 + eta) / 2, 1, -1)
-            mean = float(np.mean(s_a * s_b))
+            s_a, s_b = sample_eve(model, alpha, beta, n, 101 + n)
+            mean = -float(np.mean(s_a * s_b))
             std_error = math.sqrt((1 - exact**2) / n)
             assert abs(mean - exact) < 4 * std_error
 
-    def test_scalar_op_matches_exact_expectation(self):
+    def test_sampler_matches_exact_expectation(self):
+        # per-round angles: each distinct setting pair gets its own responses
         model = cosine_model(0.5)
-        rng = make_generator(103)
-        alpha, beta = 0.2, 1.7
         n = 200_000
-        lam = model.sample_lambda(rng, n)
-        total = 0
-        # scalar op on a subsample; vectorized check above covers the rate
-        for value in lam[:20_000]:
-            total += sample_model_signs(model, alpha, beta, float(value), rng).product
-        exact = 0.5 * math.cos(alpha - beta)
-        assert abs(total / 20_000 - exact) < 4 / math.sqrt(20_000)
+        alphas = np.where(np.arange(n) % 2 == 0, 0.2, 2.9)
+        s_a, s_b = sample_eve(model, alphas, 1.7, n, 103)
+        for alpha in (0.2, 2.9):
+            mask = alphas == alpha
+            mean = -float(np.mean(s_a[mask] * s_b[mask]))
+            exact = model_expectation_exact(model, alpha, 1.7)
+            assert abs(mean - exact) < 4 / math.sqrt(int(mask.sum()))
 
 
 class TestModelChsh:

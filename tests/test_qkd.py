@@ -1,9 +1,13 @@
 """Key-distribution session tests: channels, sifting, CHSH audit, verdicts."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+
+from bellspace.cli import main
 
 from bellspace.lhv import cosine_model, random_bounded_model
 from bellspace.qkd import (
@@ -15,8 +19,6 @@ from bellspace.qkd import (
     QkdConfig,
     QuantumLocalizedChannel,
     RoundRecord,
-    channel_round_lhv,
-    channel_round_quantum,
     config_from_dict,
     config_to_dict,
     decide_verdict,
@@ -26,9 +28,9 @@ from bellspace.qkd import (
     rounds_to_csv,
     run_session,
 )
-from bellspace.rng import make_generator
+from bellspace.rng import make_generator, split_generators
 from bellspace.spatial import separated_gaussian_setup
-from bellspace.spin import CHSH_QUANTUM_BOUND, OutcomePair, unit_from_planar_angle
+from bellspace.spin import CHSH_QUANTUM_BOUND, OutcomePair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,80 +43,53 @@ def lhv_config(g: float, n: int = 100_000, seed: int = 2024) -> QkdConfig:
     return QkdConfig(channel=LhvEveChannel(model=cosine_model(g)), n_rounds=n, seed=seed)
 
 
+def sample_rounds(channel, alpha, beta, n, seed):
+    """(detected, s_a, s_b) from a channel at fixed angles on both wings."""
+    rng_channel, rng_signs = split_generators(seed, 2)
+    return channel.sample(np.full(n, alpha), np.full(n, beta), rng_channel, rng_signs)
+
+
 class TestQuantumChannelRounds:
     def test_g_one_always_detected(self):
-        rng = make_generator(301)
-        a = unit_from_planar_angle(0.3)
-        b = unit_from_planar_angle(1.1)
-        for _ in range(500):
-            record = channel_round_quantum(1.0, a, b, rng)
-            assert record.detected
-            assert record.outcomes is not None
+        detected, s_a, s_b = sample_rounds(QuantumLocalizedChannel(1.0), 0.3, 1.1, 500, 301)
+        assert detected.all()
+        assert set(np.unique(s_a)) <= {-1, 1} and set(np.unique(s_b)) <= {-1, 1}
 
     def test_coincidence_rate(self):
-        rng = make_generator(307)
-        a = unit_from_planar_angle(0.0)
-        b = unit_from_planar_angle(0.5)
         n = 100_000
-        detected = sum(
-            channel_round_quantum(0.5, a, b, rng).detected for _ in range(n)
-        )
-        assert abs(detected / n - 0.5) < 4 * math.sqrt(0.25 / n)
+        detected, _, _ = sample_rounds(QuantumLocalizedChannel(0.5), 0.0, 0.5, n, 307)
+        assert abs(float(detected.mean()) - 0.5) < 4 * math.sqrt(0.25 / n)
 
     def test_conditional_anticorrelation_at_matched_settings(self):
-        rng = make_generator(311)
-        a = unit_from_planar_angle(0.9)
-        products = []
-        for _ in range(20_000):
-            record = channel_round_quantum(0.9, a, a, rng)
-            if record.detected:
-                products.append(record.outcomes.product)
+        detected, s_a, s_b = sample_rounds(QuantumLocalizedChannel(0.9), 0.9, 0.9, 20_000, 311)
         # matched directions: singlet outcomes are exactly anti-equal
-        assert products and all(p == -1 for p in products)
+        assert detected.any()
+        assert np.all((s_a * s_b)[detected] == -1)
 
     def test_conditional_correlation_generic_settings(self):
-        rng = make_generator(313)
-        a = unit_from_planar_angle(0.0)
-        b = unit_from_planar_angle(1.0)
+        detected, s_a, s_b = sample_rounds(QuantumLocalizedChannel(0.7), 0.0, 1.0, 60_000, 313)
         expected = -math.cos(1.0)
-        products = []
-        for _ in range(60_000):
-            record = channel_round_quantum(0.7, a, b, rng)
-            if record.detected:
-                products.append(record.outcomes.product)
+        products = (s_a * s_b)[detected]
         mean = float(np.mean(products))
-        assert abs(mean - expected) < 4 * math.sqrt(
-            (1 - expected**2) / len(products)
-        )
+        assert abs(mean - expected) < 4 * math.sqrt((1 - expected**2) / products.size)
 
     def test_g_validation(self):
         with pytest.raises(ValueError):
-            channel_round_quantum(
-                1.5,
-                unit_from_planar_angle(0),
-                unit_from_planar_angle(0),
-                make_generator(1),
-            )
+            QuantumLocalizedChannel(1.5)
 
 
 class TestLhvChannelRounds:
     def test_matched_settings_correlation(self):
-        model = cosine_model(0.5)
-        rng = make_generator(317)
         n = 60_000
-        total = 0
-        for _ in range(n):
-            record = channel_round_lhv(model, 0.7, 0.7, rng)
-            assert record.detected
-            total += record.outcomes.product
-        assert abs(total / n - 0.5) < 4 * math.sqrt((1 - 0.25) / n)
+        detected, s_a, s_b = sample_rounds(LhvEveChannel(cosine_model(0.5)), 0.7, 0.7, n, 317)
+        assert detected.all()
+        # singlet convention: raw outcomes anticorrelate where the model correlates
+        assert abs(float(np.mean(s_a * s_b)) + 0.5) < 4 * math.sqrt((1 - 0.25) / n)
 
     def test_null_model_fair_coins(self):
-        model = cosine_model(0.0)
-        rng = make_generator(331)
         n = 20_000
-        prods = [channel_round_lhv(model, 0.1, 0.9, rng).outcomes.product for _ in range(n)]
-        assert abs(float(np.mean(prods))) < 4 / math.sqrt(n)
+        _, s_a, s_b = sample_rounds(LhvEveChannel(cosine_model(0.0)), 0.1, 0.9, n, 331)
+        assert abs(float(np.mean(s_a * s_b))) < 4 / math.sqrt(n)
 
 
 class TestDecideVerdict:
@@ -217,6 +192,15 @@ class TestRunSessionLhv:
         assert est.s_value <= 2.0 + 3 * est.std_error
         assert report.verdict == EVE_DETECTED
         assert report.coincidence_rate == 1.0
+
+    @pytest.mark.parametrize("g", [0.25, 0.5])
+    def test_cosine_eve_qber(self, g):
+        # Eve's key bits agree on (1 + g)/2 of matched rounds after Bob's flip
+        report = run_session(lhv_config(g))
+        want = (1 - g) / 2
+        sigma = math.sqrt(want * (1 - want) / report.n_key_rounds)
+        assert abs(report.qber - want) < 5 * sigma
+        assert report.sifted_key_alice != report.sifted_key_bob
 
     def test_any_bounded_model_respects_chsh(self):
         rng = make_generator(347)
@@ -354,3 +338,72 @@ class TestSerialization:
         for line in detected[:10]:
             fields = line.split(",")
             assert fields[4] in ("1", "-1") and fields[5] in ("1", "-1")
+
+    def test_rounds_csv_matches_row_loop(self):
+        # reference: one formatted line per RoundRecord row
+        _, rounds = run_session(quantum_config(0.6, n=12_345, seed=23), return_rounds=True)
+        lines = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
+        for i, r in enumerate(rounds):
+            s_a, s_b = (r.outcomes.s_a, r.outcomes.s_b) if r.outcomes else ("", "")
+            lines.append(f"{i},{r.alice_setting},{r.bob_setting},{int(r.detected)},{s_a},{s_b}\n")
+        assert rounds_to_csv(rounds) == "".join(lines)
+
+    def test_round_log_columns_and_rows(self):
+        report, rounds = run_session(quantum_config(0.5, n=2_000, seed=19), return_rounds=True)
+        assert len(rounds) == 2_000
+        assert int(rounds.detected.sum()) == report.n_detected
+        assert np.all((rounds.s_a == 0) == ~rounds.detected)
+        rows = list(rounds)
+        assert len(rows) == 2_000
+        for i in (0, 1, 777, 1_999):
+            assert rows[i] == rounds[i]
+            assert rows[i].alice_setting == rounds.a_idx[i]
+            assert rows[i].detected == rounds.detected[i]
+            if rows[i].detected:
+                assert rows[i].outcomes == OutcomePair(int(rounds.s_a[i]), int(rounds.s_b[i]))
+
+
+class TestGoldenOutputs:
+    """Outputs for a fixed config and seed, pinned by sha256.
+
+    Quantum channel: CLI stdout and the round log, so the sampling rule, its
+    draw order and the CSV layout cannot drift.  Eve channel: every report
+    field except the key bits and the QBER.
+    """
+
+    PARAMS = {"n_rounds": 5000, "channel": {"variant": "quantum_localized", "g": 0.7}, "seed": 2718}
+
+    @staticmethod
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "8d25e44af8752f9010639dd798babaafa507a56ea549d7d04414bff2680b08d3"),
+            ("csv", "f36013d50ed42e765500d8b3de78f541bebb737c399ada753b4223c171281284"),
+        ],
+    )
+    def test_cli_stdout(self, fmt, digest, tmp_path, capsys):
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps(self.PARAMS))
+        assert main(["qkd", "--config", str(cfg), "--format", fmt]) == 0
+        assert self.sha256(capsys.readouterr().out) == digest
+
+    def test_round_log_csv(self):
+        config = QkdConfig(channel=QuantumLocalizedChannel(0.7), n_rounds=5000, seed=2718)
+        _, rounds = run_session(config, return_rounds=True)
+        assert self.sha256(rounds_to_csv(rounds)) == (
+            "f861306f6b79ca094c8dea1b2f1f6b55208c5c65438f198cdcc8f87a99bf8291"
+        )
+
+    def test_eve_audit_fields(self):
+        payload = report_to_dict(run_session(lhv_config(0.5, seed=8008)))
+        kept = (
+            "chsh_estimate", "chsh_unconditioned", "verdict", "n_detected",
+            "n_test_rounds", "n_key_rounds", "coincidence_rate",
+        )
+        text = json.dumps({k: payload[k] for k in kept}, sort_keys=True)
+        assert self.sha256(text) == (
+            "54edede2e4475846161de58d4b0bde254d8eb9502c62549af26783a18969c66a"
+        )

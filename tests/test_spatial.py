@@ -24,6 +24,7 @@ from bellspace.spatial import (
     packet_probability_in_box,
     product_density,
     separated_gaussian_setup,
+    setup_from_dict,
     setup_g_factor,
 )
 
@@ -67,6 +68,17 @@ class TestPacketProbability:
         region = BoxRegion((20.0, -0.5, -0.5), (21.0, 0.5, 0.5))
         assert packet_probability_in_box(packet, region, 0.0) < 1e-50
 
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("lo, hi", [(7.0, 8.0), (8.0, 9.0), (9.0, 10.0)])
+    def test_far_tail_boxes_match_erfc(self, lo, hi, side):
+        # no cancellation on either side: [9, 10] sigma is 1.13e-19, not 0
+        packet = GaussianPacket((0.0, 0.0, 0.0), width_param=1.0)
+        x_lo, x_hi = sorted((side * lo, side * hi))
+        region = BoxRegion((x_lo, -40.0, -40.0), (x_hi, 40.0, 40.0))
+        exact = 0.5 * (math.erfc(lo / math.sqrt(2)) - math.erfc(hi / math.sqrt(2)))
+        got = packet_probability_in_box(packet, region, 0.0)
+        assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
+
     def test_random_boxes_vs_quad_oracle(self):
         rng = make_generator(3)
         for _ in range(20):
@@ -82,6 +94,26 @@ class TestPacketProbability:
             assert packet_probability_in_box(packet, region, 0.0) == pytest.approx(
                 oracle, abs=1e-11
             )
+
+
+class TestSetupFromDict:
+    def test_matches_separated_gaussian_setup(self):
+        spec = {"width_param": 2.0, "separation": [0, 30, 0], "mass": 3.0}
+        assert setup_from_dict(spec) == separated_gaussian_setup(2.0, (0, 30, 0), mass=3.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"separation": [100, 0, 0]},
+            {"width_param": 1.0, "separation": 100},
+            {"width_param": 1.0, "separation": [100, 0, 0], "typo": 1},
+            {"width_param": None, "separation": [100, 0, 0]},
+            [1.0, 2.0],
+        ],
+    )
+    def test_malformed_block_is_value_error(self, spec):
+        with pytest.raises(ValueError):
+            setup_from_dict(spec)
 
 
 class TestGFactorProduct:

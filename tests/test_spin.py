@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from bellspace.rng import make_generator
+from bellspace.qkd import QuantumLocalizedChannel
+from bellspace.rng import make_generator, split_generators
 from bellspace.spin import (
     CHSH_QUANTUM_BOUND,
     ChshSettings,
@@ -23,7 +24,6 @@ from bellspace.spin import (
     chsh_statistic,
     joint_outcome_probability,
     quantum_chsh,
-    sample_singlet_outcomes,
     singlet_correlation,
     unit_from_planar_angle,
 )
@@ -184,34 +184,40 @@ class TestJointProbability:
             )
 
 
+def sample_channel(alpha, beta, seed):
+    """Singlet outcomes from the QKD channel at g = 1 (per-round planar angles)."""
+    rng_channel, rng_signs = split_generators(seed, 2)
+    return QuantumLocalizedChannel(g=1.0).sample(
+        np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float), rng_channel, rng_signs
+    )
+
+
 class TestSampling:
     def test_equal_settings_always_anti_equal(self):
-        z = UnitVector3(0.0, 0.0, 1.0)
-        rng = make_generator(41)
-        for _ in range(1000):
-            s = sample_singlet_outcomes(z, z, rng)
-            assert s.s_b == -s.s_a
+        theta = make_generator(41).uniform(0.0, 2 * math.pi, 1000)
+        _, s_a, s_b = sample_channel(theta, theta, 41)
+        assert np.all(s_b == -s_a)
 
     def test_monte_carlo_matches_analytic(self):
-        a = unit_from_planar_angle(0.0)
-        b = bob_direction(math.pi / 4)
-        expected = singlet_correlation(a, b)  # cos(pi/4)
-        rng = make_generator(43)
+        alpha, beta = 0.0, math.pi / 4
+        # the channel measures both wings along unit_from_planar_angle
+        expected = singlet_correlation(
+            unit_from_planar_angle(alpha), unit_from_planar_angle(beta)
+        )  # -cos(pi/4)
         n = 1_000_000
-        total = 0
-        for _ in range(n):
-            total += sample_singlet_outcomes(a, b, rng).product
-        mean = total / n
+        _, s_a, s_b = sample_channel(np.full(n, alpha), np.full(n, beta), 43)
+        mean = float(np.mean(s_a * s_b))
         std_err = math.sqrt((1 - expected**2) / n)
         assert abs(mean - expected) < 4 * std_err
 
     def test_fixed_seed_reproducible(self):
-        a = random_direction(make_generator(0))
-        b = random_direction(make_generator(1))
-        rng1, rng2 = make_generator(99), make_generator(99)
-        seq_a = [sample_singlet_outcomes(a, b, rng1) for _ in range(200)]
-        seq_b = [sample_singlet_outcomes(a, b, rng2) for _ in range(200)]
-        assert seq_a == seq_b
+        alpha = make_generator(0).uniform(0.0, 2 * math.pi, 200)
+        beta = make_generator(1).uniform(0.0, 2 * math.pi, 200)
+        first = sample_channel(alpha, beta, 99)
+        second = sample_channel(alpha, beta, 99)
+        for x, y in zip(first, second):
+            assert np.array_equal(x, y)
+        assert not np.array_equal(first[1], sample_channel(alpha, beta, 98)[1])
 
 
 class TestChshStatistic:
