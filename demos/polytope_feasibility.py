@@ -3,7 +3,7 @@
 A correlation matrix is reproducible by bounded responses exactly when it
 lies in the convex hull of sign outer products.  The LP decides membership
 and hands back either an explicit mixture or a separating Bell inequality,
-which is then re-verified by brute-force enumeration.
+whose classical bound is then recomputed independently of the solver.
 """
 
 import math
@@ -29,8 +29,8 @@ cert = result.certificate
 print("  separating inequality from the LP dual:")
 print(np.array2string(cert.coefficients, precision=6))
 print(f"  classical bound {cert.bound:.6f}, value at target {cert.value_at(target):.6f}")
-print(f"  margin = {cert.value_at(target) - cert.bound:.6f}  (= 2*sqrt(2) - 2)")
-print(f"  exhaustive re-verification: {verify_certificate(cert, target)}")
+print(f"  margin = {cert.value_at(target) - cert.bound:.6f}  (= 1 - 1/sqrt(2); scaled so C.P = 1)")
+print(f"  independent re-verification: {verify_certificate(cert, target)}")
 
 print()
 print("=== Scaled versions ===")
@@ -47,7 +47,7 @@ for g in (0.5, 0.7070, 0.7072, 0.75):
 print()
 print("=== Locating the threshold ===")
 g_star = max_feasible_scale(target, tol=1e-5)
-print(f"  bisection: largest feasible scale g* = {g_star:.6f}")
+print(f"  gauge LP: largest feasible scale g* = {g_star:.6f}")
 print(f"  analytic threshold 1/sqrt(2) = {1 / math.sqrt(2):.6f}")
 
 print()

@@ -15,8 +15,9 @@ rejected), ``--seed U64`` (default 42), ``--format csv|json`` and
 ``--out PATH`` (default stdout).  CSV floats carry 10 significant digits.
 Identical invocations with identical seeds produce byte-identical output.
 
-Exit codes: 0 success; 2 configuration error; 3 numerical failure;
-4 QKD session ended inconclusive for lack of data.
+Exit codes: 0 success; 2 configuration error (malformed config, or a value
+the library rejects with ValueError); 3 numerical failure; 4 QKD session
+ended inconclusive for lack of data.
 
 The environment variable ``BELLSPACE_LOG`` (debug/info/warning/error) sets
 log verbosity.
@@ -134,16 +135,33 @@ def _load_parameters(path: str | None) -> dict:
 
 
 def _reject_unknown(params: dict, known: set[str], where: str) -> None:
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(params) - known
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _angle(params: dict, key: str, default: float) -> float:
+def _number(params: dict, key: str, default: Any, kind: type = float) -> Any:
+    """Parameter ``key`` as a number, or a list of numbers if ``default`` is a list.
+
+    Strings and bools are rejected; ``kind=int`` also rejects non-integers
+    such as 3.5, as :func:`bellspace.qkd.config_from_dict` does for seeds.
+    """
+    value = params.get(key, default)
+    many = isinstance(default, list)
+    items = value if many else [value]
+    allowed = int if kind is int else (int, float)
     try:
-        return float(params.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parameter {key!r} must be a number") from exc
+        if not isinstance(items, list) or any(
+            isinstance(v, bool) or not isinstance(v, allowed) for v in items
+        ):
+            raise TypeError(f"got {value!r}")
+        numbers = [kind(v) for v in items]
+    except (TypeError, OverflowError) as exc:
+        what = "a list of numbers" if many else "an integer" if kind is int else "a number"
+        raise ConfigError(f"parameter {key!r} must be {what}") from exc
+    return numbers if many else numbers[0]
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -154,16 +172,13 @@ def _cmd_chsh(cfg: RunConfig) -> tuple[dict, str, int]:
     _reject_unknown(params, {"alpha1", "alpha2", "beta1", "beta2", "g", "seed"}, "chsh")
     default = canonical_chsh_settings()
     settings = ChshSettings(
-        alpha1=_angle(params, "alpha1", default.alpha1.theta),
-        alpha2=_angle(params, "alpha2", default.alpha2.theta),
-        beta1=_angle(params, "beta1", default.beta1.theta),
-        beta2=_angle(params, "beta2", default.beta2.theta),
+        alpha1=_number(params, "alpha1", default.alpha1.theta),
+        alpha2=_number(params, "alpha2", default.alpha2.theta),
+        beta1=_number(params, "beta1", default.beta1.theta),
+        beta2=_number(params, "beta2", default.beta2.theta),
     )
-    g = _angle(params, "g", 1.0)
-    try:
-        s_value = quantum_chsh(settings, g)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    g = _number(params, "g", 1.0)
+    s_value = quantum_chsh(settings, g)
     alphas = (settings.alpha1.theta, settings.alpha2.theta)
     betas = (settings.beta1.theta, settings.beta2.theta)
     correlations = {
@@ -194,33 +209,22 @@ def _cmd_chsh(cfg: RunConfig) -> tuple[dict, str, int]:
 
 def _parse_packet(spec: dict, where: str) -> GaussianPacket:
     _reject_unknown(spec, {"center", "width_param", "mass", "hbar"}, where)
-    try:
-        return GaussianPacket(
-            center=tuple(float(v) for v in spec.get("center", (0.0, 0.0, 0.0))),
-            width_param=float(spec["width_param"]),
-            mass=float(spec.get("mass", 1.0)),
-            hbar=float(spec.get("hbar", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    return GaussianPacket(
+        center=tuple(_number(spec, "center", [0.0, 0.0, 0.0])),
+        width_param=_number(spec, "width_param", None),
+        mass=_number(spec, "mass", 1.0),
+        hbar=_number(spec, "hbar", 1.0),
+    )
 
 
 def _parse_region(spec: dict, where: str) -> BoxRegion:
     _reject_unknown(spec, {"lo", "hi"}, where)
-    try:
-        return BoxRegion(
-            tuple(float(v) for v in spec["lo"]), tuple(float(v) for v in spec["hi"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    return BoxRegion(tuple(_number(spec, "lo", [])), tuple(_number(spec, "hi", [])))
 
 
 def _parse_setup(params: dict) -> SpatialSetup:
     if "setup" in params:
-        try:
-            return setup_from_dict(params["setup"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return setup_from_dict(params["setup"])
     needed = {"packet_a", "packet_b", "region_a", "region_b"}
     if not needed <= set(params):
         raise ConfigError(
@@ -244,17 +248,11 @@ def _cmd_gfactor(cfg: RunConfig) -> tuple[dict, str, int]:
     )
     setup = _parse_setup(params)
     if "times" in params:
-        try:
-            curve = g_decay_curve(setup, [float(t) for t in params["times"]])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        curve = g_decay_curve(setup, _number(params, "times", []))
         payload = {"curve": [{"t": t, "g": g} for t, g in curve]}
         return payload, _csv_table(("t", "g"), curve), EXIT_OK
-    t = _angle(params, "t", 0.0)
-    try:
-        g = setup_g_factor(setup, t).g
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    t = _number(params, "t", 0.0)
+    g = setup_g_factor(setup, t).g
     row = detectability_threshold_report([g])[0]
     payload = {"t": t, "g": g, "regime": row["regime"], "chsh_max": row["chsh_max"]}
     csv_text = _csv_table(
@@ -272,7 +270,7 @@ def _cmd_packet(cfg: RunConfig) -> tuple[dict, str, int]:
         if "region" in params
         else BoxRegion.centered_cube(packet.center, 1.0 / packet.width_param)
     )
-    times = [float(t) for t in params.get("times", [0.0])]
+    times = _number(params, "times", [0.0])
     if any(t < 0 for t in times):
         raise ConfigError("times must be nonnegative")
     rows = [
@@ -288,13 +286,10 @@ def _cmd_packet(cfg: RunConfig) -> tuple[dict, str, int]:
 def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
     _reject_unknown(params, {"g", "alphas", "betas", "mode", "n", "seed"}, "lhv")
-    g = _angle(params, "g", 0.5)
-    try:
-        model = cosine_model(g)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    alphas = [float(a) for a in params.get("alphas", [0.0, math.pi / 4, math.pi / 2])]
-    betas = [float(b) for b in params.get("betas", [math.pi / 4, math.pi / 2])]
+    g = _number(params, "g", 0.5)
+    model = cosine_model(g)
+    alphas = _number(params, "alphas", [0.0, math.pi / 4, math.pi / 2])
+    betas = _number(params, "betas", [math.pi / 4, math.pi / 2])
     mode = params.get("mode", "exact")
     if mode not in ("exact", "mc"):
         raise ConfigError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -306,7 +301,7 @@ def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
         header = ("alpha", "beta", "expectation")
         table = [{"alpha": a, "beta": b, "expectation": e} for a, b, e in rows]
     else:
-        n = int(params.get("n", 100_000))
+        n = _number(params, "n", 100_000, int)
         rng = make_generator(cfg.seed)
         for a in alphas:
             for b in betas:
@@ -326,15 +321,10 @@ def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, str, int]:
     _reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
         raise ConfigError("feasibility needs a 'target' block (alphas, betas, matrix)")
-    try:
-        target = target_from_dict(params["target"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    result = local_polytope_membership(target)
-    payload = result_to_dict(result)
+    target = target_from_dict(params["target"])
+    payload = result_to_dict(local_polytope_membership(target))
     if params.get("max_scale"):
-        tol = float(params.get("tol", 1e-4))
-        payload["max_scale"] = max_feasible_scale(target, tol)
+        payload["max_scale"] = max_feasible_scale(target, _number(params, "tol", 1e-4))
     return payload, _csv_from_payload(payload), EXIT_OK
 
 
@@ -343,10 +333,7 @@ def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
     round_log = params.pop("round_log", None)
     if "seed" not in params:
         params["seed"] = cfg.seed
-    try:
-        config = config_from_dict(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = config_from_dict(params)
     if round_log is None:
         report = run_session(config)
     else:
@@ -361,11 +348,10 @@ def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
 def _cmd_thresholds(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
     _reject_unknown(params, {"g_values", "seed"}, "thresholds")
-    g_values = params.get("g_values", [0.1, 0.25, 0.5, 0.6, 1 / math.sqrt(2), 0.75, 0.9, 1.0])
-    try:
-        rows = detectability_threshold_report([float(g) for g in g_values])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    g_values = _number(
+        params, "g_values", [0.1, 0.25, 0.5, 0.6, 1 / math.sqrt(2), 0.75, 0.9, 1.0]
+    )
+    rows = detectability_threshold_report(g_values)
     csv_rows = [[r["g"], r["regime"], r["chsh_max"]] for r in rows]
     return (
         {"thresholds": rows},
@@ -428,7 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         parameters = _load_parameters(args.config)
-        seed = args.seed if args.seed is not None else int(parameters.get("seed", DEFAULT_SEED))
+        seed = _number(parameters, "seed", DEFAULT_SEED, int) if args.seed is None else args.seed
+        if not 0 <= seed < 2**64:
+            raise ConfigError("seed must be an integer in [0, 2^64)")
         cfg = RunConfig(
             command=args.command,
             parameters=parameters,
@@ -437,8 +425,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=seed,
         )
         payload, csv_text, exit_code = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        log.error("configuration error: %s", exc)
+    except ValueError as exc:  # ConfigError, or a library input check on a config value
+        log.error("configuration error: %s", exc, exc_info=log.isEnabledFor(logging.DEBUG))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, FeasibilitySolverError) as exc:

@@ -12,15 +12,18 @@ the rank-one matrix xi(lambda) eta(lambda)^T has its factors inside the unit
 cubes, and every point of a cube is a convex combination of the cube's sign
 vertices; bilinearity then writes xi eta^T as a convex combination of sign
 outer products, so the lambda-average P stays in L.  Conversely any weight
-vector on sign pairs *is* a discrete hidden-variable model.  Membership of P
-in L is therefore decided exactly by a linear-program feasibility check over
-vertex weights, and the LP dual of an infeasible instance is a separating
-Bell-type inequality.
+vector on sign pairs *is* a discrete hidden-variable model.
 
-The decision is run as a phase-1 LP (minimize the l1 constraint violation);
-its optimum is zero iff P is in L.  Verification never trusts the solver:
-:func:`verify_certificate` recomputes the classical bound of a certificate
-by exhaustive enumeration of all 2^(m+n) sign pairs.
+One linear program decides everything: the gauge LP max g s.t. g*P in L.
+Its optimum g* >= 1 means P is in L (the LP's vertex weights are the
+mixture), g* < 1 is the largest feasible scaling, and its dual is a
+separating Bell-type inequality.  The LP is solved by column generation
+(Gilmore & Gomory, Oper. Res. 9, 849 (1961)) instead of over all
+2^(m+n-1) vertices: a vertex's dual value is priced exactly by
+max_{s,t} s^T C t = max_s ||C^T s||_1 (Brunner et al., Rev. Mod. Phys. 86,
+419 (2014), Sec. II), which enumerates only the smaller wing's
+2^(min(m,n)-1) strategies.  Verification never trusts the solver:
+:func:`verify_certificate` recomputes the classical bound the same way.
 """
 
 from __future__ import annotations
@@ -34,19 +37,18 @@ from scipy.optimize import linprog
 
 from .spin import as_angle
 
-#: Hard cap on m + n; vertex enumeration is 2^(m+n).
+#: Hard cap on m + n; pricing enumerates 2^(min(m,n)-1) strategies.
 MAX_GRID_SIZE = 24
-#: Feasibility threshold on the phase-1 optimum and certificate margins.
+#: Tolerance on the gauge optimum (feasible iff g* >= 1 - tol), on the
+#: pricing step and on certificate margins.
 FEASIBILITY_TOL = 1e-9
-
-_MAX_LP_ENTRIES = 250_000_000  # dense constraint-matrix guard (~2 GB of floats)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 
 class FeasibilitySolverError(RuntimeError):
-    """The LP backend failed or the instance exceeds the dense-matrix budget."""
+    """The LP backend failed or returned an inconsistent dual certificate."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class CorrelationTarget:
 
     Angles are wrapped into [0, 2*pi); the matrix has shape (len(alphas),
     len(betas)) with entries in [-1, 1], and m + n is capped at
-    :data:`MAX_GRID_SIZE` to keep vertex enumeration tractable.
+    :data:`MAX_GRID_SIZE` to keep the pricing enumeration tractable.
     """
 
     alphas: tuple[float, ...]
@@ -157,8 +159,8 @@ class FeasibilityResult:
     """Outcome of a membership test: a representing mixture or a certificate.
 
     ``residual`` is the largest reconstruction error of the mixture when
-    feasible, and the phase-1 violation (the separation margin implied by the
-    dual) when infeasible.
+    feasible, and the certificate margin C.P - bound (with C scaled so that
+    C.P = 1) when infeasible.
     """
 
     status: str
@@ -171,22 +173,76 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def _sign_matrix(k: int) -> np.ndarray:
-    """All vectors of {-1,+1}^k as rows (first coordinate = most significant bit)."""
-    if k == 0:
-        return np.ones((1, 0))
-    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return (2.0 * bits - 1.0).astype(float)
+def _half_sign_matrix(k: int) -> np.ndarray:
+    """All of {-1,+1}^k (k >= 1) as rows, with the first coordinate pinned to +1.
 
-
-def _half_sign_matrix(m: int) -> np.ndarray:
-    """Sign vectors with the first coordinate pinned to +1.
-
-    The outer products s t^T and (-s)(-t)^T coincide, so restricting Alice's
-    first sign to +1 enumerates every polytope vertex exactly once.
+    The outer products s t^T and (-s)(-t)^T coincide, so pinning one wing's
+    first sign enumerates every polytope vertex exactly once.
     """
-    rest = _sign_matrix(m - 1)
-    return np.hstack([np.ones((rest.shape[0], 1)), rest])
+    bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
+
+
+def _best_responses(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every strategy of the smaller wing, its best reply and the pair's value.
+
+    Against a fixed s the best t is sign(C^T s), worth s^T C t = ||C^T s||_1,
+    so max over all 2^(m+n) sign pairs of s^T C t is the largest of the
+    2^(min(m,n)-1) returned values.  Returns the stacked rows (s, t, value).
+    """
+    flip = coeff.shape[0] > coeff.shape[1]
+    own = _half_sign_matrix(min(coeff.shape))
+    scores = own @ (coeff.T if flip else coeff)
+    reply = np.where(scores < 0.0, -1.0, 1.0)
+    values = np.abs(scores).sum(axis=1)
+    return (reply, own, values) if flip else (own, reply, values)
+
+
+def _gauge_lp(
+    target: CorrelationTarget, tol: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve max g s.t. g*P in L by column generation over polytope vertices.
+
+    The master LP has weights w >= 0 on a subset of vertices s t^T and
+    0 <= g <= 1, with sum_k w_k s_k t_k^T - g P = 0 and sum w = 1.  Its
+    equality duals (C, z) bound every master column by s^T C t <= z; each
+    round adds all best responses to C that beat z by more than ``tol``,
+    until none does (or g reaches 1).  The master starts from every
+    strategy's best and worst response to P, so g = 0 is always feasible.
+
+    Returns (g, w, s, t, C) with w over the master columns (s_k, t_k).
+    """
+    m, n = target.matrix.shape
+    p = target.matrix.ravel()
+    s, t, _ = _best_responses(target.matrix)
+    s, t = np.vstack([s, s]), np.vstack([t, -t])
+    while True:
+        k = s.shape[0]
+        columns = np.einsum("ki,kj->ijk", s, t).reshape(m * n, k)
+        a_eq = np.vstack([np.hstack([columns, -p[:, None]]), np.append(np.ones(k), 0.0)])
+        result = linprog(
+            np.append(np.zeros(k), -1.0), A_eq=a_eq, b_eq=np.append(np.zeros(m * n), 1.0),
+            bounds=[(0.0, None)] * k + [(0.0, 1.0)], method="highs",
+        )
+        if result.status != 0:
+            raise FeasibilitySolverError(
+                f"LP solver failed (status {result.status}): {result.message}"
+            )
+        g, dual = -float(result.fun), result.eqlin.marginals
+        coeff, level = dual[:-1].reshape(m, n), -float(dual[-1])
+        if g >= 1.0 - tol:
+            break
+        s_new, t_new, values = _best_responses(coeff)
+        # within HiGHS's dual tolerance a master column may still beat z + tol
+        seen = {row.tobytes() for row in np.hstack([s, t])}
+        fresh = [
+            i for i in np.flatnonzero(values > level + tol)
+            if np.append(s_new[i], t_new[i]).tobytes() not in seen
+        ]
+        if not fresh:
+            break
+        s, t = np.vstack([s, s_new[fresh]]), np.vstack([t, t_new[fresh]])
+    return g, result.x[:-1], s, t, coeff
 
 
 def local_polytope_membership(
@@ -194,75 +250,35 @@ def local_polytope_membership(
 ) -> FeasibilityResult:
     """Decide membership of the target in the local correlation polytope.
 
-    Feasible verdicts return a sparse representing mixture over sign-strategy
-    pairs; infeasible verdicts return a separating Bell certificate read off
-    the LP dual.  Solver breakdowns raise :class:`FeasibilitySolverError`
-    with the solver's message and residual information.
+    Feasible verdicts (gauge g* >= 1 - feas_tol) return a sparse representing
+    mixture over sign-strategy pairs; infeasible verdicts return a separating
+    Bell certificate read off the gauge LP's dual, scaled to C.P = 1, with
+    its classical bound recomputed exactly.  Solver breakdowns raise
+    :class:`FeasibilitySolverError` with the solver's message.
     """
-    m, n = target.matrix.shape
-    strategies_a = _half_sign_matrix(m)
-    strategies_b = _sign_matrix(n)
-    n_cols = strategies_a.shape[0] * strategies_b.shape[0]
-    if m * n * n_cols > _MAX_LP_ENTRIES:
-        raise FeasibilitySolverError(
-            f"dense LP for a {m}x{n} grid needs {m * n * n_cols} matrix entries, "
-            f"over the {_MAX_LP_ENTRIES} budget"
-        )
-
-    # Column (k, l): the outer product of strategy pair (s_k, t_l), flattened
-    # row-major to match target.matrix.ravel().
-    columns = np.einsum("ki,lj->ijkl", strategies_a, strategies_b).reshape(m * n, n_cols)
-    p = target.matrix.ravel()
-
-    # Phase-1 LP: minimize sum(u+ + u-) s.t. columns @ w + u+ - u- = p,
-    # sum(w) = 1, all variables >= 0.  Optimum 0 <=> membership.
-    n_eq = m * n
-    eye = np.eye(n_eq)
-    a_eq = np.zeros((n_eq + 1, n_cols + 2 * n_eq))
-    a_eq[:n_eq, :n_cols] = columns
-    a_eq[:n_eq, n_cols : n_cols + n_eq] = eye
-    a_eq[:n_eq, n_cols + n_eq :] = -eye
-    a_eq[n_eq, :n_cols] = 1.0
-    b_eq = np.concatenate([p, [1.0]])
-    cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_eq)])
-
-    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if result.status != 0:
-        raise FeasibilitySolverError(
-            f"LP solver failed (status {result.status}): {result.message}"
-        )
-    violation = float(result.fun)
-
-    if violation <= feas_tol:
-        w = result.x[:n_cols]
-        residual = float(np.max(np.abs(columns @ w - p)))
+    g, w, s, t, coeff = _gauge_lp(target, feas_tol)
+    if g >= 1.0 - feas_tol:
         keep = np.flatnonzero(w > 1e-12)
+        rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
         weights = tuple(
-            StrategyWeight(
-                s=tuple(int(v) for v in strategies_a[k // strategies_b.shape[0]]),
-                t=tuple(int(v) for v in strategies_b[k % strategies_b.shape[0]]),
-                weight=float(w[k]),
-            )
+            StrategyWeight(tuple(map(int, s[k])), tuple(map(int, t[k])), float(w[k]))
             for k in keep
         )
+        residual = float(np.max(np.abs(rebuilt - target.matrix)))
         return FeasibilityResult(FEASIBLE, residual=residual, weights=weights)
 
-    dual = np.asarray(result.eqlin.marginals, dtype=float)
-    # Orient the dual so that dual . b_eq equals the (positive) optimum.
-    if float(dual @ b_eq) < 0.0:
-        dual = -dual
-    coefficients = dual[:n_eq].reshape(m, n)
-    bound = -float(dual[n_eq])
-    margin = float(np.sum(coefficients * target.matrix)) - bound
+    value = float(np.sum(coeff * target.matrix))
+    if not value > 0.0:
+        raise FeasibilitySolverError(f"dual certificate has value {value!r} at the target")
+    coefficients = coeff / value
+    bound = float(np.max(_best_responses(coefficients)[2]))
+    margin = 1.0 - bound
     if margin <= feas_tol:
         raise FeasibilitySolverError(
-            f"dual certificate margin {margin!r} inconsistent with phase-1 "
-            f"violation {violation!r}"
+            f"dual certificate margin {margin!r} inconsistent with gauge {g!r}"
         )
     return FeasibilityResult(
-        INFEASIBLE,
-        residual=violation,
-        certificate=BellCertificate(coefficients, bound),
+        INFEASIBLE, residual=margin, certificate=BellCertificate(coefficients, bound)
     )
 
 
@@ -273,46 +289,28 @@ def verify_certificate(
 ) -> bool:
     """Independently confirm that a certificate separates the target.
 
-    Recomputes the classical bound max over all 2^(m+n) sign pairs of
-    sum c_ij s_i t_j by exhaustive enumeration (chunked over Alice
-    strategies) and checks the separation margin exceeds ``margin_tol``.
+    Recomputes the classical bound max over all sign pairs of sum c_ij s_i t_j
+    as the largest best-response value (ignoring the stored ``bound``) and
+    checks that the separation margin exceeds ``margin_tol``.
     """
     coeff = certificate.coefficients
-    m, n = coeff.shape
-    if target.matrix.shape != (m, n):
+    if target.matrix.shape != coeff.shape:
         raise ValueError("certificate shape does not match the target")
-    strategies_a = _sign_matrix(m)
-    strategies_b = _sign_matrix(n)
-    chunk = max(1, 4_000_000 // strategies_b.shape[0])
-    best = -math.inf
-    for start in range(0, strategies_a.shape[0], chunk):
-        block = strategies_a[start : start + chunk] @ coeff @ strategies_b.T
-        best = max(best, float(np.max(block)))
-    achieved = certificate.value_at(target)
-    return achieved - best > margin_tol
+    best = float(np.max(_best_responses(coeff)[2]))
+    return certificate.value_at(target) - best > margin_tol
 
 
 def max_feasible_scale(target: CorrelationTarget, tol: float) -> float:
     """Largest scaling g in [0, 1] keeping g*P inside the local polytope.
 
-    Bisection over membership tests, returning the largest tested feasible
-    value; the true threshold lies within ``tol`` above it.  An identically
-    zero target is in the polytope at any scale, so the answer is 1.
+    One gauge LP gives the threshold g*; the answer is 1 when g* reaches 1,
+    and otherwise g* - tol/2, so that it lies inside the polytope, within
+    ``tol`` below the threshold.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if not np.any(target.matrix):
-        return 1.0
-    if local_polytope_membership(target).is_feasible:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if local_polytope_membership(target.scaled(mid)).is_feasible:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    g = _gauge_lp(target, FEASIBILITY_TOL)[0]
+    return 1.0 if g >= 1.0 - FEASIBILITY_TOL else max(0.0, g - tol / 2)
 
 
 # --- JSON (de)serialization -------------------------------------------------
@@ -327,10 +325,10 @@ def target_to_dict(target: CorrelationTarget) -> dict:
 
 
 def target_from_dict(data: dict) -> CorrelationTarget:
-    unknown = set(data) - {"alphas", "betas", "matrix"}
-    if unknown:
-        raise ValueError(f"unknown correlation-target keys: {sorted(unknown)}")
     try:
+        unknown = set(data) - {"alphas", "betas", "matrix"}
+        if unknown:
+            raise ValueError(f"unknown correlation-target keys: {sorted(unknown)}")
         alphas = tuple(float(a) for a in data["alphas"])
         betas = tuple(float(b) for b in data["betas"])
         matrix = np.array(data["matrix"], dtype=float)

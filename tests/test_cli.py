@@ -200,17 +200,17 @@ class TestFeasibilityCommand:
         code, _, _ = run_cli(["feasibility", "--config", cfg], capsys)
         assert code == EXIT_CONFIG
 
-    def test_oversized_grid_is_numerical_failure(self, tmp_path, capsys):
-        # inside the m+n cap but over the dense LP budget
+    def test_largest_grid_zero_target_feasible(self, tmp_path, capsys):
+        # 12x12 is the largest square grid under the m + n cap
         target = {
             "alphas": list(range(12)),
             "betas": list(range(12)),
             "matrix": [[0.0] * 12 for _ in range(12)],
         }
         cfg = write_json(tmp_path / "t.json", {"target": target})
-        code, _, err = run_cli(["feasibility", "--config", cfg], capsys)
-        assert code == EXIT_NUMERICAL
-        assert "numerical failure" in err
+        code, out, _ = run_cli(["feasibility", "--config", cfg], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["status"] == "feasible"
 
 
 class TestQkdCommand:
@@ -360,3 +360,44 @@ class TestEntryPoint:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["qkd", "--config", "/nonexistent.json"], capsys)
         assert code == EXIT_CONFIG
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("seed", ["abc", 3.5, True, -1, 2**64])
+    def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):
+        cfg = write_json(tmp_path / "c.json", {"seed": seed})
+        code, out, err = run_cli(["chsh", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and "seed" in err
+
+    def test_integral_seed_accepted(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"seed": 3})
+        assert run_cli(["chsh", "--config", cfg], capsys)[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("feasibility", {"max_scale": True, "tol": "abc"}),
+            ("feasibility", {"max_scale": True, "tol": 0}),
+            ("lhv", {"alphas": ["x"]}),
+            ("lhv", {"mode": "mc", "n": 5}),
+            ("lhv", {"mode": "mc", "n": 500.5}),
+            ("packet", {"times": ["a"]}),
+            ("packet", {"times": 1.0}),
+            ("chsh", {"g": True}),
+            ("gfactor", {"packet_a": 5, "packet_b": {}, "region_a": {}, "region_b": {}}),
+            ("thresholds", {"g_values": [0.5, None]}),
+            ("chsh", {"g": 10**400}),
+            ("feasibility", {"target": 5}),
+        ],
+        ids=["tol-string", "tol-zero", "alphas-string", "mc-n-too-small", "mc-n-float",
+             "times-string", "times-scalar", "g-bool", "packet-not-object", "g-values-null",
+             "g-overflows-float", "target-not-object"],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, params):
+        if command == "feasibility":
+            params = {"target": TestFeasibilityCommand().canonical_target(1.0), **params}
+        cfg = write_json(tmp_path / "c.json", params)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith("error:")

@@ -2,22 +2,27 @@
 
 Every solver verdict is cross-checked by an independent witness: feasible
 mixtures are reconstructed by hand, infeasible certificates go through
-exhaustive sign-pair enumeration.
+exhaustive sign-pair enumeration (:func:`classical_bound`, the oracle).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bellspace.feasibility import (
     FEASIBLE,
     INFEASIBLE,
     BellCertificate,
     CorrelationTarget,
-    FeasibilitySolverError,
+    _best_responses,
     canonical_cosine_target,
     chsh_certificate,
+    cosine_target,
     local_polytope_membership,
     max_feasible_scale,
     result_from_dict,
@@ -30,6 +35,12 @@ from bellspace.lhv import cosine_model, model_expectation_exact
 from bellspace.rng import make_generator
 
 SQRT2 = math.sqrt(2.0)
+
+
+def classical_bound(coeff: np.ndarray) -> float:
+    """max of s^T C t over all 2^(m+n) sign pairs, by exhaustive enumeration."""
+    s, t = (np.array(list(itertools.product((-1.0, 1.0), repeat=k))) for k in coeff.shape)
+    return float(np.max(s @ coeff @ t.T))
 
 
 def reconstruct(result) -> np.ndarray:
@@ -221,13 +232,15 @@ class TestTargetValidation:
         with pytest.raises(ValueError):
             CorrelationTarget((), (0.0,), np.zeros((0, 1)))
 
-    def test_lp_size_budget(self):
-        # within the m+n cap but beyond the dense-matrix budget
-        target = CorrelationTarget(
-            tuple(range(12)), tuple(range(12)), np.zeros((12, 12))
-        )
-        with pytest.raises(FeasibilitySolverError, match="budget"):
-            local_polytope_membership(target)
+    def test_largest_square_grid_feasible(self):
+        # 12x12 sits at the m + n cap; its 2^23 vertices are never built
+        rng = make_generator(239)
+        angles = rng.uniform(0, 2 * math.pi, (2, 12))
+        target = cosine_target(angles[0], angles[1], 0.4)
+        result = local_polytope_membership(target)
+        assert result.is_feasible
+        assert result.residual < 1e-9
+        assert np.max(np.abs(reconstruct(result) - target.matrix)) < 1e-9
 
 
 class TestJsonRoundTrip:
@@ -251,3 +264,51 @@ class TestJsonRoundTrip:
         result = local_polytope_membership(canonical_cosine_target(1.0))
         again = result_from_dict(result_to_dict(result))
         assert again == result
+
+
+correlation_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+)
+
+
+class TestGaugeLpProperties:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=st.floats(-10.0, 10.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_pricing_bound_matches_enumeration(self, coeff):
+        s, t, values = _best_responses(coeff)
+        assert np.max(values) == pytest.approx(classical_bound(coeff), rel=1e-12, abs=1e-12)
+        # each value is what its (s, t) pair actually scores
+        assert np.allclose(np.einsum("ki,ij,kj->k", s, coeff, t), values, atol=1e-12)
+        # verify_certificate separates by that same bound, whatever the stored one
+        cert = BellCertificate(coeff, 0.0)
+        target = CorrelationTarget(tuple(range(coeff.shape[0])), tuple(range(coeff.shape[1])),
+                                   np.clip(coeff, -1.0, 1.0))
+        margin = cert.value_at(target) - classical_bound(coeff)
+        assert verify_certificate(cert, target, margin_tol=margin - 1e-7)
+        assert not verify_certificate(cert, target, margin_tol=margin + 1e-7)
+
+    @given(correlation_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_max_scale_brackets_the_threshold(self, matrix):
+        m, n = matrix.shape
+        target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
+        scale = max_feasible_scale(target, 1e-4)
+        assert 0.0 <= scale <= 1.0
+        inside = local_polytope_membership(target.scaled(scale))
+        assert inside.is_feasible
+        assert all(w.weight >= 0 for w in inside.weights)
+        # HiGHS meets the LP's equalities to its primal tolerance (1e-7) on
+        # targets at the polytope's boundary; elsewhere the error is ~1e-15
+        assert sum(w.weight for w in inside.weights) == pytest.approx(1.0, abs=1e-6)
+        residual = np.max(np.abs(reconstruct(inside) - scale * matrix))
+        assert residual == pytest.approx(inside.residual, abs=1e-12)
+        assert residual < 1e-6
+        if scale + 1e-4 <= 1.0:
+            outside = target.scaled(scale + 1e-4)
+            result = local_polytope_membership(outside)
+            assert not result.is_feasible
+            coeff = result.certificate.coefficients
+            margin = np.sum(coeff * outside.matrix) - classical_bound(coeff)
+            assert margin > 1e-9
+            assert margin == pytest.approx(result.residual, abs=1e-9)
