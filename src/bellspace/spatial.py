@@ -21,8 +21,10 @@ Note: in this nonrelativistic model g can approach 1 arbitrarily closely for
 generous regions; field-theoretic corrections that keep g strictly below 1
 are outside the scope of this package.
 
-The normal CDF is evaluated with ``scipy.special.ndtr`` (erf-based, accurate
-to machine precision); no lookup tables are involved.
+The normal CDF is Phi(x) = erfc(-x / sqrt 2) / 2 with ``math.erfc``, which
+keeps full relative accuracy in the lower tail; no lookup tables are
+involved, and the module imports no scipy, so ``import bellspace`` stays
+cheap.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
 Vector3 = tuple[float, float, float]
 
@@ -154,6 +155,11 @@ class LocalizationFactor:
         return self.g
 
 
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF; full relative accuracy in the lower tail (x < 0)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def packet_probability_in_box(
     packet: GaussianPacket, region: BoxRegion, t: float = 0.0
 ) -> float:
@@ -171,9 +177,9 @@ def packet_probability_in_box(
         lo = (region.lo[axis] - c) / sigma
         hi = (region.hi[axis] - c) / sigma
         if lo > 0.0:
-            prob *= float(ndtr(-lo) - ndtr(-hi))
+            prob *= _normal_cdf(-lo) - _normal_cdf(-hi)
         else:
-            prob *= float(ndtr(hi) - ndtr(lo))
+            prob *= _normal_cdf(hi) - _normal_cdf(lo)
     return min(max(prob, 0.0), 1.0)
 
 

@@ -362,6 +362,58 @@ class TestEntryPoint:
         assert code == EXIT_CONFIG
 
 
+class TestColdStart:
+    """Only the LP needs scipy: every other command runs without importing it."""
+
+    SCRIPT = """
+import json, os, sys
+import bellspace
+from bellspace.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert scipy_modules() == [], scipy_modules()
+workdir = sys.argv[3]
+out = os.path.join(workdir, "out.json")
+
+def run(command, params):
+    path = os.path.join(workdir, command + ".json")
+    with open(path, "w") as handle:
+        json.dump(params, handle)
+    assert main([command, "--out", out, "--config", path]) == 0, command
+
+for command, params in json.loads(sys.argv[1]):
+    run(command, params)
+    assert scipy_modules() == [], (command, scipy_modules())
+run("feasibility", {"target": json.loads(sys.argv[2])})
+with open(out) as handle:
+    print(json.dumps({"status": json.load(handle)["status"], "scipy": scipy_modules()}))
+"""
+
+    COMMANDS = [
+        ("chsh", {}),
+        ("thresholds", {}),
+        ("packet", {"packet": {"width_param": 2.0}, "times": [0.0, 0.5]}),
+        ("gfactor", {"setup": {"width_param": 1.0, "separation": [50.0, 0.0, 0.0]}}),
+        ("lhv", {"g": 0.3, "mode": "mc", "n": 5000}),
+        ("qkd", {"n_rounds": 5000, "channel": {"variant": "quantum_localized", "g": 0.8}}),
+    ]
+
+    def test_only_feasibility_imports_scipy(self, tmp_path):
+        target = TestFeasibilityCommand().canonical_target(1.0)
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.COMMANDS), json.dumps(target),
+             str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["status"] == "infeasible"
+        assert "scipy.optimize" in payload["scipy"]
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("seed", ["abc", 3.5, True, -1, 2**64])
     def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):
@@ -389,10 +441,13 @@ class TestConfigValues:
             ("thresholds", {"g_values": [0.5, None]}),
             ("chsh", {"g": 10**400}),
             ("feasibility", {"target": 5}),
+            ("lhv", {"mode": "mc", "n": 10**12}),
+            ("qkd", {"n_rounds": 10**12, "channel": {"variant": "quantum_localized", "g": 0.9}}),
         ],
         ids=["tol-string", "tol-zero", "alphas-string", "mc-n-too-small", "mc-n-float",
              "times-string", "times-scalar", "g-bool", "packet-not-object", "g-values-null",
-             "g-overflows-float", "target-not-object"],
+             "g-overflows-float", "target-not-object", "mc-n-too-large",
+             "n-rounds-too-large"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, params):
         if command == "feasibility":

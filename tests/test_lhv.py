@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bellspace.lhv import (
+    MAX_MC_SAMPLES,
     CorrelationEstimate,
     HiddenVariableModel,
     cosine_model,
@@ -97,6 +98,21 @@ class TestExactExpectation:
                 g * math.cos(alpha - beta), abs=1e-10
             )
 
+    @pytest.mark.parametrize("nodes", [256, 1024, 4096, 16384])
+    def test_discontinuous_responses_converge_as_one_over_n(self, nodes):
+        # sign responses: E = 1 - 2|delta|/pi exactly, the trapezoid rule only O(1/N)
+        def square(angle, lam):
+            return np.sign(np.cos(angle - lam))
+
+        model = HiddenVariableModel(xi=square, eta=square, label="square")
+        rng = make_generator(89)
+        for _ in range(200):
+            alpha, beta = rng.uniform(0, TWO_PI, 2)
+            delta = math.remainder(alpha - beta, TWO_PI)
+            exact = 1.0 - 2.0 * abs(delta) / math.pi
+            got = model_expectation_exact(model, alpha, beta, nodes=nodes)
+            assert abs(got - exact) <= 8.0 / nodes
+
     def test_density_weighted_space(self):
         # non-uniform lambda: density proportional to 1 + cos(lambda)
         def density(lam):
@@ -147,6 +163,12 @@ class TestMonteCarlo:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             model_expectation_mc(cosine_model(0.2), 0.0, 0.0, 99, make_generator(1))
+
+    def test_maximum_samples(self):
+        with pytest.raises(ValueError, match="at most"):
+            model_expectation_mc(
+                cosine_model(0.2), 0.0, 0.0, MAX_MC_SAMPLES + 1, make_generator(1)
+            )
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,11 @@ checked against the closed-form product path.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bellspace.rng import make_generator
@@ -78,6 +81,37 @@ class TestPacketProbability:
         exact = 0.5 * (math.erfc(lo / math.sqrt(2)) - math.erfc(hi / math.sqrt(2)))
         got = packet_probability_in_box(packet, region, 0.0)
         assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        center=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        width_param=st.floats(0.25, 4.0),
+        edges=st.lists(
+            st.tuples(st.floats(-30.0, 29.9), st.floats(0.1, 60.0)), min_size=3, max_size=3
+        ),
+    )
+    def test_random_boxes_vs_mpmath(self, center, width_param, edges):
+        # edges within +-30 sigma, widths >= 0.1 sigma; 60-digit reference
+        packet = GaussianPacket(center, width_param=width_param)
+        lo_sigma = [lo for lo, _ in edges]
+        hi_sigma = [min(lo + width, 30.0) for lo, width in edges]
+        sigma = 1.0 / width_param
+        lo = tuple(c + x * sigma for c, x in zip(center, lo_sigma))
+        hi = tuple(c + x * sigma for c, x in zip(center, hi_sigma))
+        with mpmath.workdps(60):
+            reference = mpmath.mpf(1)
+            for c, a, b in zip(center, lo, hi):
+                x_lo = (mpmath.mpf(a) - mpmath.mpf(c)) * mpmath.mpf(width_param)
+                x_hi = (mpmath.mpf(b) - mpmath.mpf(c)) * mpmath.mpf(width_param)
+                if x_lo > 0:
+                    # the naive ncdf(hi) - ncdf(lo) cancels to 0 out here
+                    reference *= mpmath.ncdf(-x_lo) - mpmath.ncdf(-x_hi)
+                else:
+                    reference *= mpmath.ncdf(x_hi) - mpmath.ncdf(x_lo)
+            reference = float(reference)
+        assume(reference > 1e-290)  # below this the float product loses bits
+        got = packet_probability_in_box(packet, BoxRegion(lo, hi), 0.0)
+        assert got == pytest.approx(reference, rel=1e-11, abs=0.0)
 
     def test_random_boxes_vs_quad_oracle(self):
         rng = make_generator(3)
