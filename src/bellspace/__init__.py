@@ -13,6 +13,8 @@ wave function has both a spin part and a spatial part:
   with Bell-inequality certificates and the maximal feasible scaling;
 * :mod:`bellspace.qkd` - a two-particle key-distribution simulation with
   CHSH-based eavesdropper detection under localized detectors;
+* :mod:`bellspace.config` - the strict reader every JSON config block goes
+  through;
 * :mod:`bellspace.cli` - the ``bellspace`` command-line front end.
 """
 

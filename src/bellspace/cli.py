@@ -10,14 +10,20 @@ Seven subcommands cover the package's capabilities:
     qkd          full key-distribution session from a config JSON file
     thresholds   detectability regime classification for a list of g values
 
-Common flags: ``--config PATH`` (JSON parameters, strict: unknown keys are
-rejected), ``--seed U64`` (default 42), ``--format csv|json`` and
-``--out PATH`` (default stdout).  CSV floats carry 10 significant digits.
+Common flags: ``--config PATH`` (JSON parameters), ``--seed U64`` (default
+42), ``--format csv|json`` and ``--out PATH`` (default stdout).  CSV floats
+carry 10 significant digits; JSON output is strict (no NaN or Infinity).
 Identical invocations with identical seeds produce byte-identical output.
 
-Exit codes: 0 success; 2 configuration error (malformed config, or a value
-the library rejects with ValueError); 3 numerical failure; 4 QKD session
-ended inconclusive for lack of data.
+Configs are read by :mod:`bellspace.config`: unknown keys are rejected;
+numbers are finite JSON numbers, never strings or bools; ``n``,
+``n_rounds``, ``seed`` and the ``chsh_pairs`` entries are integers;
+``max_scale`` is a boolean and ``round_log`` a path string.
+
+Exit codes: 0 success; 2 configuration error (malformed config, a value the
+library rejects with ValueError, or an unreadable config or unwritable
+output path); 3 numerical failure; 4 QKD session ended inconclusive for
+lack of data.
 
 The environment variable ``BELLSPACE_LOG`` (debug/info/warning/error) sets
 log verbosity.
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import __version__
+from .config import ConfigError, param, reject_unknown
 from .feasibility import (
     FeasibilitySolverError,
     local_polytope_membership,
@@ -54,11 +61,12 @@ from .qkd import (
 from .rng import DEFAULT_SEED, make_generator
 from .spatial import (
     BoxRegion,
-    GaussianPacket,
     QuadratureError,
     SpatialSetup,
     g_decay_curve,
+    packet_from_dict,
     packet_probability_in_box,
+    region_from_dict,
     setup_from_dict,
     setup_g_factor,
 )
@@ -70,10 +78,6 @@ EXIT_NUMERICAL = 3
 EXIT_INCONCLUSIVE = 4
 
 log = logging.getLogger("bellspace")
-
-
-class ConfigError(ValueError):
-    """Malformed CLI configuration (bad JSON, unknown keys, invalid values)."""
 
 
 @dataclass(frozen=True)
@@ -134,50 +138,20 @@ def _load_parameters(path: str | None) -> dict:
     return data
 
 
-def _reject_unknown(params: dict, known: set[str], where: str) -> None:
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(params) - known
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _number(params: dict, key: str, default: Any, kind: type = float) -> Any:
-    """Parameter ``key`` as a number, or a list of numbers if ``default`` is a list.
-
-    Strings and bools are rejected; ``kind=int`` also rejects non-integers
-    such as 3.5, as :func:`bellspace.qkd.config_from_dict` does for seeds.
-    """
-    value = params.get(key, default)
-    many = isinstance(default, list)
-    items = value if many else [value]
-    allowed = int if kind is int else (int, float)
-    try:
-        if not isinstance(items, list) or any(
-            isinstance(v, bool) or not isinstance(v, allowed) for v in items
-        ):
-            raise TypeError(f"got {value!r}")
-        numbers = [kind(v) for v in items]
-    except (TypeError, OverflowError) as exc:
-        what = "a list of numbers" if many else "an integer" if kind is int else "a number"
-        raise ConfigError(f"parameter {key!r} must be {what}") from exc
-    return numbers if many else numbers[0]
-
-
 # --- subcommand implementations ----------------------------------------------
 
 
 def _cmd_chsh(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
-    _reject_unknown(params, {"alpha1", "alpha2", "beta1", "beta2", "g", "seed"}, "chsh")
+    reject_unknown(params, {"alpha1", "alpha2", "beta1", "beta2", "g", "seed"}, "chsh")
     default = canonical_chsh_settings()
     settings = ChshSettings(
-        alpha1=_number(params, "alpha1", default.alpha1.theta),
-        alpha2=_number(params, "alpha2", default.alpha2.theta),
-        beta1=_number(params, "beta1", default.beta1.theta),
-        beta2=_number(params, "beta2", default.beta2.theta),
+        alpha1=param(params, "alpha1", default.alpha1.theta),
+        alpha2=param(params, "alpha2", default.alpha2.theta),
+        beta1=param(params, "beta1", default.beta1.theta),
+        beta2=param(params, "beta2", default.beta2.theta),
     )
-    g = _number(params, "g", 1.0)
+    g = param(params, "g", 1.0)
     s_value = quantum_chsh(settings, g)
     alphas = (settings.alpha1.theta, settings.alpha2.theta)
     betas = (settings.beta1.theta, settings.beta2.theta)
@@ -207,21 +181,6 @@ def _cmd_chsh(cfg: RunConfig) -> tuple[dict, str, int]:
     return payload, _csv_table(("quantity", "alpha", "beta", "value"), rows), EXIT_OK
 
 
-def _parse_packet(spec: dict, where: str) -> GaussianPacket:
-    _reject_unknown(spec, {"center", "width_param", "mass", "hbar"}, where)
-    return GaussianPacket(
-        center=tuple(_number(spec, "center", [0.0, 0.0, 0.0])),
-        width_param=_number(spec, "width_param", None),
-        mass=_number(spec, "mass", 1.0),
-        hbar=_number(spec, "hbar", 1.0),
-    )
-
-
-def _parse_region(spec: dict, where: str) -> BoxRegion:
-    _reject_unknown(spec, {"lo", "hi"}, where)
-    return BoxRegion(tuple(_number(spec, "lo", [])), tuple(_number(spec, "hi", [])))
-
-
 def _parse_setup(params: dict) -> SpatialSetup:
     if "setup" in params:
         return setup_from_dict(params["setup"])
@@ -232,26 +191,26 @@ def _parse_setup(params: dict) -> SpatialSetup:
             "packet_a/packet_b/region_a/region_b"
         )
     return SpatialSetup(
-        packet_a=_parse_packet(params["packet_a"], "packet_a"),
-        packet_b=_parse_packet(params["packet_b"], "packet_b"),
-        region_a=_parse_region(params["region_a"], "region_a"),
-        region_b=_parse_region(params["region_b"], "region_b"),
+        packet_a=packet_from_dict(params["packet_a"], "packet_a"),
+        packet_b=packet_from_dict(params["packet_b"], "packet_b"),
+        region_a=region_from_dict(params["region_a"], "region_a"),
+        region_b=region_from_dict(params["region_b"], "region_b"),
     )
 
 
 def _cmd_gfactor(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
-    _reject_unknown(
+    reject_unknown(
         params,
         {"setup", "packet_a", "packet_b", "region_a", "region_b", "t", "times", "seed"},
         "gfactor",
     )
     setup = _parse_setup(params)
+    t = param(params, "t", 0.0)
     if "times" in params:
-        curve = g_decay_curve(setup, _number(params, "times", []))
+        curve = g_decay_curve(setup, param(params, "times", []))
         payload = {"curve": [{"t": t, "g": g} for t, g in curve]}
         return payload, _csv_table(("t", "g"), curve), EXIT_OK
-    t = _number(params, "t", 0.0)
     g = setup_g_factor(setup, t).g
     row = detectability_threshold_report([g])[0]
     payload = {"t": t, "g": g, "regime": row["regime"], "chsh_max": row["chsh_max"]}
@@ -263,14 +222,14 @@ def _cmd_gfactor(cfg: RunConfig) -> tuple[dict, str, int]:
 
 def _cmd_packet(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
-    _reject_unknown(params, {"packet", "region", "times", "seed"}, "packet")
-    packet = _parse_packet(params.get("packet", {"width_param": 1.0}), "packet")
+    reject_unknown(params, {"packet", "region", "times", "seed"}, "packet")
+    packet = packet_from_dict(params.get("packet", {"width_param": 1.0}), "packet")
     region = (
-        _parse_region(params["region"], "region")
+        region_from_dict(params["region"], "region")
         if "region" in params
         else BoxRegion.centered_cube(packet.center, 1.0 / packet.width_param)
     )
-    times = _number(params, "times", [0.0])
+    times = param(params, "times", [0.0])
     if any(t < 0 for t in times):
         raise ConfigError("times must be nonnegative")
     rows = [
@@ -285,12 +244,13 @@ def _cmd_packet(cfg: RunConfig) -> tuple[dict, str, int]:
 
 def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
-    _reject_unknown(params, {"g", "alphas", "betas", "mode", "n", "seed"}, "lhv")
-    g = _number(params, "g", 0.5)
+    reject_unknown(params, {"g", "alphas", "betas", "mode", "n", "seed"}, "lhv")
+    g = param(params, "g", 0.5)
     model = cosine_model(g)
-    alphas = _number(params, "alphas", [0.0, math.pi / 4, math.pi / 2])
-    betas = _number(params, "betas", [math.pi / 4, math.pi / 2])
-    mode = params.get("mode", "exact")
+    alphas = param(params, "alphas", [0.0, math.pi / 4, math.pi / 2])
+    betas = param(params, "betas", [math.pi / 4, math.pi / 2])
+    n = param(params, "n", 100_000, int)
+    mode = param(params, "mode", "exact", str)
     if mode not in ("exact", "mc"):
         raise ConfigError(f"mode must be 'exact' or 'mc', got {mode!r}")
     rows = []
@@ -301,7 +261,6 @@ def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
         header = ("alpha", "beta", "expectation")
         table = [{"alpha": a, "beta": b, "expectation": e} for a, b, e in rows]
     else:
-        n = _number(params, "n", 100_000, int)
         rng = make_generator(cfg.seed)
         for a in alphas:
             for b in betas:
@@ -318,21 +277,21 @@ def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
 
 def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
-    _reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
+    reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
         raise ConfigError("feasibility needs a 'target' block (alphas, betas, matrix)")
     target = target_from_dict(params["target"])
+    max_scale, tol = param(params, "max_scale", False, bool), param(params, "tol", 1e-4)
     payload = result_to_dict(local_polytope_membership(target))
-    if params.get("max_scale"):
-        payload["max_scale"] = max_feasible_scale(target, _number(params, "tol", 1e-4))
+    if max_scale:
+        payload["max_scale"] = max_feasible_scale(target, tol)
     return payload, _csv_from_payload(payload), EXIT_OK
 
 
 def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = dict(cfg.parameters)
-    round_log = params.pop("round_log", None)
-    if "seed" not in params:
-        params["seed"] = cfg.seed
+    params = {"seed": cfg.seed, **cfg.parameters}
+    round_log = param(params, "round_log", None, str) if "round_log" in params else None
+    params.pop("round_log", None)
     config = config_from_dict(params)
     if round_log is None:
         report = run_session(config)
@@ -347,8 +306,8 @@ def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
 
 def _cmd_thresholds(cfg: RunConfig) -> tuple[dict, str, int]:
     params = cfg.parameters
-    _reject_unknown(params, {"g_values", "seed"}, "thresholds")
-    g_values = _number(
+    reject_unknown(params, {"g_values", "seed"}, "thresholds")
+    g_values = param(
         params, "g_values", [0.1, 0.25, 0.5, 0.6, 1 / math.sqrt(2), 0.75, 0.9, 1.0]
     )
     rows = detectability_threshold_report(g_values)
@@ -414,7 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         parameters = _load_parameters(args.config)
-        seed = _number(parameters, "seed", DEFAULT_SEED, int) if args.seed is None else args.seed
+        seed = param(parameters, "seed", DEFAULT_SEED, int) if args.seed is None else args.seed
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
         cfg = RunConfig(
@@ -425,7 +384,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=seed,
         )
         payload, csv_text, exit_code = _COMMANDS[args.command](cfg)
-    except ValueError as exc:  # ConfigError, or a library input check on a config value
+        if cfg.output_format == "json":
+            _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output_path)
+        else:
+            _emit(csv_text, cfg.output_path)
+    except (ValueError, OSError) as exc:  # OSError: an unwritable output path
         log.error("configuration error: %s", exc, exc_info=log.isEnabledFor(logging.DEBUG))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -433,10 +396,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         log.error("numerical failure: %s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if cfg.output_format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output_path)
-    else:
-        _emit(csv_text, cfg.output_path)
     return exit_code
 
 

@@ -1,0 +1,70 @@
+"""Strict reader for JSON config blocks: the one definition of a valid value.
+
+Every parser of a config block (the CLI commands, the spatial setup, packet
+and region blocks, the QKD session and channel specs, the correlation
+target) reads its keys through :func:`param` after :func:`reject_unknown`.
+A number is a finite JSON number, never a string or a bool; an integer is a
+JSON integer (``3``, not ``3.0``); booleans, strings and objects are their
+JSON kinds.  Violations raise :class:`ConfigError`, a ValueError.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any
+
+#: Accepted Python types of each kind, as :func:`json.load` produces them.
+_JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str, dict: dict}
+_NAMES = {
+    float: ("a finite number", "finite numbers"),
+    int: ("an integer", "integers"),
+    bool: ("a boolean", "booleans"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+}
+
+
+class ConfigError(ValueError):
+    """Malformed configuration (bad JSON, unknown keys, invalid values)."""
+
+
+def reject_unknown(params: dict, known: set[str], where: str) -> None:
+    """Require ``params`` to be a JSON object whose keys all lie in ``known``."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(params) - known
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _typed(value: Any, depth: int, kind: type) -> Any:
+    if depth:
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return [_typed(v, depth - 1, kind) for v in value]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError(value)
+    value = kind(value)  # float() of a huge int raises OverflowError
+    if kind is float and not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
+def param(params: dict, key: str, default: Any, kind: type = float) -> Any:
+    """Parameter ``key`` of ``params`` as a ``kind`` (float, int, bool, str or dict).
+
+    If ``default`` is a list, the value is a list of them; if a list of
+    lists, a list of lists.  A missing key gives ``default``, and is an
+    error when ``default`` is None.
+    """
+    if key not in params and default is None:
+        raise ConfigError(f"missing parameter {key!r}")
+    depth, like = 0, default
+    while isinstance(like, list):
+        depth, like = depth + 1, like[0] if like else None
+    try:
+        return _typed(params.get(key, default), depth, kind)
+    except (TypeError, ValueError, OverflowError) as exc:
+        one, many = _NAMES[kind]
+        what = "a list of " + "lists of " * (depth - 1) + many if depth else one
+        raise ConfigError(f"parameter {key!r} must be {what}") from exc

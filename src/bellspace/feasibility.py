@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import param, reject_unknown
 from .spin import as_angle
 
 #: Hard cap on m + n; pricing enumerates 2^(min(m,n)-1) strategies.
@@ -327,16 +328,11 @@ def target_to_dict(target: CorrelationTarget) -> dict:
 
 
 def target_from_dict(data: dict) -> CorrelationTarget:
-    try:
-        unknown = set(data) - {"alphas", "betas", "matrix"}
-        if unknown:
-            raise ValueError(f"unknown correlation-target keys: {sorted(unknown)}")
-        alphas = tuple(float(a) for a in data["alphas"])
-        betas = tuple(float(b) for b in data["betas"])
-        matrix = np.array(data["matrix"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed correlation target: {exc}") from exc
-    return CorrelationTarget(alphas, betas, matrix)
+    """Correlation target from its JSON block: ``alphas``, ``betas`` and ``matrix``."""
+    reject_unknown(data, {"alphas", "betas", "matrix"}, "correlation-target")
+    return CorrelationTarget(
+        param(data, "alphas", []), param(data, "betas", []), param(data, "matrix", [[]])
+    )
 
 
 def result_to_dict(result: FeasibilityResult) -> dict:
@@ -353,30 +349,3 @@ def result_to_dict(result: FeasibilityResult) -> dict:
         }
     return payload
 
-
-def result_from_dict(data: dict) -> FeasibilityResult:
-    unknown = set(data) - {"status", "residual", "weights", "certificate"}
-    if unknown:
-        raise ValueError(f"unknown feasibility-result keys: {sorted(unknown)}")
-    weights = None
-    if "weights" in data:
-        weights = tuple(
-            StrategyWeight(
-                s=tuple(int(v) for v in w["s"]),
-                t=tuple(int(v) for v in w["t"]),
-                weight=float(w["weight"]),
-            )
-            for w in data["weights"]
-        )
-    certificate = None
-    if "certificate" in data:
-        certificate = BellCertificate(
-            np.array(data["certificate"]["coefficients"], dtype=float),
-            float(data["certificate"]["bound"]),
-        )
-    return FeasibilityResult(
-        status=str(data["status"]),
-        residual=float(data["residual"]),
-        weights=weights,
-        certificate=certificate,
-    )

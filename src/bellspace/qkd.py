@@ -43,6 +43,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from .config import ConfigError, param, reject_unknown
 from .lhv import _BOUND_SLACK, HiddenVariableModel, ResponseFn, cosine_model
 from .rng import split_generators
 from .spatial import SpatialSetup, setup_from_dict, setup_g_factor
@@ -122,16 +123,13 @@ class QuantumLocalizedChannel:
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumLocalizedChannel":
         """Channel from ``g``, or from a separated-Gaussian ``setup`` block and time ``t``."""
-        unknown = set(data) - {"variant", "g", "setup", "t"}
-        if unknown:
-            raise ValueError(f"unknown channel keys: {sorted(unknown)}")
+        reject_unknown(data, {"variant", "g", "setup", "t"}, "channel")
+        if ("g" in data) == ("setup" in data):
+            raise ConfigError("quantum_localized channel needs either g or setup")
+        t = param(data, "t", 0.0)
         if "g" in data:
-            if "setup" in data:
-                raise ValueError("give either g or setup, not both")
-            return cls(g=float(data["g"]))
-        if "setup" not in data:
-            raise ValueError("quantum_localized channel needs g or setup")
-        return cls.from_setup(setup_from_dict(data["setup"]), t=float(data.get("t", 0.0)))
+            return cls(g=param(data, "g", None))
+        return cls.from_setup(setup_from_dict(data["setup"]), t)
 
 
 def _responses(fn: ResponseFn, theta: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
@@ -184,12 +182,10 @@ class LhvEveChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LhvEveChannel":
-        unknown = set(data) - {"variant", "model", "g"}
-        if unknown:
-            raise ValueError(f"unknown channel keys: {sorted(unknown)}")
+        reject_unknown(data, {"variant", "model", "g"}, "channel")
         if data.get("model") != "cosine":
-            raise ValueError("only the 'cosine' hidden-variable model is supported in JSON")
-        return cls(model=cosine_model(float(data["g"])))
+            raise ConfigError("only the 'cosine' hidden-variable model is supported in JSON")
+        return cls(model=cosine_model(param(data, "g", None)))
 
 
 _CHANNEL_VARIANTS = {"quantum_localized": QuantumLocalizedChannel, "lhv_eve": LhvEveChannel}
@@ -546,11 +542,9 @@ def rounds_to_csv(rounds: RoundLog) -> str:
 
 
 def _channel_from_dict(data: dict) -> ChannelModel:
-    if not isinstance(data, dict):
-        raise ValueError("channel must be a JSON object")
-    variant = data.get("variant")
+    variant = param(data, "variant", None, str)
     if variant not in _CHANNEL_VARIANTS:
-        raise ValueError(f"unknown channel variant {variant!r}")
+        raise ConfigError(f"unknown channel variant {variant!r}")
     return _CHANNEL_VARIANTS[variant].from_dict(data)
 
 
@@ -569,59 +563,36 @@ def config_to_dict(config: QkdConfig) -> dict:
 def config_from_dict(data: dict) -> QkdConfig:
     """Session config from its JSON form; any malformed input raises ValueError.
 
-    Values pass to :class:`QkdConfig` and :class:`ChshPair` unconverted, so
-    their checks see non-integral round counts, seeds and indices as given.
+    ``n_rounds``, ``seed`` and the ``chsh_pairs`` entries ([alice_idx, bob_idx]
+    or [alice_idx, bob_idx, sign]) are JSON integers; omitted keys take the
+    :class:`QkdConfig` defaults.
     """
-    unknown = set(data) - {f.name for f in fields(QkdConfig)}
-    if unknown:
-        raise ValueError(f"unknown QKD config keys: {sorted(unknown)}")
-    if "channel" not in data:
-        raise ValueError("QKD config needs a channel")
-    try:
-        kwargs: dict = {"channel": _channel_from_dict(data["channel"])}
-        for key in ("n_rounds", "seed"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "alice_angles" in data:
-            kwargs["alice_angles"] = tuple(float(a) for a in data["alice_angles"])
-        if "bob_angles" in data:
-            kwargs["bob_angles"] = tuple(float(b) for b in data["bob_angles"])
-        if "chsh_pairs" in data:
-            kwargs["chsh_pairs"] = tuple(ChshPair(*p) for p in data["chsh_pairs"])
-        if "alarm_sigma" in data:
-            kwargs["alarm_sigma"] = float(data["alarm_sigma"])
-        return QkdConfig(**kwargs)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed QKD config: {exc!r}") from exc
+    reject_unknown(data, {f.name for f in fields(QkdConfig)}, "QKD config")
+    kwargs = {
+        key: param(data, key, like, kind)
+        for key, like, kind in (
+            ("n_rounds", 0, int),
+            ("seed", 0, int),
+            ("alarm_sigma", 0.0, float),
+            ("alice_angles", [], float),
+            ("bob_angles", [], float),
+            ("chsh_pairs", [[]], int),
+        )
+        if key in data
+    }
+    if "chsh_pairs" in kwargs:
+        if not all(2 <= len(p) <= 3 for p in kwargs["chsh_pairs"]):
+            raise ConfigError("each chsh_pairs entry is [alice_idx, bob_idx(, sign)]")
+        kwargs["chsh_pairs"] = [ChshPair(*p) for p in kwargs["chsh_pairs"]]
+    return QkdConfig(channel=_channel_from_dict(param(data, "channel", None, dict)), **kwargs)
 
 
 def report_to_dict(report: QkdSessionReport) -> dict:
-    """JSON form of a report, keys in field order."""
+    """JSON form of a report, keys in field order; an undefined (infinite)
+    standard error is written as None, so the payload is strict JSON."""
     payload = asdict(report)
     payload["n_test_rounds"] = list(report.n_test_rounds)
+    for key in ("chsh_estimate", "chsh_unconditioned"):
+        if math.isinf(payload[key]["std_error"]):
+            payload[key]["std_error"] = None
     return payload
-
-
-def report_from_dict(data: dict) -> QkdSessionReport:
-    unknown = set(data) - {f.name for f in fields(QkdSessionReport)}
-    if unknown:
-        raise ValueError(f"unknown QKD report keys: {sorted(unknown)}")
-    return QkdSessionReport(
-        sifted_key_alice=str(data["sifted_key_alice"]),
-        sifted_key_bob=str(data["sifted_key_bob"]),
-        qber=None if data["qber"] is None else float(data["qber"]),
-        chsh_estimate=ChshEstimate(
-            s_value=float(data["chsh_estimate"]["s_value"]),
-            std_error=float(data["chsh_estimate"]["std_error"]),
-        ),
-        chsh_unconditioned=ChshEstimate(
-            s_value=float(data["chsh_unconditioned"]["s_value"]),
-            std_error=float(data["chsh_unconditioned"]["std_error"]),
-        ),
-        verdict=str(data["verdict"]),
-        coincidence_rate=float(data["coincidence_rate"]),
-        n_rounds=int(data["n_rounds"]),
-        n_detected=int(data["n_detected"]),
-        n_key_rounds=int(data["n_key_rounds"]),
-        n_test_rounds=tuple(int(v) for v in data["n_test_rounds"]),
-    )

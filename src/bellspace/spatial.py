@@ -36,6 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .config import param, reject_unknown
+
 Vector3 = tuple[float, float, float]
 
 #: A joint position density on R^3 x R^3.  Called as ``density(r1, r2)`` with
@@ -330,18 +332,31 @@ def setup_from_dict(spec: dict) -> SpatialSetup:
     Keys: ``width_param`` and ``separation`` (required), ``mass`` and
     ``hbar`` (default 1).  Any malformed block raises ValueError.
     """
-    try:
-        unknown = set(spec) - {"width_param", "separation", "mass", "hbar"}
-        if unknown:
-            raise ValueError(f"unknown setup keys: {sorted(unknown)}")
-        return separated_gaussian_setup(
-            float(spec["width_param"]),
-            tuple(float(v) for v in spec["separation"]),
-            mass=float(spec.get("mass", 1.0)),
-            hbar=float(spec.get("hbar", 1.0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad setup: {exc!r}") from exc
+    reject_unknown(spec, {"width_param", "separation", "mass", "hbar"}, "setup")
+    return separated_gaussian_setup(
+        param(spec, "width_param", None),
+        param(spec, "separation", []),
+        mass=param(spec, "mass", 1.0),
+        hbar=param(spec, "hbar", 1.0),
+    )
+
+
+def packet_from_dict(spec: dict, where: str) -> GaussianPacket:
+    """:class:`GaussianPacket` from the JSON block ``where``: ``width_param``
+    (required), ``center`` (default origin), ``mass`` and ``hbar`` (default 1)."""
+    reject_unknown(spec, {"center", "width_param", "mass", "hbar"}, where)
+    return GaussianPacket(
+        center=param(spec, "center", [0.0, 0.0, 0.0]),
+        width_param=param(spec, "width_param", None),
+        mass=param(spec, "mass", 1.0),
+        hbar=param(spec, "hbar", 1.0),
+    )
+
+
+def region_from_dict(spec: dict, where: str) -> BoxRegion:
+    """:class:`BoxRegion` from the JSON block ``where``: corners ``lo`` and ``hi``."""
+    reject_unknown(spec, {"lo", "hi"}, where)
+    return BoxRegion(param(spec, "lo", []), param(spec, "hi", []))
 
 
 def setup_g_factor(setup: SpatialSetup, t: float = 0.0) -> LocalizationFactor:

@@ -1,11 +1,17 @@
 """Command-line interface tests: output formats, determinism, exit codes."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellspace.cli import (
     EXIT_CONFIG,
@@ -14,7 +20,7 @@ from bellspace.cli import (
     EXIT_OK,
     main,
 )
-from bellspace.qkd import report_from_dict, report_to_dict
+from bellspace.qkd import QkdSessionReport
 
 
 def run_cli(args, capsys):
@@ -229,8 +235,7 @@ class TestQkdCommand:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["verdict"] == "secure"
-        report = report_from_dict(payload)
-        assert report_to_dict(report) == payload
+        assert list(payload) == [f.name for f in dataclasses.fields(QkdSessionReport)]
 
     def test_eve_session(self, tmp_path, capsys):
         cfg = write_json(
@@ -414,6 +419,14 @@ with open(out) as handle:
         assert "scipy.optimize" in payload["scipy"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+QKD_CHANNEL = {"variant": "quantum_localized", "g": 0.9}
+CANONICAL_TARGET = TestFeasibilityCommand().canonical_target(1.0)
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("seed", ["abc", 3.5, True, -1, 2**64])
     def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):
@@ -443,11 +456,26 @@ class TestConfigValues:
             ("feasibility", {"target": 5}),
             ("lhv", {"mode": "mc", "n": 10**12}),
             ("qkd", {"n_rounds": 10**12, "channel": {"variant": "quantum_localized", "g": 0.9}}),
+            ("feasibility", {"max_scale": "no"}),
+            ("qkd", {"channel": QKD_CHANNEL,
+                     "chsh_pairs": [[2, 0, 1], [2, 2, -1], [0, 0, 1], [0, True, -1]]}),
+            ("qkd", {"channel": QKD_CHANNEL,
+                     "chsh_pairs": [[2, 0, True], [2, 2, -1], [0, 0, 1], [0, 2, -1]]}),
+            ("gfactor", {"setup": {"width_param": "2", "separation": [100, 0, 0]}}),
+            ("gfactor", {"setup": {"width_param": True, "separation": [100, 0, 0]}}),
+            ("qkd", {"channel": {"variant": "quantum_localized", "g": "0.9"}}),
+            ("qkd", {"channel": QKD_CHANNEL, "alarm_sigma": "3"}),
+            ("feasibility", {"target": {"alphas": [0, 1], "betas": [0, 1],
+                                        "matrix": [["0.5", 0], [0, True]]}}),
+            ("qkd", {"channel": QKD_CHANNEL, "round_log": 5}),
         ],
         ids=["tol-string", "tol-zero", "alphas-string", "mc-n-too-small", "mc-n-float",
              "times-string", "times-scalar", "g-bool", "packet-not-object", "g-values-null",
              "g-overflows-float", "target-not-object", "mc-n-too-large",
-             "n-rounds-too-large"],
+             "n-rounds-too-large", "max-scale-string", "chsh-pair-index-bool",
+             "chsh-pair-sign-bool", "setup-width-string", "setup-width-bool",
+             "channel-g-string", "alarm-sigma-string", "target-matrix-string-bool",
+             "round-log-not-string"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, params):
         if command == "feasibility":
@@ -456,3 +484,128 @@ class TestConfigValues:
         code, out, err = run_cli([command, "--config", cfg], capsys)
         assert code == EXIT_CONFIG
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, key, text",
+        [
+            ("packet", "times", '{"times": [NaN]}'),
+            ("packet", "times", '{"times": [1e400]}'),
+            ("feasibility", "tol", '{"target": %s, "max_scale": true, "tol": 1e400}'
+             % json.dumps(CANONICAL_TARGET)),
+            ("qkd", "alarm_sigma", '{"channel": %s, "alarm_sigma": 1e400}'
+             % json.dumps(QKD_CHANNEL)),
+        ],
+        ids=["times-nan", "times-overflow", "tol-overflow", "alarm-sigma-overflow"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, key, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith(f"error: parameter {key!r} must be")
+
+    def test_undefined_std_error_is_strict_json(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "q.json", {
+            "n_rounds": 1000, "channel": {"variant": "quantum_localized", "g": 0.0}})
+        code, out, _ = run_cli(["qkd", "--config", cfg], capsys)
+        assert code == EXIT_INCONCLUSIVE
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["chsh_estimate"]["std_error"] is None
+
+
+class TestOutputPaths:
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(["chsh", "--out", str(out_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith("error:")
+
+    def test_round_log_in_missing_directory(self, tmp_path, capsys):
+        log_path = tmp_path / "missing" / "rounds.csv"
+        cfg = write_json(tmp_path / "q.json", {
+            "n_rounds": 1000, "channel": QKD_CHANNEL, "round_log": str(log_path)})
+        code, out, err = run_cli(["qkd", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith("error:")
+
+
+# One valid config per command (two for gfactor and qkd); the fuzz test
+# replaces one value inside it.  Sizes are small so each run takes milliseconds.
+FUZZ_CONFIGS = [
+    ("chsh", {"alpha1": 0.1, "alpha2": 0.7, "beta1": 0.3, "beta2": -0.4, "g": 0.8, "seed": 3}),
+    ("gfactor", {"setup": {"width_param": 1.0, "separation": [20.0, 0.0, 0.0], "mass": 1.0,
+                           "hbar": 1.0}, "t": 0.5, "times": [0.0, 1.0]}),
+    ("gfactor", {"packet_a": {"center": [0.0, 0.0, 0.0], "width_param": 1.0},
+                 "packet_b": {"center": [20.0, 0.0, 0.0], "width_param": 1.0},
+                 "region_a": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+                 "region_b": {"lo": [19.0, -1.0, -1.0], "hi": [21.0, 1.0, 1.0]}, "t": 0.0}),
+    ("packet", {"packet": {"center": [0.0, 0.0, 0.0], "width_param": 2.0, "mass": 1.0,
+                           "hbar": 1.0},
+                "region": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+                "times": [0.0, 0.5]}),
+    ("lhv", {"g": 0.4, "alphas": [0.1], "betas": [0.7], "mode": "mc", "n": 1000, "seed": 2}),
+    ("feasibility", {"target": CANONICAL_TARGET, "max_scale": True, "tol": 1e-3}),
+    ("qkd", {"n_rounds": 1000, "channel": {"variant": "quantum_localized", "g": 0.9},
+             "alice_angles": [0.0, 0.8, 1.6], "bob_angles": [0.8, 1.6, 2.4],
+             "chsh_pairs": [[2, 0, 1], [2, 2, -1], [0, 0, 1], [0, 2, -1]],
+             "alarm_sigma": 3.0, "seed": 5}),
+    ("qkd", {"n_rounds": 1000, "channel": {"variant": "quantum_localized", "t": 0.0,
+                                           "setup": {"width_param": 1.0,
+                                                     "separation": [20.0, 0.0, 0.0]}}}),
+    ("qkd", {"n_rounds": 1000, "channel": {"variant": "lhv_eve", "model": "cosine", "g": 0.5}}),
+    ("thresholds", {"g_values": [0.2, 0.6], "seed": 1}),
+]
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(-10**4, 10**4),
+    st.sampled_from([10**400, -10**400, 2**63, 2**64]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+def _value_paths(value, prefix=()):
+    """Paths to every value inside a config, nested ones included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, sub in items:
+        yield prefix + (key,)
+        if isinstance(sub, (dict, list)):
+            yield from _value_paths(sub, prefix + (key,))
+
+
+def _replaced(config, path, new):
+    config = copy.deepcopy(config)
+    holder = config
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = new
+    return config
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command, config", FUZZ_CONFIGS,
+                             ids=[f"{c}-{i}" for i, (c, _) in enumerate(FUZZ_CONFIGS)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_replaced_value_keeps_the_exit_contract(self, tmp_path_factory, command,
+                                                        config, data):
+        path = data.draw(st.sampled_from(list(_value_paths(config))), label="path")
+        params = _replaced(config, path, data.draw(_json_values, label="value"))
+        cfg = tmp_path_factory.mktemp("fuzz") / "c.json"
+        cfg.write_text(json.dumps(params))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INCONCLUSIVE)
+        if code in (EXIT_OK, EXIT_INCONCLUSIVE):
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == "" and err.getvalue()

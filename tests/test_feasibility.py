@@ -25,8 +25,6 @@ from bellspace.feasibility import (
     cosine_target,
     local_polytope_membership,
     max_feasible_scale,
-    result_from_dict,
-    result_to_dict,
     target_from_dict,
     target_to_dict,
     verify_certificate,
@@ -254,16 +252,6 @@ class TestJsonRoundTrip:
         data["extra"] = 1
         with pytest.raises(ValueError, match="unknown"):
             target_from_dict(data)
-
-    def test_result_round_trip_feasible(self):
-        result = local_polytope_membership(canonical_cosine_target(0.5))
-        again = result_from_dict(result_to_dict(result))
-        assert again == result
-
-    def test_result_round_trip_infeasible(self):
-        result = local_polytope_membership(canonical_cosine_target(1.0))
-        again = result_from_dict(result_to_dict(result))
-        assert again == result
 
 
 correlation_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(

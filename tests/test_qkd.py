@@ -23,7 +23,6 @@ from bellspace.qkd import (
     config_to_dict,
     decide_verdict,
     detectability_threshold_report,
-    report_from_dict,
     report_to_dict,
     rounds_to_csv,
     run_session,
@@ -318,11 +317,6 @@ class TestSerialization:
             }
         )
         assert config.channel.g == pytest.approx(0.101237, abs=1e-5)
-
-    def test_report_round_trip(self):
-        report = run_session(quantum_config(0.8, n=2_000, seed=13))
-        again = report_from_dict(report_to_dict(report))
-        assert again == report
 
     def test_rounds_csv(self):
         _, rounds = run_session(
