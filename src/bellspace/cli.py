@@ -11,9 +11,9 @@ Seven subcommands cover the package's capabilities:
     thresholds   detectability regime classification for a list of g values
 
 Common flags: ``--config PATH`` (JSON parameters), ``--seed U64`` (default
-42), ``--format csv|json`` and ``--out PATH`` (default stdout).  CSV floats
-carry 10 significant digits; JSON output is strict (no NaN or Infinity).
-Identical invocations with identical seeds produce byte-identical output.
+42; the flag beats a config ``seed``), ``--format csv|json`` and ``--out PATH``
+(default stdout).  CSV floats carry 10 significant digits; JSON output is
+strict (no NaN or Infinity).  Identical invocations give identical bytes.
 
 Configs are read by :mod:`bellspace.config`: unknown keys are rejected;
 numbers are finite JSON numbers, never strings or bools; ``n``,
@@ -182,12 +182,12 @@ def _cmd_chsh(cfg: RunConfig) -> tuple[dict, str, int]:
 
 
 def _parse_setup(params: dict) -> SpatialSetup:
-    if "setup" in params:
-        return setup_from_dict(params["setup"])
     needed = {"packet_a", "packet_b", "region_a", "region_b"}
-    if not needed <= set(params):
+    if "setup" in params and not needed & set(params):
+        return setup_from_dict(params["setup"])
+    if "setup" in params or not needed <= set(params):
         raise ConfigError(
-            "gfactor needs either a 'setup' block or explicit "
+            "gfactor needs exactly one of a 'setup' block and explicit "
             "packet_a/packet_b/region_a/region_b"
         )
     return SpatialSetup(
@@ -289,7 +289,7 @@ def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, str, int]:
 
 
 def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = {"seed": cfg.seed, **cfg.parameters}
+    params = {**cfg.parameters, "seed": cfg.seed}
     round_log = param(params, "round_log", None, str) if "round_log" in params else None
     params.pop("round_log", None)
     config = config_from_dict(params)

@@ -32,9 +32,9 @@ import numpy as np
 
 from .spin import TWO_PI, ChshSettings, as_angle, chsh_statistic
 
-#: Response function: (setting angle, lambda array) -> values, vectorized
-#: over lambda (and broadcastable over an array of angles).
-ResponseFn = Callable[[float, np.ndarray], np.ndarray]
+#: Response function: (setting angles, lambdas) -> values.  It must broadcast:
+#: an angle array and a lambda array give one value per broadcast element.
+ResponseFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 #: Sampling rule for lambda: (generator, count) -> array in [0, 2*pi).
 LambdaSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -72,9 +72,10 @@ class HiddenVariableModel:
     """Hidden variable on [0, 2*pi) plus bounded response functions.
 
     ``density`` is the probability density of lambda with respect to
-    d(lambda); ``None`` means uniform (1 / 2*pi).  Response boundedness is
-    checked statistically at construction: 10^5 sampled lambdas against a
-    probe set of angles, with a fixed probe seed.  ``spec`` holds the JSON
+    d(lambda); ``None`` means uniform (1 / 2*pi).  ``bound`` is a proven
+    sup of |xi| and |eta| (at most 1), or None.  Only without it are the
+    responses probed at construction: 10^5 sampled lambdas against a probe
+    set of angles, with a fixed probe seed.  ``spec`` holds the JSON
     parameters that rebuild the model (``{"model": "cosine", "g": g}``), or
     None when the model has no JSON form.
     """
@@ -85,23 +86,30 @@ class HiddenVariableModel:
     density: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = field(default="", compare=False)
     spec: dict | None = field(default=None, compare=False)
+    bound: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        if self.bound is not None and not 0.0 <= self.bound <= 1.0 + _BOUND_SLACK:
+            raise ValueError(f"bound must lie in [0, 1], got {self.bound!r}")
         rng = np.random.default_rng(_PROBE_SEED)
         lam = np.asarray(self.sample_lambda(rng, _PROBE_DRAWS), dtype=float)
         if lam.shape != (_PROBE_DRAWS,):
             raise ValueError("sample_lambda must return a 1-d array of the requested size")
         if np.any(lam < 0.0) or np.any(lam >= TWO_PI):
             raise ValueError("sampled lambda values must lie in [0, 2*pi)")
-        angles = rng.uniform(0.0, TWO_PI, _PROBE_ANGLES)
+        if self.bound is not None:
+            return
+        angles, grid = rng.uniform(0.0, TWO_PI, (_PROBE_ANGLES, 1)), (_PROBE_ANGLES, _PROBE_DRAWS)
         for name, fn in (("xi", self.xi), ("eta", self.eta)):
             try:
-                # responses broadcast over an angle column in one call
-                worst = float(np.max(np.abs(np.asarray(fn(angles[:, None], lam[None, :])))))
-            except Exception:
-                worst = max(
-                    float(np.max(np.abs(np.asarray(fn(angle, lam))))) for angle in angles
-                )
+                values = np.asarray(fn(angles, lam))
+                if values.ndim == 0 or np.broadcast_shapes(values.shape, grid) != grid:
+                    raise ValueError(f"got shape {values.shape} for an angle x lambda grid")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"response function {name} must broadcast over an array of angles: {exc}"
+                ) from exc
+            worst = float(np.max(np.abs(values)))
             if worst > 1.0 + _BOUND_SLACK:
                 raise ValueError(
                     f"response function {name} exceeds the unit bound: "
@@ -128,7 +136,7 @@ def cosine_model(g: float) -> HiddenVariableModel:
         return amplitude * np.cos(beta - lam)
 
     return HiddenVariableModel(
-        xi=xi, eta=eta, label=f"cosine(g={g!r})", spec={"model": "cosine", "g": g}
+        xi=xi, eta=eta, label=f"cosine(g={g!r})", spec={"model": "cosine", "g": g}, bound=amplitude
     )
 
 
@@ -138,7 +146,8 @@ def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:
     Each response is (a1 cos(j1 x - k1 lam + phi1) + a2 cos(j2 x - k2 lam +
     phi2)) / (a1 + a2) with small integer frequencies, so products are low
     degree trigonometric polynomials in lambda and the 4096-node exact
-    expectation is exact to rounding.  Intended for property tests and demos.
+    expectation is exact to rounding.  The triangle inequality gives the
+    bound 1.  Intended for property tests and demos.
     """
 
     def make_response() -> ResponseFn:
@@ -156,7 +165,9 @@ def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:
 
         return response
 
-    return HiddenVariableModel(xi=make_response(), eta=make_response(), label="random-trig")
+    return HiddenVariableModel(
+        xi=make_response(), eta=make_response(), label="random-trig", bound=1.0
+    )
 
 
 def model_expectation_exact(
@@ -216,12 +227,8 @@ def model_chsh(
     beyond 2 past tolerance (1e-9 exact, 3 combined standard errors in MC
     mode) is rejected: it signals response functions outside their bounds.
     """
-    pairs = [
-        (settings.alpha1.theta, settings.beta1.theta),
-        (settings.alpha1.theta, settings.beta2.theta),
-        (settings.alpha2.theta, settings.beta1.theta),
-        (settings.alpha2.theta, settings.beta2.theta),
-    ]
+    alphas, betas = (settings.alpha1, settings.alpha2), (settings.beta1, settings.beta2)
+    pairs = [(a.theta, b.theta) for a in alphas for b in betas]
     if mode == "exact":
         p = [model_expectation_exact(model, a, b) for a, b in pairs]
         tolerance = 1e-9

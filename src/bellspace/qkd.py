@@ -133,14 +133,10 @@ class QuantumLocalizedChannel:
 
 
 def _responses(fn: ResponseFn, theta: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
-    """fn at every round's angle: one call per distinct angle, bound-checked."""
-    values = np.empty_like(lam)
-    pending = np.ones(lam.size, dtype=bool)
-    while pending.any():
-        angle = theta[pending.argmax()]
-        mask = theta == angle
-        values[mask] = fn(float(angle), lam[mask])
-        pending &= ~mask
+    """fn at every round's angle in one broadcast call, bound-checked."""
+    values = np.asarray(fn(theta, lam))
+    if values.shape != lam.shape:
+        raise ValueError(f"response {name} gave shape {values.shape} for {lam.shape} rounds")
     if not np.all(np.abs(values) <= 1.0 + _BOUND_SLACK):
         worst = float(np.max(np.abs(values)))
         raise ValueError(f"response {name} exceeds the unit bound: max |{name}| = {worst!r}")
@@ -447,12 +443,9 @@ def run_session(
     # angles, so flipped bits agree and test correlations become +cos.
     s_b_flipped = -s_b
 
-    angle_matched = np.zeros((3, 3), dtype=bool)
-    for i in range(3):
-        for j in range(3):
-            angle_matched[i, j] = _angles_match(
-                config.alice_angles[i], config.bob_angles[j]
-            )
+    angle_matched = np.array(
+        [[_angles_match(a, b) for b in config.bob_angles] for a in config.alice_angles]
+    )
     key_mask = detected & angle_matched[a_idx, b_idx]
 
     alice_bits = (1 + s_a[key_mask]) // 2

@@ -73,7 +73,7 @@ def expanded_width(epsilon: float, mass: float, t: float, hbar: float) -> float:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     ratio = hbar * t / (mass * epsilon * epsilon)
-    return epsilon * math.sqrt(1.0 + ratio * ratio)
+    return epsilon * math.hypot(1.0, ratio)
 
 
 @dataclass(frozen=True)

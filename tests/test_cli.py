@@ -6,8 +6,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,14 @@ from bellspace.cli import (
     main,
 )
 from bellspace.qkd import QkdSessionReport
+
+
+def child_env():
+    """The environment for a child interpreter, with the package source on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, capsys):
@@ -112,6 +122,17 @@ class TestGfactorCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("key", ["packet_a", "packet_b", "region_a", "region_b"])
+    def test_setup_with_explicit_block_is_config_error(self, key, tmp_path, capsys):
+        # the explicit block used to be ignored, malformed or not
+        cfg = write_json(
+            tmp_path / "g.json",
+            {"setup": {"width_param": 1.0, "separation": [100.0, 0.0, 0.0]}, key: 5},
+        )
+        code, out, err = run_cli(["gfactor", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and "exactly one of" in err
+
     def test_invalid_geometry(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "g.json",
@@ -133,6 +154,18 @@ class TestPacketCommand:
         assert rows[0]["width"] == 1.0
         assert rows[1]["width"] == pytest.approx(math.sqrt(2), abs=1e-12)
         assert rows[0]["prob_in_region"] == pytest.approx(0.31817763901, abs=1e-9)
+
+    def test_huge_time_gives_one_exit_code_in_both_formats(self, tmp_path, capsys):
+        # the width law used to overflow to inf: JSON exited 2, CSV printed inf
+        cfg = write_json(tmp_path / "p.json", {"times": [1e300]})
+        codes = {}
+        for fmt in ("json", "csv"):
+            codes[fmt], out, _ = run_cli(["packet", "--config", cfg, "--format", fmt], capsys)
+            assert "inf" not in out
+        assert codes["json"] == codes["csv"] == EXIT_OK
+        assert json.loads(run_cli(["packet", "--config", cfg], capsys)[1])["rows"][0] == {
+            "t": 1e300, "width": 1e300, "prob_in_region": 0.0
+        }
 
 
 class TestLhvCommand:
@@ -267,6 +300,15 @@ class TestQkdCommand:
         assert lines[0] == "round,a_idx,b_idx,detected,s_a,s_b"
         assert len(lines) == 1501
 
+    def test_seed_flag_beats_config_seed(self, tmp_path, capsys):
+        params = self.qkd_params(n_rounds=2000)
+        with_seed = write_json(tmp_path / "with.json", {**params, "seed": 4})
+        del params["seed"]
+        without_seed = write_json(tmp_path / "without.json", params)
+        flagged = run_cli(["qkd", "--config", with_seed, "--seed", "11"], capsys)[1]
+        assert flagged == run_cli(["qkd", "--config", without_seed, "--seed", "11"], capsys)[1]
+        assert flagged != run_cli(["qkd", "--config", with_seed], capsys)[1]
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "q.json", self.qkd_params(rounds=10))
         code, _, _ = run_cli(["qkd", "--config", cfg], capsys)
@@ -356,6 +398,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "bellspace.cli", "chsh"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["s_value"] == pytest.approx(
@@ -412,6 +455,7 @@ with open(out) as handle:
              str(tmp_path)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         payload = json.loads(result.stdout)

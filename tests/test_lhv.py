@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellspace.lhv import (
     MAX_MC_SAMPLES,
@@ -308,6 +310,94 @@ class TestModelConstruction:
             for angle in probe.uniform(0, TWO_PI, 4):
                 assert float(np.max(np.abs(model.xi(angle, lam)))) <= 1.0 + 1e-12
                 assert float(np.max(np.abs(model.eta(angle, lam)))) <= 1.0 + 1e-12
+
+
+class CountingResponse:
+    """A unit cosine response that counts the lambda points it is evaluated on."""
+
+    def __init__(self):
+        self.evals = 0
+
+    def __call__(self, angle, lam):
+        values = np.cos(angle - lam)
+        self.evals += values.size
+        return values
+
+
+class TestProvenBound:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_random_model_stays_within_its_bound(self, seed):
+        model = random_bounded_model(make_generator(seed))
+        assert model.bound == 1.0
+        probe = make_generator(seed ^ 0x5EED)
+        angles, lam = probe.uniform(0, TWO_PI, (8, 1)), probe.uniform(0, TWO_PI, 20_000)
+        assert float(np.max(np.abs(model.xi(angles, lam)))) <= model.bound
+        assert float(np.max(np.abs(model.eta(angles, lam)))) <= model.bound
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=st.floats(0.0, 0.5), angle=st.floats(0.0, TWO_PI, exclude_max=True))
+    def test_cosine_model_attains_its_bound(self, g, angle):
+        model = cosine_model(g)
+        assert model.bound == math.sqrt(2.0 * g)
+        lam = np.array([angle, (angle + math.pi) % TWO_PI])
+        assert float(np.max(np.abs(model.xi(angle, lam)))) == model.bound
+        assert float(np.max(np.abs(model.eta(angle, lam)))) == model.bound
+
+    @pytest.mark.parametrize("bound", [1.2, -0.1, math.nan])
+    def test_bound_outside_unit_interval_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            HiddenVariableModel(
+                xi=lambda a, lam: np.cos(a - lam), eta=lambda b, lam: np.cos(b - lam), bound=bound
+            )
+
+    def test_proven_bound_skips_the_probe(self):
+        xi, eta = CountingResponse(), CountingResponse()
+        HiddenVariableModel(xi=xi, eta=eta, bound=1.0)
+        assert xi.evals == eta.evals == 0
+        HiddenVariableModel(xi=xi, eta=eta)
+        assert xi.evals == eta.evals == 16 * 100_000
+
+    def test_proven_bound_keeps_the_lambda_check(self):
+        with pytest.raises(ValueError, match="lambda"):
+            HiddenVariableModel(
+                xi=lambda a, lam: np.zeros_like(lam),
+                eta=lambda b, lam: np.zeros_like(lam),
+                sample_lambda=lambda rng, n: rng.uniform(-1.0, 1.0, n),
+                bound=0.0,
+            )
+
+
+class TestBroadcastResponses:
+    @pytest.mark.parametrize(
+        "xi",
+        [
+            lambda a, lam: math.cos(a) * np.cos(lam),  # math.cos needs a scalar angle
+            lambda a, lam: 0.5,  # one value, not one per lambda
+            lambda a, lam: np.cos(lam[: lam.size // 2]),  # wrong length
+        ],
+        ids=["math-cos", "scalar", "short"],
+    )
+    def test_non_broadcasting_response_rejected_at_construction(self, xi):
+        with pytest.raises(ValueError, match="xi must broadcast"):
+            HiddenVariableModel(xi=xi, eta=lambda b, lam: np.cos(b - lam))
+
+    def test_angle_or_lambda_only_responses_accepted(self):
+        model = HiddenVariableModel(
+            xi=lambda a, lam: 0.5 * np.cos(a),
+            eta=lambda b, lam: 0.5 * np.sin(lam),
+        )
+        assert model_expectation_exact(model, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_wrong_shape_caught_in_session(self):
+        # duck-typed model, never probed: the session's own shape check fires
+        model = types.SimpleNamespace(
+            xi=lambda a, lam: np.zeros(1),
+            eta=lambda b, lam: np.zeros_like(lam),
+            sample_lambda=lambda rng, n: rng.uniform(0.0, TWO_PI, n),
+        )
+        with pytest.raises(ValueError, match="response xi gave shape"):
+            sample_eve(model, 0.0, 0.0, 100, 1)
 
 
 class TestChshBoundProperty:

@@ -361,8 +361,9 @@ class TestGoldenOutputs:
     """Outputs for a fixed config and seed, pinned by sha256.
 
     Quantum channel: CLI stdout and the round log, so the sampling rule, its
-    draw order and the CSV layout cannot drift.  Eve channel: every report
-    field except the key bits and the QBER.
+    draw order and the CSV layout cannot drift.  Eve channel: the audit
+    fields of one session, and the full report (key bits and QBER included)
+    for cosine models and one random trigonometric model.
     """
 
     PARAMS = {"n_rounds": 5000, "channel": {"variant": "quantum_localized", "g": 0.7}, "seed": 2718}
@@ -401,3 +402,21 @@ class TestGoldenOutputs:
         assert self.sha256(text) == (
             "54edede2e4475846161de58d4b0bde254d8eb9502c62549af26783a18969c66a"
         )
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (lambda: cosine_model(0.0), "0f4ef151911565108b01860cbdf4edc8889722fa6a8d708d98d5f851be793652"),
+            (lambda: cosine_model(0.2), "0b10bfb0f6a8581615aba5ec0f783575081e2c1e374373658c77590b3ab4c155"),
+            (lambda: cosine_model(0.5), "9a4dc8622cf52555733f32c63d7a912d8d9149f371800601e3dab23905f8884f"),
+            (
+                lambda: random_bounded_model(make_generator(4242)),
+                "225e37d2eef029fa3575ce9f2ded8c197dbc4ed53618c2a2c7d19194b62d1c39",
+            ),
+        ],
+        ids=["cosine-0", "cosine-0.2", "cosine-0.5", "random-trig"],
+    )
+    def test_eve_full_report(self, model, digest):
+        config = QkdConfig(channel=LhvEveChannel(model=model()), n_rounds=20_000, seed=8008)
+        text = json.dumps(report_to_dict(run_session(config)), sort_keys=True)
+        assert self.sha256(text) == digest
