@@ -75,7 +75,6 @@ from .spin import (
     CHSH_QUANTUM_BOUND,
     ChshSettings,
     OutcomePair,
-    PlanarAngle,
     UnitVector3,
     alice_direction,
     bob_direction,
@@ -105,7 +104,6 @@ __all__ = [
     "LhvEveChannel",
     "LocalizationFactor",
     "OutcomePair",
-    "PlanarAngle",
     "QkdConfig",
     "QkdSessionReport",
     "QuadratureError",

@@ -37,7 +37,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -80,19 +79,10 @@ EXIT_INCONCLUSIVE = 4
 log = logging.getLogger("bellspace")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    parameters: dict
-    output_format: str
-    output_path: str | None
-    seed: int
-
-
 def _fmt(value: float) -> str:
-    """CSV float format: 10 significant digits."""
+    """CSV float format: 10 significant digits; like JSON output, non-finite values raise."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r} in the output")
     return f"{value:.10g}"
 
 
@@ -141,20 +131,19 @@ def _load_parameters(path: str | None) -> dict:
 # --- subcommand implementations ----------------------------------------------
 
 
-def _cmd_chsh(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = cfg.parameters
+def _cmd_chsh(params: dict) -> tuple[dict, str, int]:
     reject_unknown(params, {"alpha1", "alpha2", "beta1", "beta2", "g", "seed"}, "chsh")
     default = canonical_chsh_settings()
     settings = ChshSettings(
-        alpha1=param(params, "alpha1", default.alpha1.theta),
-        alpha2=param(params, "alpha2", default.alpha2.theta),
-        beta1=param(params, "beta1", default.beta1.theta),
-        beta2=param(params, "beta2", default.beta2.theta),
+        alpha1=param(params, "alpha1", default.alpha1),
+        alpha2=param(params, "alpha2", default.alpha2),
+        beta1=param(params, "beta1", default.beta1),
+        beta2=param(params, "beta2", default.beta2),
     )
     g = param(params, "g", 1.0)
     s_value = quantum_chsh(settings, g)
-    alphas = (settings.alpha1.theta, settings.alpha2.theta)
-    betas = (settings.beta1.theta, settings.beta2.theta)
+    alphas = (settings.alpha1, settings.alpha2)
+    betas = (settings.beta1, settings.beta2)
     correlations = {
         f"p{i + 1}{j + 1}": g * math.cos(alphas[i] - betas[j])
         for i in range(2)
@@ -198,8 +187,7 @@ def _parse_setup(params: dict) -> SpatialSetup:
     )
 
 
-def _cmd_gfactor(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = cfg.parameters
+def _cmd_gfactor(params: dict) -> tuple[dict, str, int]:
     reject_unknown(
         params,
         {"setup", "packet_a", "packet_b", "region_a", "region_b", "t", "times", "seed"},
@@ -220,8 +208,7 @@ def _cmd_gfactor(cfg: RunConfig) -> tuple[dict, str, int]:
     return payload, csv_text, EXIT_OK
 
 
-def _cmd_packet(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = cfg.parameters
+def _cmd_packet(params: dict) -> tuple[dict, str, int]:
     reject_unknown(params, {"packet", "region", "times", "seed"}, "packet")
     packet = packet_from_dict(params.get("packet", {"width_param": 1.0}), "packet")
     region = (
@@ -242,8 +229,7 @@ def _cmd_packet(cfg: RunConfig) -> tuple[dict, str, int]:
     return payload, _csv_table(("t", "width", "prob_in_region"), rows), EXIT_OK
 
 
-def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = cfg.parameters
+def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
     reject_unknown(params, {"g", "alphas", "betas", "mode", "n", "seed"}, "lhv")
     g = param(params, "g", 0.5)
     model = cosine_model(g)
@@ -261,7 +247,7 @@ def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
         header = ("alpha", "beta", "expectation")
         table = [{"alpha": a, "beta": b, "expectation": e} for a, b, e in rows]
     else:
-        rng = make_generator(cfg.seed)
+        rng = make_generator(params["seed"])
         for a in alphas:
             for b in betas:
                 est = model_expectation_mc(model, a, b, n, rng)
@@ -275,8 +261,7 @@ def _cmd_lhv(cfg: RunConfig) -> tuple[dict, str, int]:
     return payload, _csv_table(header, rows), EXIT_OK
 
 
-def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = cfg.parameters
+def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
     reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
         raise ConfigError("feasibility needs a 'target' block (alphas, betas, matrix)")
@@ -288,8 +273,7 @@ def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, str, int]:
     return payload, _csv_from_payload(payload), EXIT_OK
 
 
-def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = {**cfg.parameters, "seed": cfg.seed}
+def _cmd_qkd(params: dict) -> tuple[dict, str, int]:
     round_log = param(params, "round_log", None, str) if "round_log" in params else None
     params.pop("round_log", None)
     config = config_from_dict(params)
@@ -304,8 +288,7 @@ def _cmd_qkd(cfg: RunConfig) -> tuple[dict, str, int]:
     return payload, _csv_from_payload(payload), exit_code
 
 
-def _cmd_thresholds(cfg: RunConfig) -> tuple[dict, str, int]:
-    params = cfg.parameters
+def _cmd_thresholds(params: dict) -> tuple[dict, str, int]:
     reject_unknown(params, {"g_values", "seed"}, "thresholds")
     g_values = param(
         params, "g_values", [0.1, 0.25, 0.5, 0.6, 1 / math.sqrt(2), 0.75, 0.9, 1.0]
@@ -319,7 +302,7 @@ def _cmd_thresholds(cfg: RunConfig) -> tuple[dict, str, int]:
     )
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[dict, str, int]]] = {
+_COMMANDS: dict[str, Callable[[dict], tuple[dict, str, int]]] = {
     "chsh": _cmd_chsh,
     "gfactor": _cmd_gfactor,
     "packet": _cmd_packet,
@@ -376,18 +359,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed = param(parameters, "seed", DEFAULT_SEED, int) if args.seed is None else args.seed
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
-        cfg = RunConfig(
-            command=args.command,
-            parameters=parameters,
-            output_format=args.format,
-            output_path=args.out,
-            seed=seed,
-        )
-        payload, csv_text, exit_code = _COMMANDS[args.command](cfg)
-        if cfg.output_format == "json":
-            _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output_path)
+        payload, csv_text, exit_code = _COMMANDS[args.command]({**parameters, "seed": seed})
+        if args.format == "json":
+            _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
         else:
-            _emit(csv_text, cfg.output_path)
+            _emit(csv_text, args.out)
     except (ValueError, OSError) as exc:  # OSError: an unwritable output path
         log.error("configuration error: %s", exc, exc_info=log.isEnabledFor(logging.DEBUG))
         print(f"error: {exc}", file=sys.stderr)

@@ -248,19 +248,17 @@ def _gauge_lp(
     return g, result.x[:-1], s, t, coeff
 
 
-def local_polytope_membership(
-    target: CorrelationTarget, feas_tol: float = FEASIBILITY_TOL
-) -> FeasibilityResult:
+def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     """Decide membership of the target in the local correlation polytope.
 
-    Feasible verdicts (gauge g* >= 1 - feas_tol) return a sparse representing
-    mixture over sign-strategy pairs; infeasible verdicts return a separating
-    Bell certificate read off the gauge LP's dual, scaled to C.P = 1, with
-    its classical bound recomputed exactly.  Solver breakdowns raise
-    :class:`FeasibilitySolverError` with the solver's message.
+    Feasible verdicts (gauge g* >= 1 - FEASIBILITY_TOL) return a sparse
+    representing mixture over sign-strategy pairs; infeasible verdicts return
+    a separating Bell certificate read off the gauge LP's dual, scaled to
+    C.P = 1, with its classical bound recomputed exactly.  Solver breakdowns
+    raise :class:`FeasibilitySolverError` with the solver's message.
     """
-    g, w, s, t, coeff = _gauge_lp(target, feas_tol)
-    if g >= 1.0 - feas_tol:
+    g, w, s, t, coeff = _gauge_lp(target, FEASIBILITY_TOL)
+    if g >= 1.0 - FEASIBILITY_TOL:
         keep = np.flatnonzero(w > 1e-12)
         rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
         weights = tuple(
@@ -276,7 +274,7 @@ def local_polytope_membership(
     coefficients = coeff / value
     bound = float(np.max(_best_responses(coefficients)[2]))
     margin = 1.0 - bound
-    if margin <= feas_tol:
+    if margin <= FEASIBILITY_TOL:
         raise FeasibilitySolverError(
             f"dual certificate margin {margin!r} inconsistent with gauge {g!r}"
         )

@@ -1,10 +1,12 @@
 """Local-hidden-variable models with bounded response functions.
 
-A model is a probability space over a hidden variable lambda on the circle
-[0, 2*pi) together with two response functions xi(alpha, lambda) and
-eta(beta, lambda), each bounded by 1 in absolute value.  The predicted
-correlation at settings (alpha, beta) is the expectation of xi * eta over
-lambda.  Any such model obeys the CHSH bound
+A model is a hidden variable lambda, uniform on the circle [0, 2*pi),
+together with two response functions xi(alpha, lambda) and eta(beta,
+lambda), each bounded by 1 in absolute value.  One law for lambda loses
+nothing: any other law on the circle is the uniform one pushed through its
+inverse CDF F^-1, so it goes into the responses as xi(alpha, F^-1(lambda)).
+The predicted correlation at settings (alpha, beta) is the expectation of
+xi * eta over lambda.  Any such model obeys the CHSH bound
 
     |P11 - P12| + |P21 + P22| <= 2,
 
@@ -35,8 +37,6 @@ from .spin import TWO_PI, ChshSettings, as_angle, chsh_statistic
 #: Response function: (setting angles, lambdas) -> values.  It must broadcast:
 #: an angle array and a lambda array give one value per broadcast element.
 ResponseFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
-#: Sampling rule for lambda: (generator, count) -> array in [0, 2*pi).
-LambdaSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 _BOUND_SLACK = 1e-9
 _PROBE_SEED = 971**3  # fixed so construction-time bound checks are reproducible
@@ -46,10 +46,6 @@ _EXACT_NODES = 4096
 #: Largest ``n`` for :func:`model_expectation_mc`: peak RSS grows ~30 MB per
 #: 10^6 draws (343 MB at 10^7 through the CLI), so a call stays under ~1.3 GB.
 MAX_MC_SAMPLES = 40_000_000
-
-
-def _uniform_lambda(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.uniform(0.0, TWO_PI, n)
 
 
 @dataclass(frozen=True)
@@ -69,36 +65,30 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class HiddenVariableModel:
-    """Hidden variable on [0, 2*pi) plus bounded response functions.
+    """Bounded response functions of a hidden variable lambda uniform on [0, 2*pi).
 
-    ``density`` is the probability density of lambda with respect to
-    d(lambda); ``None`` means uniform (1 / 2*pi).  ``bound`` is a proven
-    sup of |xi| and |eta| (at most 1), or None.  Only without it are the
-    responses probed at construction: 10^5 sampled lambdas against a probe
-    set of angles, with a fixed probe seed.  ``spec`` holds the JSON
-    parameters that rebuild the model (``{"model": "cosine", "g": g}``), or
-    None when the model has no JSON form.
+    Every expectation and every draw takes lambda uniform; a model with
+    another law F on the circle composes its responses with F^-1.
+    ``bound`` is a proven sup of |xi| and |eta| (at most 1), or None.  Only
+    without it are the responses probed at construction: 10^5 uniform
+    lambdas against a probe set of angles, with a fixed probe seed.
+    ``spec`` holds the JSON parameters that rebuild the model (``{"model":
+    "cosine", "g": g}``), or None when the model has no JSON form.
     """
 
     xi: ResponseFn
     eta: ResponseFn
-    sample_lambda: LambdaSampler = _uniform_lambda
-    density: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = field(default="", compare=False)
     spec: dict | None = field(default=None, compare=False)
     bound: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.bound is not None and not 0.0 <= self.bound <= 1.0 + _BOUND_SLACK:
-            raise ValueError(f"bound must lie in [0, 1], got {self.bound!r}")
-        rng = np.random.default_rng(_PROBE_SEED)
-        lam = np.asarray(self.sample_lambda(rng, _PROBE_DRAWS), dtype=float)
-        if lam.shape != (_PROBE_DRAWS,):
-            raise ValueError("sample_lambda must return a 1-d array of the requested size")
-        if np.any(lam < 0.0) or np.any(lam >= TWO_PI):
-            raise ValueError("sampled lambda values must lie in [0, 2*pi)")
         if self.bound is not None:
+            if not 0.0 <= self.bound <= 1.0 + _BOUND_SLACK:
+                raise ValueError(f"bound must lie in [0, 1], got {self.bound!r}")
             return
+        rng = np.random.default_rng(_PROBE_SEED)
+        lam = rng.uniform(0.0, TWO_PI, _PROBE_DRAWS)
         angles, grid = rng.uniform(0.0, TWO_PI, (_PROBE_ANGLES, 1)), (_PROBE_ANGLES, _PROBE_DRAWS)
         for name, fn in (("xi", self.xi), ("eta", self.eta)):
             try:
@@ -187,10 +177,7 @@ def model_expectation_exact(
     """
     a, b = as_angle(alpha), as_angle(beta)
     lam = np.arange(nodes) * (TWO_PI / nodes)
-    values = np.asarray(model.xi(a, lam)) * np.asarray(model.eta(b, lam))
-    if model.density is None:
-        return float(np.mean(values))
-    return float(np.mean(values * np.asarray(model.density(lam))) * TWO_PI)
+    return float(np.mean(np.asarray(model.xi(a, lam)) * np.asarray(model.eta(b, lam))))
 
 
 def model_expectation_mc(
@@ -200,13 +187,13 @@ def model_expectation_mc(
     n: int,
     rng: np.random.Generator,
 ) -> CorrelationEstimate:
-    """Monte Carlo estimate of the xi*eta expectation over n lambda draws."""
+    """Monte Carlo estimate of the xi*eta expectation over n uniform lambda draws."""
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     if n > MAX_MC_SAMPLES:
         raise ValueError(f"at most {MAX_MC_SAMPLES} samples per estimate, got {n}")
     a, b = as_angle(alpha), as_angle(beta)
-    lam = model.sample_lambda(rng, n)
+    lam = rng.uniform(0.0, TWO_PI, n)
     products = np.asarray(model.xi(a, lam)) * np.asarray(model.eta(b, lam))
     mean = float(np.mean(products))
     std_error = float(np.std(products, ddof=1) / math.sqrt(n))
@@ -228,7 +215,7 @@ def model_chsh(
     mode) is rejected: it signals response functions outside their bounds.
     """
     alphas, betas = (settings.alpha1, settings.alpha2), (settings.beta1, settings.beta2)
-    pairs = [(a.theta, b.theta) for a in alphas for b in betas]
+    pairs = [(a, b) for a in alphas for b in betas]
     if mode == "exact":
         p = [model_expectation_exact(model, a, b) for a, b in pairs]
         tolerance = 1e-9

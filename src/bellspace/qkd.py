@@ -161,7 +161,7 @@ class LhvEveChannel:
         ValueError if any response value leaves [-1, 1].
         """
         n = alice_theta.size
-        lam = np.asarray(self.model.sample_lambda(rng_channel, n), dtype=float)
+        lam = rng_channel.uniform(0.0, TWO_PI, n)
         xi = _responses(self.model.xi, alice_theta, lam, "xi")
         eta = _responses(self.model.eta, bob_theta, lam, "eta")
         s_a = np.where(rng_signs.random(n) < (1.0 + xi) / 2.0, 1, -1)
@@ -207,27 +207,6 @@ class ChshPair:
             raise ValueError("sign must be +1 or -1")
 
 
-def default_alice_angles() -> tuple[float, float, float]:
-    return (0.0, math.pi / 4, math.pi / 2)
-
-
-def default_bob_angles() -> tuple[float, float, float]:
-    return (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-
-
-def default_chsh_pairs() -> tuple[ChshPair, ChshPair, ChshPair, ChshPair]:
-    """Canonical quadruple (pi/2, 0) x (pi/4, -pi/4) inside the default grids.
-
-    Bob's -pi/4 is represented by his 3*pi/4 setting with sign -1.
-    """
-    return (
-        ChshPair(2, 0, 1),
-        ChshPair(2, 2, -1),
-        ChshPair(0, 0, 1),
-        ChshPair(0, 2, -1),
-    )
-
-
 def _angles_match(a: float, b: float) -> bool:
     diff = (a - b) % TWO_PI
     return min(diff, TWO_PI - diff) < _ANGLE_MATCH_TOL
@@ -235,29 +214,26 @@ def _angles_match(a: float, b: float) -> bool:
 
 @dataclass(frozen=True)
 class QkdConfig:
-    """Full session specification; deterministic given the seed."""
+    """Full session specification; deterministic given the seed.
+
+    The default ``chsh_pairs`` are the canonical quadruple (pi/2, 0) x
+    (pi/4, -pi/4) inside the default grids; Bob's -pi/4 is his 3*pi/4
+    setting with sign -1.
+    """
 
     channel: ChannelModel
     n_rounds: int = 100_000
-    alice_angles: tuple[float, float, float] = None  # type: ignore[assignment]
-    bob_angles: tuple[float, float, float] = None  # type: ignore[assignment]
-    chsh_pairs: tuple[ChshPair, ...] = None  # type: ignore[assignment]
+    alice_angles: tuple[float, float, float] = (0.0, math.pi / 4, math.pi / 2)
+    bob_angles: tuple[float, float, float] = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+    chsh_pairs: tuple[ChshPair, ...] = (
+        ChshPair(2, 0, 1), ChshPair(2, 2, -1), ChshPair(0, 0, 1), ChshPair(0, 2, -1)
+    )
     alarm_sigma: float = 3.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.alice_angles is None:
-            object.__setattr__(self, "alice_angles", default_alice_angles())
-        if self.bob_angles is None:
-            object.__setattr__(self, "bob_angles", default_bob_angles())
-        if self.chsh_pairs is None:
-            object.__setattr__(self, "chsh_pairs", default_chsh_pairs())
-        object.__setattr__(
-            self, "alice_angles", tuple(as_angle(a) for a in self.alice_angles)
-        )
-        object.__setattr__(
-            self, "bob_angles", tuple(as_angle(b) for b in self.bob_angles)
-        )
+        object.__setattr__(self, "alice_angles", tuple(map(as_angle, self.alice_angles)))
+        object.__setattr__(self, "bob_angles", tuple(map(as_angle, self.bob_angles)))
         if len(self.alice_angles) != 3 or len(self.bob_angles) != 3:
             raise ValueError("each wing needs exactly three setting angles")
         if not isinstance(self.n_rounds, int) or not 1000 <= self.n_rounds <= MAX_ROUNDS:

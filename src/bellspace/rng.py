@@ -16,9 +16,9 @@ import numpy as np
 DEFAULT_SEED = 42
 
 
-def make_generator(seed: int | None = None) -> np.random.Generator:
-    """A fresh PCG64 generator; ``None`` falls back to :data:`DEFAULT_SEED`."""
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+def make_generator(seed: int) -> np.random.Generator:
+    """A fresh PCG64 generator seeded with ``seed``."""
+    return np.random.default_rng(seed)
 
 
 def split_generators(seed: int, n: int) -> list[np.random.Generator]:

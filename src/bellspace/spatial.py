@@ -67,13 +67,17 @@ def _as_vector3(value: Sequence[float], name: str) -> Vector3:
 
 
 def expanded_width(epsilon: float, mass: float, t: float, hbar: float) -> float:
-    """Free-evolution width law: epsilon * sqrt(1 + hbar^2 t^2 / (M^2 epsilon^4))."""
+    """Free-evolution width law: epsilon * sqrt(1 + hbar^2 t^2 / (M^2 epsilon^4)).
+
+    Computed as hypot(epsilon, hbar t / M / epsilon): nothing is squared,
+    so no intermediate overflows while the width is finite, and no divisor
+    (epsilon^2 or M epsilon) can underflow to zero.
+    """
     if epsilon <= 0 or mass <= 0 or hbar <= 0:
         raise ValueError("epsilon, mass and hbar must be positive")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    ratio = hbar * t / (mass * epsilon * epsilon)
-    return epsilon * math.hypot(1.0, ratio)
+    return math.hypot(epsilon, hbar * t / mass / epsilon)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Exact spin correlations of the two-qubit singlet state.
 
 Measurement settings live either on the unit sphere (:class:`UnitVector3`)
-or, for planar configurations, on the circle (:class:`PlanarAngle`).  The
-planar convention used throughout the package is
+or, for planar configurations, on the circle as plain radians, wrapped into
+[0, 2*pi) by :func:`as_angle`.  The planar convention used throughout the
+package is
 
     alice_direction(alpha) = ( cos(alpha), 0,  sin(alpha))
     bob_direction(beta)    = (-cos(beta),  0, -sin(beta))
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 #: Classical (local hidden-variable) CHSH bound.
@@ -34,24 +33,17 @@ _UNIT_NORM_TOL = 1e-12
 _CORRELATION_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class PlanarAngle:
-    """An angle in radians, wrapped into [0, 2*pi) on construction."""
+def as_angle(value: float) -> float:
+    """A finite angle in radians, wrapped into [0, 2*pi).
 
-    theta: float
-
-    def __post_init__(self) -> None:
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValueError(f"angle must be finite, got {theta!r}")
-        object.__setattr__(self, "theta", theta % TWO_PI)
-
-
-def as_angle(value: PlanarAngle | float) -> float:
-    """Coerce a PlanarAngle or plain radians value to a wrapped float."""
-    if isinstance(value, PlanarAngle):
-        return value.theta
-    return PlanarAngle(float(value)).theta
+    A tiny negative angle wraps to 2*pi in floating point
+    (-1e-17 % (2*pi) == 2*pi); it is mapped to 0.0.
+    """
+    theta = float(value)
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
+    theta %= TWO_PI
+    return 0.0 if theta == TWO_PI else theta
 
 
 @dataclass(frozen=True)
@@ -80,9 +72,6 @@ class UnitVector3:
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class OutcomePair:
@@ -102,31 +91,26 @@ class OutcomePair:
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Two settings per wing for a CHSH test; accepts angles or PlanarAngle."""
+    """Two settings per wing for a CHSH test, in radians wrapped into [0, 2*pi)."""
 
-    alpha1: PlanarAngle
-    alpha2: PlanarAngle
-    beta1: PlanarAngle
-    beta2: PlanarAngle
+    alpha1: float
+    alpha2: float
+    beta1: float
+    beta2: float
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            value = getattr(self, name)
-            if not isinstance(value, PlanarAngle):
-                object.__setattr__(self, name, PlanarAngle(float(value)))
+            object.__setattr__(self, name, as_angle(getattr(self, name)))
 
 
 def canonical_chsh_settings() -> ChshSettings:
     """The standard maximal-violation quadruple: alphas (pi/2, 0), betas (pi/4, -pi/4)."""
     return ChshSettings(
-        alpha1=PlanarAngle(math.pi / 2),
-        alpha2=PlanarAngle(0.0),
-        beta1=PlanarAngle(math.pi / 4),
-        beta2=PlanarAngle(-math.pi / 4),
+        alpha1=math.pi / 2, alpha2=0.0, beta1=math.pi / 4, beta2=-math.pi / 4
     )
 
 
-def unit_from_planar_angle(theta: PlanarAngle | float) -> UnitVector3:
+def unit_from_planar_angle(theta: float) -> UnitVector3:
     """Planar direction (cos theta, 0, sin theta) in the x-z plane."""
     t = as_angle(theta)
     return UnitVector3(math.cos(t), 0.0, math.sin(t))
@@ -136,7 +120,7 @@ def unit_from_planar_angle(theta: PlanarAngle | float) -> UnitVector3:
 alice_direction = unit_from_planar_angle
 
 
-def bob_direction(theta: PlanarAngle | float) -> UnitVector3:
+def bob_direction(theta: float) -> UnitVector3:
     """Bob's sign-flipped planar direction (-cos theta, 0, -sin theta).
 
     With this convention the singlet correlation of the pair
@@ -180,7 +164,7 @@ def quantum_chsh(settings: ChshSettings, g: float) -> float:
     """
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"localization factor g={g!r} outside [0, 1]")
-    alphas = (settings.alpha1.theta, settings.alpha2.theta)
-    betas = (settings.beta1.theta, settings.beta2.theta)
+    alphas = (settings.alpha1, settings.alpha2)
+    betas = (settings.beta1, settings.beta2)
     p = [[g * math.cos(alpha - beta) for beta in betas] for alpha in alphas]
     return chsh_statistic(p[0][0], p[0][1], p[1][0], p[1][1])

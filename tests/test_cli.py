@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -166,6 +167,23 @@ class TestPacketCommand:
         assert json.loads(run_cli(["packet", "--config", cfg], capsys)[1])["rows"][0] == {
             "t": 1e300, "width": 1e300, "prob_in_region": 0.0
         }
+
+    def test_width_past_the_squared_ratio_range(self, tmp_path, capsys):
+        # hbar t / (M eps^2) = 1e310 overflows, the width 1e305 does not
+        cfg = write_json(tmp_path / "p.json", {"packet": {"width_param": 1e5}, "times": [1e300]})
+        code, out, _ = run_cli(["packet", "--config", cfg], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["width"] == pytest.approx(1e305, rel=1e-15)
+        code, out, _ = run_cli(["packet", "--config", cfg, "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "1e+300,1e+305,0"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infinite_width_is_config_error_in_both_formats(self, fmt, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", {"packet": {"width_param": 1e5}, "times": [1e306]})
+        code, out, err = run_cli(["packet", "--config", cfg, "--format", fmt], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith("error:")
 
 
 class TestLhvCommand:
@@ -392,6 +410,80 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+_SQRT_HALF = 1 / math.sqrt(2)
+
+
+class TestGoldenOutputs:
+    """CLI stdout for fixed configs, pinned by sha256 in both formats.
+
+    The seeded MC draws and the Eve round log are covered too, so a change
+    to how lambda or the settings are drawn cannot slip through.
+    """
+
+    CASES = {
+        "chsh": (["chsh"], {}),
+        "thresholds": (["thresholds"], {}),
+        "lhv_exact": (["lhv"], {"g": 0.3, "alphas": [0.0, 0.7, -2.0], "betas": [0.2, 2.5]}),
+        "lhv_mc": (["lhv", "--seed", "5"], {"g": 0.4, "mode": "mc", "n": 10000,
+                                            "alphas": [0.1, 1.0], "betas": [0.7, -0.3]}),
+        "feasibility": (["feasibility"], {"max_scale": True, "target": {
+            "alphas": [math.pi / 2, 0.0], "betas": [math.pi / 4, -math.pi / 4],
+            "matrix": [[_SQRT_HALF, -_SQRT_HALF], [_SQRT_HALF, _SQRT_HALF]]}}),
+        "qkd": (["qkd"], {"n_rounds": 3000, "seed": 77,
+                          "channel": {"variant": "lhv_eve", "model": "cosine", "g": 0.4}}),
+        "packet": (["packet"], {"packet": {"width_param": 2.0, "mass": 3.0},
+                                "times": [0.0, 0.5, 7.0, 1e3]}),
+        "gfactor": (["gfactor"], {"setup": {"width_param": 1.5, "separation": [8.0, 0.5, 0.0]},
+                                  "times": [0.0, 0.3, 2.0]}),
+    }
+    QKD_ROUND_LOG = "155b82b6da1bc9f2e636fa5657cbb863400e8a007a28706820889e907e732409"
+
+    @staticmethod
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize(
+        "case, fmt, digest",
+        [
+            ("chsh", "json", "3e3217c233ac2f69cdfbc8217953c31ee953586db24b8317725d80398ec86b3b"),
+            ("chsh", "csv", "8ee571aecb091e8620a058d3a6c766f34aa0b4b18fb66fc664aa64b20bff1230"),
+            ("thresholds", "json",
+             "b97d13b250d007b8d91db5c0f77466642655ba59218f508f3f91c3c7a93ee124"),
+            ("thresholds", "csv",
+             "e3b8cb6aa382a19d1992c49ce02f087202c1a91b8b33dbad312a9476282567c7"),
+            ("lhv_exact", "json",
+             "f1082e41782dbefedb8d02227f80ded84f6c106d332a20b36c965d5027df319e"),
+            ("lhv_exact", "csv",
+             "df219b04f70e5368294c10e9c6d1231d9fad9f64ccb09bb91219d1077102fa02"),
+            ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
+            ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
+            ("feasibility", "json",
+             "f08a040d9f904dc337c0ea82b5b53f248b6bec76641ed5b34031773508f79ef4"),
+            ("feasibility", "csv",
+             "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
+            ("qkd", "json", "829ea464bae12a257c656a0c8207178f2f370b1be532d6078c19c78dd1c0ff61"),
+            ("qkd", "csv", "0f2c2e9a0733f94698fc67e42b2a0a9859f92429f02830e53724af43879f9ce8"),
+            ("packet", "json", "9855a06e0c6455d124596149568a33d4f72bf9ffc1ccb2159a69857160dd7609"),
+            ("packet", "csv", "0238030a07e8e17a2680f7171ae2559a51c9dac882ab8e89eff013e20cf1386a"),
+            ("gfactor", "json",
+             "cb2b247d7ecc506a53209168080e12a6574642e788c308cd0d33bd806699d688"),
+            ("gfactor", "csv", "ebd24d2061c29e1dd7130623d97a7cf33168985c72f31dc39cde575c67abede7"),
+        ],
+    )
+    def test_cli_stdout(self, case, fmt, digest, tmp_path, capsys):
+        argv, params = self.CASES[case]
+        args = [*argv, "--format", fmt]
+        if case == "qkd":
+            params = {**params, "round_log": str(tmp_path / "rounds.csv")}
+        if params:
+            args += ["--config", write_json(tmp_path / "c.json", params)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == EXIT_OK
+        assert self.sha256(out.encode("utf-8")) == digest
+        if case == "qkd":
+            assert self.sha256((tmp_path / "rounds.csv").read_bytes()) == self.QKD_ROUND_LOG
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         result = subprocess.run(
@@ -467,6 +559,16 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        import bellspace
+
+        assert [name for name in bellspace.__all__ if not hasattr(bellspace, name)] == []
+        namespace: dict = {}
+        exec("from bellspace import *", namespace)
+        assert set(bellspace.__all__) <= set(namespace)
+
+
 QKD_CHANNEL = {"variant": "quantum_localized", "g": 0.9}
 CANONICAL_TARGET = TestFeasibilityCommand().canonical_target(1.0)
 
@@ -482,6 +584,29 @@ class TestConfigValues:
     def test_integral_seed_accepted(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {"seed": 3})
         assert run_cli(["chsh", "--config", cfg], capsys)[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("packet", {"packet": {"width_param": 1e200}, "times": [0.0]}),
+            ("packet", {"packet": {"width_param": 2.0, "mass": 5e-324}, "times": [0.0]}),
+            ("gfactor", {"setup": {"width_param": 1e162, "separation": [1e-160, 0, 0]}}),
+        ],
+        ids=["eps-squared-underflows", "mass-eps-underflows", "setup-eps-squared-underflows"],
+    )
+    def test_extreme_width_scale_is_computed(self, tmp_path, capsys, command, params):
+        # epsilon^2 (or M epsilon) underflows to zero here, so the width must not divide by it
+        cfg = write_json(tmp_path / "c.json", params)
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli([command, "--config", cfg, "--format", fmt], capsys)
+            assert code == EXIT_OK and err == ""
+        payload = json.loads(run_cli([command, "--config", cfg], capsys)[1])
+        if command == "gfactor":
+            # g at t = 0 does not depend on the length scale
+            assert payload["g"] == pytest.approx(0.10123700997061108, abs=1e-12)
+        else:
+            width_param = params["packet"]["width_param"]
+            assert payload["rows"][0]["width"] == 1.0 / width_param
 
     @pytest.mark.parametrize(
         "command, params",

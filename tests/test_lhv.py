@@ -115,30 +115,15 @@ class TestExactExpectation:
             got = model_expectation_exact(model, alpha, beta, nodes=nodes)
             assert abs(got - exact) <= 8.0 / nodes
 
-    def test_density_weighted_space(self):
-        # non-uniform lambda: density proportional to 1 + cos(lambda)
-        def density(lam):
-            return (1.0 + np.cos(lam)) / TWO_PI
-
-        def sampler(rng, n):
-            # rejection sampling from the density above
-            out = np.empty(n)
-            filled = 0
-            while filled < n:
-                cand = rng.uniform(0, TWO_PI, 2 * (n - filled))
-                keep = cand[rng.uniform(0, 2, cand.size) < 1.0 + np.cos(cand)]
-                take = min(keep.size, n - filled)
-                out[filled : filled + take] = keep[:take]
-                filled += take
-            return out
-
+    def test_other_lambda_law_through_inverse_cdf(self):
+        # lambda' uniform on [0, pi/2) is lambda / 4: the law lives in the responses,
+        # and E[cos(a - l') cos(b - l')] = cos(a - b)/2 + sin(a + b)/pi
         model = HiddenVariableModel(
-            xi=lambda a, lam: 0.5 * np.cos(a - lam),
-            eta=lambda b, lam: 0.5 * np.cos(b - lam),
-            sample_lambda=sampler,
-            density=density,
+            xi=lambda a, lam: np.cos(a - lam / 4), eta=lambda b, lam: np.cos(b - lam / 4)
         )
-        exact = model_expectation_exact(model, 0.4, 1.9)
+        exact = 0.5 * math.cos(0.4 - 1.9) + math.sin(0.4 + 1.9) / math.pi
+        # the responses jump at the wrap, so the trapezoid rule is only O(1/N)
+        assert model_expectation_exact(model, 0.4, 1.9) == pytest.approx(exact, abs=1e-3)
         est = model_expectation_mc(model, 0.4, 1.9, 400_000, make_generator(73))
         assert abs(est.mean - exact) < 4 * est.std_error
 
@@ -209,7 +194,6 @@ class TestSignSampling:
         model = types.SimpleNamespace(
             xi=lambda a, lam: 1.5 * np.ones_like(lam),
             eta=lambda b, lam: np.zeros_like(lam),
-            sample_lambda=lambda rng, n: rng.uniform(0.0, TWO_PI, n),
         )
         with pytest.raises(ValueError, match="xi"):
             sample_eve(model, 0.0, 0.0, 100, 1)
@@ -279,7 +263,6 @@ class TestModelChsh:
         broken = types.SimpleNamespace(
             xi=lambda a, lam: 1.6 * np.cos(a - lam),
             eta=lambda b, lam: 1.6 * np.cos(b - lam),
-            density=None,
         )
         with pytest.raises(ValueError, match="classical bound"):
             model_chsh(broken, canonical_chsh_settings(), mode="exact")
@@ -291,14 +274,6 @@ class TestModelConstruction:
             HiddenVariableModel(
                 xi=lambda a, lam: 1.2 * np.cos(a - lam),
                 eta=lambda b, lam: np.cos(b - lam),
-            )
-
-    def test_lambda_range_enforced(self):
-        with pytest.raises(ValueError, match="lambda"):
-            HiddenVariableModel(
-                xi=lambda a, lam: np.zeros_like(lam),
-                eta=lambda b, lam: np.zeros_like(lam),
-                sample_lambda=lambda rng, n: rng.uniform(-1.0, 1.0, n),
             )
 
     def test_random_models_are_bounded(self):
@@ -358,15 +333,6 @@ class TestProvenBound:
         HiddenVariableModel(xi=xi, eta=eta)
         assert xi.evals == eta.evals == 16 * 100_000
 
-    def test_proven_bound_keeps_the_lambda_check(self):
-        with pytest.raises(ValueError, match="lambda"):
-            HiddenVariableModel(
-                xi=lambda a, lam: np.zeros_like(lam),
-                eta=lambda b, lam: np.zeros_like(lam),
-                sample_lambda=lambda rng, n: rng.uniform(-1.0, 1.0, n),
-                bound=0.0,
-            )
-
 
 class TestBroadcastResponses:
     @pytest.mark.parametrize(
@@ -394,7 +360,6 @@ class TestBroadcastResponses:
         model = types.SimpleNamespace(
             xi=lambda a, lam: np.zeros(1),
             eta=lambda b, lam: np.zeros_like(lam),
-            sample_lambda=lambda rng, n: rng.uniform(0.0, TWO_PI, n),
         )
         with pytest.raises(ValueError, match="response xi gave shape"):
             sample_eve(model, 0.0, 0.0, 100, 1)

@@ -9,16 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellspace.qkd import QuantumLocalizedChannel
 from bellspace.rng import make_generator, split_generators
 from bellspace.spin import (
     CHSH_QUANTUM_BOUND,
     ChshSettings,
+    TWO_PI,
     OutcomePair,
-    PlanarAngle,
     UnitVector3,
     alice_direction,
+    as_angle,
     bob_direction,
     canonical_chsh_settings,
     chsh_statistic,
@@ -77,10 +80,20 @@ class TestDirections:
             assert corr == pytest.approx(math.cos(alpha - beta), abs=1e-14)
 
     def test_angle_wrapping(self):
-        assert PlanarAngle(-math.pi / 4).theta == pytest.approx(7 * math.pi / 4)
-        assert PlanarAngle(2 * math.pi).theta == 0.0
-        with pytest.raises(ValueError):
-            PlanarAngle(math.nan)
+        assert as_angle(-math.pi / 4) == pytest.approx(7 * math.pi / 4)
+        assert as_angle(2 * math.pi) == 0.0
+        # -1e-17 % (2*pi) rounds up to 2*pi itself, outside [0, 2*pi)
+        assert as_angle(-1e-17) == 0.0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                as_angle(bad)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_wrapped_angle_lies_in_the_circle(self, x):
+        assert 0.0 <= as_angle(x) < TWO_PI
+        settings = ChshSettings(x, -x, x / 3, -x / 7)
+        for value in (settings.alpha1, settings.alpha2, settings.beta1, settings.beta2):
+            assert type(value) is float and 0.0 <= value < TWO_PI
 
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
