@@ -22,8 +22,12 @@ numbers are finite JSON numbers, never strings or bools; ``n``,
 
 Exit codes: 0 success; 2 configuration error (malformed config, a value the
 library rejects with ValueError, or an unreadable config or unwritable
-output path); 3 numerical failure; 4 QKD session ended inconclusive for
-lack of data.
+output path); 3 numerical failure (:class:`bellspace.config.NumericalFailure`);
+4 QKD session ended inconclusive for lack of data.
+
+``lhv``, ``feasibility`` and ``qkd`` import their modules (and with them
+numpy) when they run; ``--version``, ``chsh``, ``thresholds``, ``packet`` and
+``gfactor`` are closed forms on ``math`` and load neither numpy nor scipy.
 
 The environment variable ``BELLSPACE_LOG`` (debug/info/warning/error) sets
 log verbosity.
@@ -40,27 +44,10 @@ import sys
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .config import ConfigError, param, reject_unknown
-from .feasibility import (
-    FeasibilitySolverError,
-    local_polytope_membership,
-    max_feasible_scale,
-    result_to_dict,
-    target_from_dict,
-)
-from .lhv import cosine_model, model_chsh, model_expectation_exact, model_expectation_mc
-from .qkd import (
-    INCONCLUSIVE,
-    config_from_dict,
-    detectability_threshold_report,
-    report_to_dict,
-    rounds_to_csv,
-    run_session,
-)
-from .rng import DEFAULT_SEED, make_generator
+from .config import ConfigError, NumericalFailure, param, reject_unknown
+from .rng import DEFAULT_SEED
 from .spatial import (
     BoxRegion,
-    QuadratureError,
     SpatialSetup,
     g_decay_curve,
     packet_from_dict,
@@ -69,7 +56,12 @@ from .spatial import (
     setup_from_dict,
     setup_g_factor,
 )
-from .spin import ChshSettings, canonical_chsh_settings, quantum_chsh
+from .spin import (
+    ChshSettings,
+    canonical_chsh_settings,
+    detectability_threshold_report,
+    quantum_chsh,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,6 +222,9 @@ def _cmd_packet(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
+    from .lhv import cosine_model, model_chsh, model_expectation_exact, model_expectation_mc
+    from .rng import make_generator
+
     reject_unknown(params, {"g", "alphas", "betas", "mode", "n", "seed"}, "lhv")
     g = param(params, "g", 0.5)
     model = cosine_model(g)
@@ -262,6 +257,13 @@ def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
+    from .feasibility import (
+        local_polytope_membership,
+        max_feasible_scale,
+        result_to_dict,
+        target_from_dict,
+    )
+
     reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
         raise ConfigError("feasibility needs a 'target' block (alphas, betas, matrix)")
@@ -274,6 +276,8 @@ def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_qkd(params: dict) -> tuple[dict, str, int]:
+    from .qkd import INCONCLUSIVE, config_from_dict, report_to_dict, rounds_to_csv, run_session
+
     round_log = param(params, "round_log", None, str) if "round_log" in params else None
     params.pop("round_log", None)
     config = config_from_dict(params)
@@ -368,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         log.error("configuration error: %s", exc, exc_info=log.isEnabledFor(logging.DEBUG))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, FeasibilitySolverError) as exc:
+    except NumericalFailure as exc:
         log.error("numerical failure: %s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

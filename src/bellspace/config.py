@@ -6,6 +6,10 @@ target) reads its keys through :func:`param` after :func:`reject_unknown`.
 A number is a finite JSON number, never a string or a bool; an integer is a
 JSON integer (``3``, not ``3.0``); booleans, strings and objects are their
 JSON kinds.  Violations raise :class:`ConfigError`, a ValueError.
+
+Solver errors on valid input derive from :class:`NumericalFailure`, declared
+here so that the CLI maps them to their exit code without importing the
+solvers.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ _NAMES = {
 
 class ConfigError(ValueError):
     """Malformed configuration (bad JSON, unknown keys, invalid values)."""
+
+
+class NumericalFailure(RuntimeError):
+    """A valid input on which a numerical method failed (no convergence, solver error)."""
 
 
 def reject_unknown(params: dict, known: set[str], where: str) -> None:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import param, reject_unknown
+from .config import NumericalFailure, param, reject_unknown
 from .spin import as_angle
 
 #: Hard cap on m + n; pricing enumerates 2^(min(m,n)-1) strategies.
@@ -47,7 +47,7 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 
-class FeasibilitySolverError(RuntimeError):
+class FeasibilitySolverError(NumericalFailure):
     """The LP backend failed or returned an inconsistent dual certificate."""
 
 

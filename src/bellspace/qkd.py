@@ -47,7 +47,8 @@ from .config import ConfigError, param, reject_unknown
 from .lhv import _BOUND_SLACK, HiddenVariableModel, ResponseFn, cosine_model
 from .rng import split_generators
 from .spatial import SpatialSetup, setup_from_dict, setup_g_factor
-from .spin import CHSH_QUANTUM_BOUND, TWO_PI, OutcomePair, as_angle
+from .spin import TWO_PI, OutcomePair, as_angle
+from .spin import detectability_threshold_report  # re-exported: the QKD regimes of g
 
 SECURE = "secure"
 EVE_DETECTED = "eve_detected"
@@ -338,42 +339,6 @@ def decide_verdict(s_value: float, std_error: float, k: float) -> str:
     if s_value + k * std_error < 2.0:
         return EVE_DETECTED
     return INCONCLUSIVE
-
-
-def detectability_threshold_report(g_values: Sequence[float]) -> list[dict]:
-    """Regime classification of localization factors for eavesdropper detection.
-
-    g <= 1/2: the g-scaled cosine correlations admit an exact hidden-variable
-    model, so CHSH on unconditioned correlations cannot expose Eve.
-    g > 1/sqrt(2): the unconditioned statistic 2*sqrt(2)*g exceeds 2, so a
-    violation (hence detection) is possible.  Between the two lies the gap
-    that no known construction or impossibility argument covers.
-    """
-    rows = []
-    for g in g_values:
-        g = float(g)
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"g={g!r} outside [0, 1]")
-        if g <= 0.5:
-            regime = "undetectable"
-            description = (
-                "LHV-reproducible: Eve undetectable by CHSH on unconditioned correlations"
-            )
-        elif g > 1.0 / math.sqrt(2.0):
-            regime = "violation possible"
-            description = "unconditioned CHSH can exceed 2: violation possible"
-        else:
-            regime = "open gap"
-            description = "between 1/2 and 1/sqrt(2): no construction or refutation known"
-        rows.append(
-            {
-                "g": g,
-                "regime": regime,
-                "chsh_max": CHSH_QUANTUM_BOUND * g,
-                "description": description,
-            }
-        )
-    return rows
 
 
 def _pair_estimate(products: np.ndarray) -> tuple[float, float, int]:

@@ -23,30 +23,31 @@ are outside the scope of this package.
 
 The normal CDF is Phi(x) = erfc(-x / sqrt 2) / 2 with ``math.erfc``, which
 keeps full relative accuracy in the lower tail; no lookup tables are
-involved, and the module imports no scipy, so ``import bellspace`` stays
-cheap.
+involved, and the module imports no scipy.  numpy is imported only by the
+functions that need arrays (:meth:`GaussianPacket.density` and the
+quadrature), so the closed forms run on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
+from .config import NumericalFailure, param, reject_unknown
 
-from .config import param, reject_unknown
+if TYPE_CHECKING:
+    import numpy as np
 
 Vector3 = tuple[float, float, float]
 
 #: A joint position density on R^3 x R^3.  Called as ``density(r1, r2)`` with
 #: arrays of shape (..., 3); must return the (...)-shaped nonnegative values,
 #: vectorized over the leading axes.
-JointDensity = Callable[[np.ndarray, np.ndarray], np.ndarray]
+JointDensity = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalFailure):
     """Raised when the 6-d quadrature fails to reach the requested tolerance.
 
     Carries the best available estimate and the last refinement delta as an
@@ -70,14 +71,23 @@ def expanded_width(epsilon: float, mass: float, t: float, hbar: float) -> float:
     """Free-evolution width law: epsilon * sqrt(1 + hbar^2 t^2 / (M^2 epsilon^4)).
 
     Computed as hypot(epsilon, hbar t / M / epsilon): nothing is squared,
-    so no intermediate overflows while the width is finite, and no divisor
-    (epsilon^2 or M epsilon) can underflow to zero.
+    and no divisor (epsilon^2 or M epsilon) can underflow to zero.  The
+    ratio is formed from the four mantissas (frexp), in that order, and
+    scaled by the summed exponents (ldexp), so no intermediate overflows
+    while the width is finite.  Scaling by a power of two is exact: when
+    every intermediate of hbar * t / M / epsilon is a normal float, the
+    result is bit-identical to that expression.
     """
     if epsilon <= 0 or mass <= 0 or hbar <= 0:
         raise ValueError("epsilon, mass and hbar must be positive")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    return math.hypot(epsilon, hbar * t / mass / epsilon)
+    (h, eh), (u, et), (m, em), (e, ee) = map(math.frexp, (hbar, t, mass, epsilon))
+    try:
+        ratio = math.ldexp(h * u / m / e, eh + et - em - ee)
+    except OverflowError:
+        ratio = math.inf
+    return math.hypot(epsilon, ratio)
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,8 @@ class GaussianPacket:
 
     def density(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Position density at ``points`` (shape (..., 3)) after time t."""
+        import numpy as np
+
         pts = np.asarray(points, dtype=float)
         sigma = self.sigma_at(t)
         diff = (pts - np.asarray(self.center)) / sigma
@@ -221,6 +233,8 @@ _GL_ORDERS = (6, 10, 16, 24)
 
 
 def _mapped_gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(order)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
@@ -229,6 +243,8 @@ def _mapped_gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
 def _tensor_gl_6d(
     density: JointDensity, region_a: BoxRegion, region_b: BoxRegion, order: int
 ) -> float:
+    import numpy as np
+
     bounds = [(region_a.lo[i], region_a.hi[i]) for i in range(3)]
     bounds += [(region_b.lo[i], region_b.hi[i]) for i in range(3)]
     nodes, weights = zip(*(_mapped_gl(order, lo, hi) for lo, hi in bounds))

@@ -13,14 +13,19 @@ so that ``singlet_correlation(alice_direction(a), bob_direction(b))`` equals
 ``-cos(a - b)`` instead, i.e. perfect anticorrelation at equal angles; the
 QKD simulation relies on that form.
 
-All functions here are pure and deterministic; outcome sampling lives with
-the channels in :mod:`bellspace.qkd`.
+:func:`detectability_threshold_report` sorts localization factors g into
+the three regimes of eavesdropper detection; it needs only the Tsirelson
+bound, so it lives here rather than in :mod:`bellspace.qkd`.
+
+All functions here are pure and deterministic and use ``math`` alone;
+outcome sampling lives with the channels in :mod:`bellspace.qkd`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,3 +173,39 @@ def quantum_chsh(settings: ChshSettings, g: float) -> float:
     betas = (settings.beta1, settings.beta2)
     p = [[g * math.cos(alpha - beta) for beta in betas] for alpha in alphas]
     return chsh_statistic(p[0][0], p[0][1], p[1][0], p[1][1])
+
+
+def detectability_threshold_report(g_values: Sequence[float]) -> list[dict]:
+    """Regime classification of localization factors for eavesdropper detection.
+
+    g <= 1/2: the g-scaled cosine correlations admit an exact hidden-variable
+    model, so CHSH on unconditioned correlations cannot expose Eve.
+    g > 1/sqrt(2): the unconditioned statistic 2*sqrt(2)*g exceeds 2, so a
+    violation (hence detection) is possible.  Between the two lies the gap
+    that no known construction or impossibility argument covers.
+    """
+    rows = []
+    for g in g_values:
+        g = float(g)
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"g={g!r} outside [0, 1]")
+        if g <= 0.5:
+            regime = "undetectable"
+            description = (
+                "LHV-reproducible: Eve undetectable by CHSH on unconditioned correlations"
+            )
+        elif g > 1.0 / math.sqrt(2.0):
+            regime = "violation possible"
+            description = "unconditioned CHSH can exceed 2: violation possible"
+        else:
+            regime = "open gap"
+            description = "between 1/2 and 1/sqrt(2): no construction or refutation known"
+        rows.append(
+            {
+                "g": g,
+                "regime": regime,
+                "chsh_max": CHSH_QUANTUM_BOUND * g,
+                "description": description,
+            }
+        )
+    return rows

@@ -23,7 +23,10 @@ from bellspace.cli import (
     EXIT_OK,
     main,
 )
+from bellspace.config import NumericalFailure
+from bellspace.feasibility import FeasibilitySolverError
 from bellspace.qkd import QkdSessionReport
+from bellspace.spatial import QuadratureError
 
 
 def child_env():
@@ -177,6 +180,19 @@ class TestPacketCommand:
         code, out, _ = run_cli(["packet", "--config", cfg, "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert out.splitlines()[1] == "1e+300,1e+305,0"
+
+    def test_width_past_the_float_range_in_the_first_division(self, tmp_path, capsys):
+        # hbar t / M = 1e310 overflows, the width 1e300 does not
+        cfg = write_json(
+            tmp_path / "p.json",
+            {"packet": {"width_param": 1e-10, "mass": 1e-10}, "times": [1e300]},
+        )
+        code, out, _ = run_cli(["packet", "--config", cfg], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["width"] == pytest.approx(1e300, rel=1e-15)
+        code, out, _ = run_cli(["packet", "--config", cfg, "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "1e+300,1e+300,0"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_infinite_width_is_config_error_in_both_formats(self, fmt, tmp_path, capsys):
@@ -503,18 +519,25 @@ class TestEntryPoint:
 
 
 class TestColdStart:
-    """Only the LP needs scipy: every other command runs without importing it."""
+    """The closed forms load no numpy, and only the LP needs scipy."""
 
     SCRIPT = """
-import json, os, sys
+import contextlib, io, json, os, sys
 import bellspace
 from bellspace.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-assert scipy_modules() == [], scipy_modules()
-workdir = sys.argv[3]
+assert modules("numpy") == modules("scipy") == [], modules("numpy")
+with contextlib.redirect_stdout(io.StringIO()) as version:
+    try:
+        main(["--version"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+assert version.getvalue().startswith("bellspace "), version.getvalue()
+assert modules("numpy") == [], ("--version", modules("numpy"))
+workdir = sys.argv[4]
 out = os.path.join(workdir, "out.json")
 
 def run(command, params):
@@ -525,17 +548,25 @@ def run(command, params):
 
 for command, params in json.loads(sys.argv[1]):
     run(command, params)
-    assert scipy_modules() == [], (command, scipy_modules())
-run("feasibility", {"target": json.loads(sys.argv[2])})
+    assert modules("numpy") == modules("scipy") == [], (command, modules("numpy"))
+for command, params in json.loads(sys.argv[2]):
+    run(command, params)
+    assert modules("scipy") == [], (command, modules("scipy"))
+run("feasibility", {"target": json.loads(sys.argv[3])})
 with open(out) as handle:
-    print(json.dumps({"status": json.load(handle)["status"], "scipy": scipy_modules()}))
+    status = json.load(handle)["status"]
+print(json.dumps({"status": status, "numpy": modules("numpy"), "scipy": modules("scipy")}))
 """
 
-    COMMANDS = [
+    SETUP = {"width_param": 1.0, "separation": [50.0, 0.0, 0.0]}
+    CLOSED_FORMS = [
         ("chsh", {}),
         ("thresholds", {}),
         ("packet", {"packet": {"width_param": 2.0}, "times": [0.0, 0.5]}),
-        ("gfactor", {"setup": {"width_param": 1.0, "separation": [50.0, 0.0, 0.0]}}),
+        ("gfactor", {"setup": SETUP, "times": [0.0, 1.0]}),
+        ("gfactor", {"setup": SETUP, "t": 0.5}),
+    ]
+    ARRAY_COMMANDS = [
         ("lhv", {"g": 0.3, "mode": "mc", "n": 5000}),
         ("qkd", {"n_rounds": 5000, "channel": {"variant": "quantum_localized", "g": 0.8}}),
     ]
@@ -543,8 +574,8 @@ with open(out) as handle:
     def test_only_feasibility_imports_scipy(self, tmp_path):
         target = TestFeasibilityCommand().canonical_target(1.0)
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(self.COMMANDS), json.dumps(target),
-             str(tmp_path)],
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.CLOSED_FORMS),
+             json.dumps(self.ARRAY_COMMANDS), json.dumps(target), str(tmp_path)],
             capture_output=True,
             text=True,
             env=child_env(),
@@ -553,6 +584,7 @@ with open(out) as handle:
         payload = json.loads(result.stdout)
         assert payload["status"] == "infeasible"
         assert "scipy.optimize" in payload["scipy"]
+        assert "numpy.random" in payload["numpy"]
 
 
 def _reject_constant(name):
@@ -568,9 +600,48 @@ class TestPublicNames:
         exec("from bellspace import *", namespace)
         assert set(bellspace.__all__) <= set(namespace)
 
+    def test_lazy_exports(self):
+        import bellspace
+
+        assert set(dir(bellspace)) >= set(bellspace.__all__)
+        for name in ("cli", "config", "feasibility", "lhv", "qkd", "rng", "spatial", "spin"):
+            module = getattr(bellspace, name)
+            assert module.__name__ == f"bellspace.{name}" and name in dir(bellspace)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(bellspace, "no_such_name")
+        for name, module in bellspace._EXPORTS.items():
+            value = getattr(bellspace, name)
+            assert value is getattr(sys.modules[f"bellspace.{module}"], name), name
+            # functions and classes are exported from the module that defines them
+            assert getattr(value, "__module__", f"bellspace.{module}") == f"bellspace.{module}"
+
 
 QKD_CHANNEL = {"variant": "quantum_localized", "g": 0.9}
 CANONICAL_TARGET = TestFeasibilityCommand().canonical_target(1.0)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize(
+        "command, params, module, attribute, error",
+        [
+            ("gfactor", {"setup": {"width_param": 1.0, "separation": [20.0, 0.0, 0.0]}},
+             "bellspace.cli", "setup_g_factor", QuadratureError("no convergence", 0.5, 1e-3)),
+            ("feasibility", {"target": CANONICAL_TARGET}, "bellspace.feasibility",
+             "local_polytope_membership", FeasibilitySolverError("backend failed")),
+        ],
+        ids=["quadrature", "feasibility-solver"],
+    )
+    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch, command, params,
+                                  module, attribute, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"{module}.{attribute}", fail)
+        cfg = write_json(tmp_path / "c.json", params)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == "" and f"numerical failure: {error}" in err.splitlines()
+        assert isinstance(error, NumericalFailure) and isinstance(error, RuntimeError)
 
 
 class TestConfigValues:

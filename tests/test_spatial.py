@@ -6,6 +6,7 @@ checked against the closed-form product path.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -312,6 +313,27 @@ class TestExpandedWidth:
     def test_strictly_increasing(self):
         widths = [expanded_width(0.5, 1.3, t, 1.0) for t in (0.0, 0.1, 1.0, 5.0, 50.0)]
         assert all(w2 > w1 for w1, w2 in zip(widths, widths[1:]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        epsilon=st.floats(min_value=5e-324, max_value=1e308),
+        mass=st.floats(min_value=5e-324, max_value=1e308),
+        t=st.floats(min_value=0.0, max_value=1e308),
+        hbar=st.floats(min_value=5e-324, max_value=1e308),
+    )
+    def test_matches_the_plain_ratio_where_it_is_normal(self, epsilon, mass, t, hbar):
+        # the exponent-scaled ratio is bit-identical to hbar * t / mass / epsilon
+        # wherever that expression never leaves the normal floats
+        steps = [hbar * t]
+        steps.append(steps[-1] / mass)
+        steps.append(steps[-1] / epsilon)
+        assume(all(math.isfinite(s) and abs(s) >= sys.float_info.min for s in steps))
+        assert expanded_width(epsilon, mass, t, hbar) == math.hypot(epsilon, steps[-1])
+
+    def test_ratio_past_the_float_range_in_its_first_step(self):
+        # hbar * t / mass = 1e310 overflows; the width 1e300 does not
+        assert expanded_width(1e10, 1e-10, 1e300, 1.0) == pytest.approx(1e300, rel=1e-15)
+        assert expanded_width(1e-5, 1.0, 1e306, 1.0) == math.inf
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
