@@ -36,12 +36,13 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
 import sys
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
 from .config import ConfigError, NumericalFailure, param, reject_unknown
@@ -63,6 +64,10 @@ from .spin import (
     quantum_chsh,
 )
 
+if TYPE_CHECKING:
+    from .feasibility import FeasibilityResult
+    from .qkd import QkdSessionReport
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -78,31 +83,50 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _csv_table(header: Sequence[str], records: Sequence[dict]) -> str:
+    """One CSV row per record, its columns picked from the record by name."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    for record in records:
+        cells = (record[key] for key in header)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
-def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:
+def _flatten(prefix: str, value: Any, rows: list[dict]) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else key, sub, rows)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, sub in enumerate(value):
             _flatten(f"{prefix}[{i}]", sub, rows)
     else:
-        rows.append((prefix, value))
+        rows.append({"key": prefix, "value": value})
 
 
 def _csv_from_payload(payload: dict) -> str:
     """Generic key,value CSV for nested report payloads."""
-    rows: list[tuple[str, Any]] = []
+    rows: list[dict] = []
     _flatten("", payload, rows)
     return _csv_table(("key", "value"), rows)
+
+
+def report_to_dict(report: QkdSessionReport) -> dict:
+    """JSON form of a session report, keys in field order; an undefined
+    (infinite) standard error is written as None, so the payload is strict JSON."""
+    payload = dataclasses.asdict(report)
+    for key in ("chsh_estimate", "chsh_unconditioned"):
+        if math.isinf(payload[key]["std_error"]):
+            payload[key]["std_error"] = None
+    return payload
+
+
+def result_to_dict(result: FeasibilityResult) -> dict:
+    """JSON form of a membership result; ``weights`` or ``certificate`` is left
+    out when it is None."""
+    payload = {k: v for k, v in dataclasses.asdict(result).items() if v is not None}
+    if "certificate" in payload:
+        payload["certificate"]["coefficients"] = result.certificate.coefficients.tolist()
+    return payload
 
 
 def _load_parameters(path: str | None) -> dict:
@@ -134,32 +158,19 @@ def _cmd_chsh(params: dict) -> tuple[dict, str, int]:
     )
     g = param(params, "g", 1.0)
     s_value = quantum_chsh(settings, g)
-    alphas = (settings.alpha1, settings.alpha2)
-    betas = (settings.beta1, settings.beta2)
-    correlations = {
-        f"p{i + 1}{j + 1}": g * math.cos(alphas[i] - betas[j])
-        for i in range(2)
-        for j in range(2)
-    }
+    records = [
+        {"quantity": f"p{i}{j}", "alpha": a, "beta": b, "value": g * math.cos(a - b)}
+        for i, a in ((1, settings.alpha1), (2, settings.alpha2))
+        for j, b in ((1, settings.beta1), (2, settings.beta2))
+    ]
     payload = {
         "g": g,
-        "settings": {
-            "alpha1": alphas[0],
-            "alpha2": alphas[1],
-            "beta1": betas[0],
-            "beta2": betas[1],
-        },
-        "correlations": correlations,
+        "settings": dataclasses.asdict(settings),
+        "correlations": {r["quantity"]: r["value"] for r in records},
         "s_value": s_value,
     }
-    rows = [
-        ["p11", alphas[0], betas[0], correlations["p11"]],
-        ["p12", alphas[0], betas[1], correlations["p12"]],
-        ["p21", alphas[1], betas[0], correlations["p21"]],
-        ["p22", alphas[1], betas[1], correlations["p22"]],
-        ["s_value", "", "", s_value],
-    ]
-    return payload, _csv_table(("quantity", "alpha", "beta", "value"), rows), EXIT_OK
+    records.append({"quantity": "s_value", "alpha": "", "beta": "", "value": s_value})
+    return payload, _csv_table(("quantity", "alpha", "beta", "value"), records), EXIT_OK
 
 
 def _parse_setup(params: dict) -> SpatialSetup:
@@ -189,15 +200,11 @@ def _cmd_gfactor(params: dict) -> tuple[dict, str, int]:
     t = param(params, "t", 0.0)
     if "times" in params:
         curve = g_decay_curve(setup, param(params, "times", []))
-        payload = {"curve": [{"t": t, "g": g} for t, g in curve]}
-        return payload, _csv_table(("t", "g"), curve), EXIT_OK
-    g = setup_g_factor(setup, t).g
-    row = detectability_threshold_report([g])[0]
-    payload = {"t": t, "g": g, "regime": row["regime"], "chsh_max": row["chsh_max"]}
-    csv_text = _csv_table(
-        ("t", "g", "regime", "chsh_max"), [[t, g, row["regime"], row["chsh_max"]]]
-    )
-    return payload, csv_text, EXIT_OK
+        records = [{"t": t, "g": g} for t, g in curve]
+        return {"curve": records}, _csv_table(("t", "g"), records), EXIT_OK
+    row = detectability_threshold_report([setup_g_factor(setup, t).g])[0]
+    record = {"t": t, "g": row["g"], "regime": row["regime"], "chsh_max": row["chsh_max"]}
+    return record, _csv_table(tuple(record), [record]), EXIT_OK
 
 
 def _cmd_packet(params: dict) -> tuple[dict, str, int]:
@@ -211,14 +218,15 @@ def _cmd_packet(params: dict) -> tuple[dict, str, int]:
     times = param(params, "times", [0.0])
     if any(t < 0 for t in times):
         raise ConfigError("times must be nonnegative")
-    rows = [
-        [t, packet.sigma_at(t), packet_probability_in_box(packet, region, t)]
+    records = [
+        {
+            "t": t,
+            "width": packet.sigma_at(t),
+            "prob_in_region": packet_probability_in_box(packet, region, t),
+        }
         for t in times
     ]
-    payload = {
-        "rows": [{"t": t, "width": w, "prob_in_region": p} for t, w, p in rows]
-    }
-    return payload, _csv_table(("t", "width", "prob_in_region"), rows), EXIT_OK
+    return {"rows": records}, _csv_table(("t", "width", "prob_in_region"), records), EXIT_OK
 
 
 def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
@@ -234,35 +242,30 @@ def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
     mode = param(params, "mode", "exact", str)
     if mode not in ("exact", "mc"):
         raise ConfigError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    rows = []
     if mode == "exact":
-        for a in alphas:
-            for b in betas:
-                rows.append([a, b, model_expectation_exact(model, a, b)])
         header = ("alpha", "beta", "expectation")
-        table = [{"alpha": a, "beta": b, "expectation": e} for a, b, e in rows]
+        records = [
+            {"alpha": a, "beta": b, "expectation": model_expectation_exact(model, a, b)}
+            for a in alphas
+            for b in betas
+        ]
     else:
+        header = ("alpha", "beta", "mean", "std_error")
         rng = make_generator(params["seed"])
+        records = []
         for a in alphas:
             for b in betas:
                 est = model_expectation_mc(model, a, b, n, rng)
-                rows.append([a, b, est.mean, est.std_error])
-        header = ("alpha", "beta", "mean", "std_error")
-        table = [
-            {"alpha": a, "beta": b, "mean": m, "std_error": s} for a, b, m, s in rows
-        ]
+                records.append(
+                    {"alpha": a, "beta": b, "mean": est.mean, "std_error": est.std_error}
+                )
     chsh_value = model_chsh(model, canonical_chsh_settings(), mode="exact")
-    payload = {"g": g, "mode": mode, "expectations": table, "chsh_canonical": chsh_value}
-    return payload, _csv_table(header, rows), EXIT_OK
+    payload = {"g": g, "mode": mode, "expectations": records, "chsh_canonical": chsh_value}
+    return payload, _csv_table(header, records), EXIT_OK
 
 
 def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
-    from .feasibility import (
-        local_polytope_membership,
-        max_feasible_scale,
-        result_to_dict,
-        target_from_dict,
-    )
+    from .feasibility import local_polytope_membership, max_feasible_scale, target_from_dict
 
     reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
@@ -276,7 +279,7 @@ def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_qkd(params: dict) -> tuple[dict, str, int]:
-    from .qkd import INCONCLUSIVE, config_from_dict, report_to_dict, rounds_to_csv, run_session
+    from .qkd import INCONCLUSIVE, config_from_dict, rounds_to_csv, run_session
 
     round_log = param(params, "round_log", None, str) if "round_log" in params else None
     params.pop("round_log", None)
@@ -298,22 +301,18 @@ def _cmd_thresholds(params: dict) -> tuple[dict, str, int]:
         params, "g_values", [0.1, 0.25, 0.5, 0.6, 1 / math.sqrt(2), 0.75, 0.9, 1.0]
     )
     rows = detectability_threshold_report(g_values)
-    csv_rows = [[r["g"], r["regime"], r["chsh_max"]] for r in rows]
-    return (
-        {"thresholds": rows},
-        _csv_table(("g", "regime", "chsh_max"), csv_rows),
-        EXIT_OK,
-    )
+    return {"thresholds": rows}, _csv_table(("g", "regime", "chsh_max"), rows), EXIT_OK
 
 
-_COMMANDS: dict[str, Callable[[dict], tuple[dict, str, int]]] = {
-    "chsh": _cmd_chsh,
-    "gfactor": _cmd_gfactor,
-    "packet": _cmd_packet,
-    "lhv": _cmd_lhv,
-    "feasibility": _cmd_feasibility,
-    "qkd": _cmd_qkd,
-    "thresholds": _cmd_thresholds,
+#: Subcommand name -> (implementation, help text), in ``--help`` order.
+_COMMANDS: dict[str, tuple[Callable[[dict], tuple[dict, str, int]], str]] = {
+    "chsh": (_cmd_chsh, "quantum CHSH statistic at settings scaled by g"),
+    "gfactor": (_cmd_gfactor, "localization factor of a spatial setup"),
+    "packet": (_cmd_packet, "packet spreading width and box probability over time"),
+    "lhv": (_cmd_lhv, "cosine hidden-variable model expectations"),
+    "feasibility": (_cmd_feasibility, "local-polytope membership of a correlation target"),
+    "qkd": (_cmd_qkd, "simulate a key-distribution session"),
+    "thresholds": (_cmd_thresholds, "detectability regimes for localization factors"),
 }
 
 
@@ -325,15 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bellspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("chsh", "quantum CHSH statistic at settings scaled by g"),
-        ("gfactor", "localization factor of a spatial setup"),
-        ("packet", "packet spreading width and box probability over time"),
-        ("lhv", "cosine hidden-variable model expectations"),
-        ("feasibility", "local-polytope membership of a correlation target"),
-        ("qkd", "simulate a key-distribution session"),
-        ("thresholds", "detectability regimes for localization factors"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON parameter file (strict keys)")
         cmd.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
@@ -363,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed = param(parameters, "seed", DEFAULT_SEED, int) if args.seed is None else args.seed
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
-        payload, csv_text, exit_code = _COMMANDS[args.command]({**parameters, "seed": seed})
+        payload, csv_text, exit_code = _COMMANDS[args.command][0]({**parameters, "seed": seed})
         if args.format == "json":
             _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
         else:

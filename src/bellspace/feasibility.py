@@ -314,15 +314,7 @@ def max_feasible_scale(target: CorrelationTarget, tol: float) -> float:
     return 1.0 if g >= 1.0 - FEASIBILITY_TOL else max(0.0, g - tol / 2)
 
 
-# --- JSON (de)serialization -------------------------------------------------
-
-
-def target_to_dict(target: CorrelationTarget) -> dict:
-    return {
-        "alphas": list(target.alphas),
-        "betas": list(target.betas),
-        "matrix": [list(row) for row in target.matrix],
-    }
+# --- JSON config reading ----------------------------------------------------
 
 
 def target_from_dict(data: dict) -> CorrelationTarget:
@@ -331,19 +323,3 @@ def target_from_dict(data: dict) -> CorrelationTarget:
     return CorrelationTarget(
         param(data, "alphas", []), param(data, "betas", []), param(data, "matrix", [[]])
     )
-
-
-def result_to_dict(result: FeasibilityResult) -> dict:
-    payload: dict = {"status": result.status, "residual": result.residual}
-    if result.weights is not None:
-        payload["weights"] = [
-            {"s": list(w.s), "t": list(w.t), "weight": w.weight}
-            for w in result.weights
-        ]
-    if result.certificate is not None:
-        payload["certificate"] = {
-            "coefficients": [list(row) for row in result.certificate.coefficients],
-            "bound": result.certificate.bound,
-        }
-    return payload
-

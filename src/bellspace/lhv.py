@@ -72,14 +72,11 @@ class HiddenVariableModel:
     ``bound`` is a proven sup of |xi| and |eta| (at most 1), or None.  Only
     without it are the responses probed at construction: 10^5 uniform
     lambdas against a probe set of angles, with a fixed probe seed.
-    ``spec`` holds the JSON parameters that rebuild the model (``{"model":
-    "cosine", "g": g}``), or None when the model has no JSON form.
     """
 
     xi: ResponseFn
     eta: ResponseFn
     label: str = field(default="", compare=False)
-    spec: dict | None = field(default=None, compare=False)
     bound: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -125,9 +122,7 @@ def cosine_model(g: float) -> HiddenVariableModel:
     def eta(beta: float, lam: np.ndarray) -> np.ndarray:
         return amplitude * np.cos(beta - lam)
 
-    return HiddenVariableModel(
-        xi=xi, eta=eta, label=f"cosine(g={g!r})", spec={"model": "cosine", "g": g}, bound=amplitude
-    )
+    return HiddenVariableModel(xi=xi, eta=eta, label=f"cosine(g={g!r})", bound=amplitude)
 
 
 def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:

@@ -38,7 +38,7 @@ numbers and takes no side.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -70,20 +70,17 @@ Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 @runtime_checkable
 class ChannelModel(Protocol):
-    """A channel: one vectorized sampling rule plus its JSON spec.
+    """A channel: one vectorized sampling rule.
 
     ``sample`` gets every round's setting angles and returns (detected, s_a,
     s_b): physical (unflipped) +-1 outcomes on every round, lost or not.
     ``rng_channel`` drives detection or the hidden variable; ``rng_signs``
     gives two uniforms per round, all of Alice's, then all of Bob's.
-    ``to_dict`` is the spec that :func:`config_from_dict` reads back.
     """
 
     def sample(
         self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
     ) -> Draws: ...
-
-    def to_dict(self) -> dict: ...
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,6 @@ class QuantumLocalizedChannel:
         s_a = np.where(rng_signs.random(n) < 0.5, 1, -1)
         s_b = np.where(rng_signs.random(n) < (1.0 - dot) / 2.0, s_a, -s_a)
         return detected, s_a, s_b
-
-    def to_dict(self) -> dict:
-        return {"variant": "quantum_localized", "g": self.g}
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumLocalizedChannel":
@@ -168,14 +162,6 @@ class LhvEveChannel:
         s_a = np.where(rng_signs.random(n) < (1.0 + xi) / 2.0, 1, -1)
         s_b = np.where(rng_signs.random(n) < (1.0 + eta) / 2.0, -1, 1)
         return np.ones(n, dtype=bool), s_a, s_b
-
-    def to_dict(self) -> dict:
-        if self.model.spec is None:
-            raise ValueError(
-                "only cosine hidden-variable channels are JSON-serializable; "
-                f"got model {self.model.label or '<unlabeled>'!r}"
-            )
-        return {"variant": "lhv_eve", **self.model.spec}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LhvEveChannel":
@@ -472,7 +458,7 @@ def rounds_to_csv(rounds: RoundLog) -> str:
     return "round,a_idx,b_idx,detected,s_a,s_b\n" + body
 
 
-# --- JSON (de)serialization -------------------------------------------------
+# --- JSON config reading ----------------------------------------------------
 
 
 def _channel_from_dict(data: dict) -> ChannelModel:
@@ -480,18 +466,6 @@ def _channel_from_dict(data: dict) -> ChannelModel:
     if variant not in _CHANNEL_VARIANTS:
         raise ConfigError(f"unknown channel variant {variant!r}")
     return _CHANNEL_VARIANTS[variant].from_dict(data)
-
-
-def config_to_dict(config: QkdConfig) -> dict:
-    return {
-        "n_rounds": config.n_rounds,
-        "alice_angles": list(config.alice_angles),
-        "bob_angles": list(config.bob_angles),
-        "chsh_pairs": [[p.alice_idx, p.bob_idx, p.sign] for p in config.chsh_pairs],
-        "alarm_sigma": config.alarm_sigma,
-        "channel": config.channel.to_dict(),
-        "seed": config.seed,
-    }
 
 
 def config_from_dict(data: dict) -> QkdConfig:
@@ -519,14 +493,3 @@ def config_from_dict(data: dict) -> QkdConfig:
             raise ConfigError("each chsh_pairs entry is [alice_idx, bob_idx(, sign)]")
         kwargs["chsh_pairs"] = [ChshPair(*p) for p in kwargs["chsh_pairs"]]
     return QkdConfig(channel=_channel_from_dict(param(data, "channel", None, dict)), **kwargs)
-
-
-def report_to_dict(report: QkdSessionReport) -> dict:
-    """JSON form of a report, keys in field order; an undefined (infinite)
-    standard error is written as None, so the payload is strict JSON."""
-    payload = asdict(report)
-    payload["n_test_rounds"] = list(report.n_test_rounds)
-    for key in ("chsh_estimate", "chsh_unconditioned"):
-        if math.isinf(payload[key]["std_error"]):
-            payload[key]["std_error"] = None
-    return payload

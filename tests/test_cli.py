@@ -1,9 +1,11 @@
 """Command-line interface tests: output formats, determinism, exit codes."""
 
+import ast
 import contextlib
 import copy
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -451,7 +453,20 @@ class TestGoldenOutputs:
                                 "times": [0.0, 0.5, 7.0, 1e3]}),
         "gfactor": (["gfactor"], {"setup": {"width_param": 1.5, "separation": [8.0, 0.5, 0.0]},
                                   "times": [0.0, 0.3, 2.0]}),
+        "feasible": (["feasibility"], {"target": {
+            "alphas": [math.pi / 2, 0.0], "betas": [math.pi / 4, -math.pi / 4],
+            "matrix": [[0.3 * _SQRT_HALF, -0.3 * _SQRT_HALF],
+                       [0.3 * _SQRT_HALF, 0.3 * _SQRT_HALF]]}}),
+        "gfactor_single_t": (["gfactor"], {
+            "setup": {"width_param": 1.5, "separation": [8.0, 0.5, 0.0]}, "t": 0.4}),
+        "gfactor_blocks": (["gfactor"], {
+            "packet_a": {"width_param": 1.0}, "packet_b": {"width_param": 1.0, "center": [20, 0, 0]},
+            "region_a": {"lo": [-1, -1, -1], "hi": [1, 1, 1]},
+            "region_b": {"lo": [19, -1, -1], "hi": [21, 1, 1]}}),
+        "qkd_inconclusive": (["qkd"], {"n_rounds": 1000, "seed": 3,
+                                       "channel": {"variant": "quantum_localized", "g": 0.01}}),
     }
+    EXIT_CODES = {"qkd_inconclusive": EXIT_INCONCLUSIVE}
     QKD_ROUND_LOG = "155b82b6da1bc9f2e636fa5657cbb863400e8a007a28706820889e907e732409"
 
     @staticmethod
@@ -484,6 +499,22 @@ class TestGoldenOutputs:
             ("gfactor", "json",
              "cb2b247d7ecc506a53209168080e12a6574642e788c308cd0d33bd806699d688"),
             ("gfactor", "csv", "ebd24d2061c29e1dd7130623d97a7cf33168985c72f31dc39cde575c67abede7"),
+            ("feasible", "json",
+             "ae8f9da5adfcda0a82836a83e2c5cebdf08093a90e22a142d1091885b0dc01e4"),
+            ("feasible", "csv",
+             "e350b473d69b97c4c57f697cf33ea47a27ac4ffd5817638a13fc180552c54928"),
+            ("gfactor_single_t", "json",
+             "479a23a91952c993a6db60c67f813b2d6e8d3cf00189c181abfdfd392cccaf8c"),
+            ("gfactor_single_t", "csv",
+             "d1567f31bd5635aeda109b5064dbea9928dcd1c50ab984c1f4080cf989f222fa"),
+            ("gfactor_blocks", "json",
+             "9c102bb941ea5cd49d39bd31c4b83be5e6724923f2f97b311147d16e1053a5fe"),
+            ("gfactor_blocks", "csv",
+             "59cfb31a8e86bdba1cb2e3aa77f10c540d96d1e34059325bf1a78c70f1beb89b"),
+            ("qkd_inconclusive", "json",
+             "9050640b8b15c512d99301ea8a3a9812e2e43d55ca3a07d26c68149895356d2b"),
+            ("qkd_inconclusive", "csv",
+             "e681cf264b0af51e5fa4ea8a0213b976b015f56135a17a390f15ca842b3fe776"),
         ],
     )
     def test_cli_stdout(self, case, fmt, digest, tmp_path, capsys):
@@ -494,7 +525,7 @@ class TestGoldenOutputs:
         if params:
             args += ["--config", write_json(tmp_path / "c.json", params)]
         code, out, _ = run_cli(args, capsys)
-        assert code == EXIT_OK
+        assert code == self.EXIT_CODES.get(case, EXIT_OK)
         assert self.sha256(out.encode("utf-8")) == digest
         if case == "qkd":
             assert self.sha256((tmp_path / "rounds.csv").read_bytes()) == self.QKD_ROUND_LOG
@@ -615,6 +646,29 @@ class TestPublicNames:
             # functions and classes are exported from the module that defines them
             assert getattr(value, "__module__", f"bellspace.{module}") == f"bellspace.{module}"
 
+    def test_benchmark_and_demo_imports_resolve(self):
+        """Every bellspace module and name the benchmark and the demos import
+        exists; the files are only parsed, never run."""
+        root = Path(__file__).resolve().parents[1]
+        imports = []
+        for path in sorted([*root.glob("benchmarks/**/*.py"), *root.glob("demos/*.py")]):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imports += [(path, alias.name, None) for alias in node.names
+                                if alias.name.split(".")[0] == "bellspace"]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                        node.module.split(".")[0] == "bellspace"):
+                    imports += [(path, node.module, alias.name) for alias in node.names]
+        assert {path.parent.name for path, _, _ in imports} == {"benchmarks", "workloads", "demos"}
+        missing = []
+        for path, module, name in imports:
+            try:
+                found = importlib.import_module(module)
+            except ImportError:
+                found = None
+            if found is None or (name is not None and not hasattr(found, name)):
+                missing.append(f"{path.relative_to(root)}: {module} {name or ''}".rstrip())
+        assert missing == []
 
 QKD_CHANNEL = {"variant": "quantum_localized", "g": 0.9}
 CANONICAL_TARGET = TestFeasibilityCommand().canonical_target(1.0)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bellspace.feasibility import (
+    FEASIBILITY_TOL,
     FEASIBLE,
     INFEASIBLE,
     BellCertificate,
@@ -26,7 +27,6 @@ from bellspace.feasibility import (
     local_polytope_membership,
     max_feasible_scale,
     target_from_dict,
-    target_to_dict,
     verify_certificate,
 )
 from bellspace.lhv import cosine_model, model_expectation_exact
@@ -172,6 +172,14 @@ class TestWitnessConsistency:
             for w in result.weights:
                 assert np.array_equal(np.outer(w.s, w.t), matrix)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    def test_no_feasible_verdict_beyond_the_tolerance(self):
+        # row 2 = (1, 1) forces row 1 to be constant, so P lies outside L; the
+        # master LP meets its equalities only to HiGHS's primal tolerance (1e-7)
+        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0), np.array([[6e-8, 0.0], [1.0, 1.0]]))
+        result = local_polytope_membership(target)
+        assert not (result.is_feasible and result.residual > FEASIBILITY_TOL)
+
 
 class TestInvariances:
     def test_permutations_preserve_membership(self):
@@ -241,14 +249,29 @@ class TestTargetValidation:
         assert np.max(np.abs(reconstruct(result) - target.matrix)) < 1e-9
 
 
+def canonical_target_dict(g: float) -> dict:
+    """The canonical cosine target's JSON block, g*cos(alpha_i - beta_j) written out."""
+    h = g / SQRT2
+    return {
+        "alphas": [math.pi / 2, 0.0],
+        "betas": [math.pi / 4, -math.pi / 4],
+        "matrix": [[h, -h], [h, h]],
+    }
+
+
 class TestJsonRoundTrip:
     def test_target_round_trip(self):
-        target = canonical_cosine_target(0.8)
-        again = target_from_dict(target_to_dict(target))
-        assert again == target
+        data = canonical_target_dict(0.8)
+        again = target_from_dict(data)
+        assert again == CorrelationTarget(
+            (math.pi / 2, 0.0), (math.pi / 4, -math.pi / 4), np.array(data["matrix"])
+        )
+        canonical = canonical_cosine_target(0.8)
+        assert again.alphas == canonical.alphas and again.betas == canonical.betas
+        assert np.allclose(again.matrix, canonical.matrix, rtol=0.0, atol=1e-15)
 
     def test_target_unknown_keys_rejected(self):
-        data = target_to_dict(canonical_cosine_target(0.5))
+        data = canonical_target_dict(0.5)
         data["extra"] = 1
         with pytest.raises(ValueError, match="unknown"):
             target_from_dict(data)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bellspace.cli import main
+from bellspace.cli import main, report_to_dict
 
 from bellspace.lhv import cosine_model, random_bounded_model
 from bellspace.qkd import (
@@ -20,10 +20,8 @@ from bellspace.qkd import (
     QuantumLocalizedChannel,
     RoundRecord,
     config_from_dict,
-    config_to_dict,
     decide_verdict,
     detectability_threshold_report,
-    report_to_dict,
     rounds_to_csv,
     run_session,
 )
@@ -286,21 +284,33 @@ class TestConfigValidation:
             RoundRecord(0, 0, False, OutcomePair(1, 1))
 
 
+def config_dict(channel: dict, n: int = 5_000, seed: int = 21) -> dict:
+    """A full session config as JSON would give it, every key spelled out."""
+    return {
+        "n_rounds": n,
+        "alice_angles": [0.0, math.pi / 4, math.pi / 2],
+        "bob_angles": [math.pi / 4, math.pi / 2, 3 * math.pi / 4],
+        "chsh_pairs": [[2, 0, 1], [2, 2, -1], [0, 0, 1], [0, 2, -1]],
+        "alarm_sigma": 3.0,
+        "channel": channel,
+        "seed": seed,
+    }
+
+
 class TestSerialization:
     def test_config_round_trip_quantum(self):
-        config = quantum_config(0.37, n=5_000, seed=21)
-        again = config_from_dict(config_to_dict(config))
-        assert again == config
+        again = config_from_dict(config_dict({"variant": "quantum_localized", "g": 0.37}))
+        assert again == quantum_config(0.37, n=5_000, seed=21)
 
     def test_config_round_trip_lhv(self):
         config = lhv_config(0.25, n=5_000, seed=21)
-        data = config_to_dict(config)
-        assert data["channel"] == {"variant": "lhv_eve", "model": "cosine", "g": 0.25}
-        again = config_from_dict(data)
+        again = config_from_dict(config_dict({"variant": "lhv_eve", "model": "cosine", "g": 0.25}))
+        assert isinstance(again.channel, LhvEveChannel)
+        assert again.channel.model.label == config.channel.model.label == "cosine(g=0.25)"
         assert run_session(again) == run_session(config)
 
     def test_config_unknown_keys(self):
-        data = config_to_dict(quantum_config(0.5))
+        data = config_dict({"variant": "quantum_localized", "g": 0.5})
         data["typo"] = True
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict(data)
