@@ -26,7 +26,11 @@ from bellspace.cli import (
     main,
 )
 from bellspace.config import NumericalFailure
-from bellspace.feasibility import FeasibilitySolverError
+from bellspace.feasibility import (
+    FeasibilitySolverError,
+    canonical_cosine_target,
+    local_polytope_membership,
+)
 from bellspace.qkd import QkdSessionReport
 from bellspace.spatial import QuadratureError
 
@@ -268,6 +272,20 @@ class TestFeasibilityCommand:
         payload = json.loads(out)
         assert payload["max_scale"] == pytest.approx(1 / math.sqrt(2), abs=1e-4)
 
+    def test_debug_log_leaves_stdout_unchanged(self, tmp_path):
+        cfg = write_json(tmp_path / "t.json",
+                         {"target": self.canonical_target(1.0), "max_scale": True})
+        env = {k: v for k, v in child_env().items() if k != "BELLSPACE_LOG"}
+        argv = [sys.executable, "-m", "bellspace.cli", "feasibility", "--config", cfg]
+        quiet = subprocess.run(argv, capture_output=True, env=env)
+        debug = subprocess.run(argv, capture_output=True, env={**env, "BELLSPACE_LOG": "DEBUG"})
+        assert quiet.returncode == debug.returncode == EXIT_OK
+        assert debug.stdout == quiet.stdout
+        assert json.loads(quiet.stdout)["status"] == "infeasible"
+        # one record per gauge LP: the membership test and the max scale
+        assert b"gauge LP" not in quiet.stderr
+        assert debug.stderr.count(b"DEBUG:bellspace.feasibility:gauge LP 2x2: status Optimal") == 2
+
     def test_empty_matrix_rejected(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "t.json", {"target": {"alphas": [], "betas": [], "matrix": []}}
@@ -489,7 +507,7 @@ class TestGoldenOutputs:
             ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
             ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
             ("feasibility", "json",
-             "f08a040d9f904dc337c0ea82b5b53f248b6bec76641ed5b34031773508f79ef4"),
+             "aff2d9475353e6b67e73609bbffc1118d77ea072debc9e173f6336a631c50fb4"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
             ("qkd", "json", "829ea464bae12a257c656a0c8207178f2f370b1be532d6078c19c78dd1c0ff61"),
@@ -697,6 +715,25 @@ class TestNumericalFailure:
         assert out == "" and f"numerical failure: {error}" in err.splitlines()
         assert isinstance(error, NumericalFailure) and isinstance(error, RuntimeError)
 
+    def test_non_optimal_highs_model_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a real HiGHS run that stops at its iteration limit inside the gauge LP
+        from scipy.optimize._highspy import _core
+
+        class NoIterations(_core._Highs):
+            def __init__(self):
+                super().__init__()
+                self.setOptionValue("simplex_iteration_limit", 0)
+
+        monkeypatch.setattr(_core, "_Highs", NoIterations)
+        message = "LP solver failed: HiGHS model status 'Iteration limit reached'"
+        with pytest.raises(FeasibilitySolverError) as excinfo:
+            local_polytope_membership(canonical_cosine_target(1.0))
+        assert str(excinfo.value) == message
+        cfg = write_json(tmp_path / "c.json", {"target": CANONICAL_TARGET, "max_scale": True})
+        code, out, err = run_cli(["feasibility", "--config", cfg], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == "" and f"numerical failure: {message}" in err.splitlines()
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("seed", ["abc", 3.5, True, -1, 2**64])
@@ -858,12 +895,17 @@ _json_scalars = st.one_of(
     st.sampled_from([10**400, -10**400, 2**63, 2**64]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                 max_size=3),
-    max_leaves=8,
-)
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+_json_values = st.recursive(_json_scalars, _json_containers, max_leaves=8)
+# hypothesis checks that `extend` uses its argument by reading its source from
+# disk on first validation, so a file edited since import fails every fuzz case:
+# validate now, while the file matches the code
+_json_values.validate()
 
 
 def _value_paths(value, prefix=()):

@@ -5,15 +5,21 @@ mixtures are reconstructed by hand, infeasible certificates go through
 exhaustive sign-pair enumeration (:func:`classical_bound`, the oracle).
 """
 
+import ast
+import importlib
 import itertools
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import bellspace.feasibility as feasibility
 from bellspace.feasibility import (
     FEASIBILITY_TOL,
     FEASIBLE,
@@ -21,6 +27,7 @@ from bellspace.feasibility import (
     BellCertificate,
     CorrelationTarget,
     _best_responses,
+    _gauge_lp,
     canonical_cosine_target,
     chsh_certificate,
     cosine_target,
@@ -39,6 +46,28 @@ def classical_bound(coeff: np.ndarray) -> float:
     """max of s^T C t over all 2^(m+n) sign pairs, by exhaustive enumeration."""
     s, t = (np.array(list(itertools.product((-1.0, 1.0), repeat=k))) for k in coeff.shape)
     return float(np.max(s @ coeff @ t.T))
+
+
+def dense_gauge(matrix: np.ndarray, tol: float | None = None) -> float:
+    """g* of the gauge LP over all 2^(m+n-1) vertices, one cold linprog solve (the oracle).
+
+    ``tol`` tightens HiGHS's primal and dual feasibility tolerances (default 1e-7).
+    """
+    from scipy.optimize import linprog
+
+    m, n = matrix.shape
+    s = np.array([(1.0, *rest) for rest in itertools.product((-1.0, 1.0), repeat=m - 1)])
+    t = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    columns = np.einsum("ai,bj->ijab", s, t).reshape(m * n, -1)
+    k = columns.shape[1]
+    a_eq = np.vstack([np.hstack([columns, -matrix.reshape(-1, 1)]), np.append(np.ones(k), 0.0)])
+    result = linprog(np.append(np.zeros(k), -1.0), A_eq=a_eq,
+                     b_eq=np.append(np.zeros(m * n), 1.0),
+                     bounds=[(0.0, None)] * k + [(0.0, 1.0)], method="highs",
+                     options={} if tol is None else {"primal_feasibility_tolerance": tol,
+                                                     "dual_feasibility_tolerance": tol})
+    assert result.status == 0, result.message
+    return -float(result.fun)
 
 
 def reconstruct(result) -> np.ndarray:
@@ -323,3 +352,66 @@ class TestGaugeLpProperties:
             margin = np.sum(coeff * outside.matrix) - classical_bound(coeff)
             assert margin > 1e-9
             assert margin == pytest.approx(result.residual, abs=1e-9)
+
+    @given(correlation_matrices)
+    @example(np.array([[0.0, 0.0, 1.0], [2.32001641e-08] * 3]))  # a hot start stops at g > 1
+    @example(np.array([[2.0**-24, 1.0, 0.0], [1.0, 1.0, 1.0]]))  # the cold LP is 1.3e-8 off
+    @settings(max_examples=100, deadline=None)
+    def test_column_generation_matches_the_dense_lp(self, matrix):
+        # the warm-started master against a cold LP that holds every vertex
+        m, n = matrix.shape
+        target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
+        g, dense = _gauge_lp(target, FEASIBILITY_TOL)[0], dense_gauge(matrix)
+        if abs(g - dense) > 1e-9:
+            # entries near HiGHS's primal tolerance can leave the cold LP's g off
+            # by ~1e-8 (2^-24 in [[2^-24, 1, 0], [1, 1, 1]] gives 2/3 + 1.3e-8,
+            # above the bound the engine's verified certificate proves): re-solve
+            # the oracle at tight tolerances
+            dense = dense_gauge(matrix, tol=1e-10)
+        assert g == pytest.approx(dense, abs=1e-9)
+        # within 1e-9 of the threshold either verdict is within solver tolerance
+        if abs(dense - (1.0 - FEASIBILITY_TOL)) > 1e-9:
+            feasible = local_polytope_membership(target).is_feasible
+            assert feasible == (dense >= 1.0 - FEASIBILITY_TOL)
+
+
+class TestGaugeLpTelemetry:
+    def test_one_debug_record_per_solve(self, caplog):
+        target = canonical_cosine_target(1.0)
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            g, w, s, _, _ = _gauge_lp(target, FEASIBILITY_TOL)
+        (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
+        assert record.levelno == logging.DEBUG
+        m, n, status, rounds, columns, iterations, logged_g, seconds = record.args
+        assert (m, n) == (2, 2) and status == "Optimal"
+        assert rounds >= 1 and columns == s.shape[0] == w.size
+        assert iterations > 0 and seconds > 0.0
+        assert logged_g == g == pytest.approx(1 / SQRT2, abs=1e-9)
+
+
+class TestHighsBinding:
+    """The engine drives scipy's private HiGHS binding, so pin what it uses."""
+
+    OWNERS = {"highs": "_Highs", "info": "HighsInfo", "solution": "HighsSolution",
+              "HighsModelStatus": "HighsModelStatus"}
+
+    def test_binding_has_every_name_the_engine_uses(self):
+        tree = ast.parse(Path(feasibility.__file__).read_text())
+        used = {(self.OWNERS[node.value.id], node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in self.OWNERS}
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "scipy.optimize._highspy._core" for alias in node.names}
+        assert {("_Highs", "addCols"), ("_Highs", "run"), ("HighsSolution", "row_dual"),
+                ("HighsModelStatus", "kOptimal")} <= used
+        assert {"_Highs", "HighsModelStatus"} <= imported
+        try:
+            core = importlib.import_module("scipy.optimize._highspy._core")
+        except ImportError as exc:
+            pytest.fail(f"scipy {scipy.__version__} has no scipy.optimize._highspy._core ({exc}); "
+                        "the gauge LP needs the HiGHS binding scipy >= 1.15 ships")
+        missing = sorted(name for name in imported if not hasattr(core, name))
+        missing += sorted(f"{owner}.{attr}" for owner, attr in used
+                          if not hasattr(getattr(core, owner, None), attr))
+        assert not missing, (f"scipy {scipy.__version__}'s HiGHS binding lacks {missing}, "
+                             "which the gauge LP calls")
