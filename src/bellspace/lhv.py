@@ -34,14 +34,12 @@ import numpy as np
 
 from .spin import TWO_PI, ChshSettings, as_angle, chsh_statistic
 
-#: Response function: (setting angles, lambdas) -> values.  It must broadcast:
-#: an angle array and a lambda array give one value per broadcast element.
+#: Response function: (setting angle, lambdas) -> values in [-1, 1], one per
+#: lambda or broadcasting to that.  The eavesdropper channel passes one angle
+#: per lambda, so a response used there must also accept an angle array.
 ResponseFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
 _BOUND_SLACK = 1e-9
-_PROBE_SEED = 971**3  # fixed so construction-time bound checks are reproducible
-_PROBE_DRAWS = 100_000
-_PROBE_ANGLES = 16
 _EXACT_NODES = 4096
 #: Largest ``n`` for :func:`model_expectation_mc`: peak RSS grows ~30 MB per
 #: 10^6 draws (343 MB at 10^7 through the CLI), so a call stays under ~1.3 GB.
@@ -65,43 +63,39 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class HiddenVariableModel:
-    """Bounded response functions of a hidden variable lambda uniform on [0, 2*pi).
+    """Response functions of a hidden variable lambda uniform on [0, 2*pi).
 
     Every expectation and every draw takes lambda uniform; a model with
-    another law F on the circle composes its responses with F^-1.
-    ``bound`` is a proven sup of |xi| and |eta| (at most 1), or None.  Only
-    without it are the responses probed at construction: 10^5 uniform
-    lambdas against a probe set of angles, with a fixed probe seed.
+    another law F on the circle composes its responses with F^-1.  Building
+    a model evaluates nothing: :func:`response_values` checks the unit bound
+    on every value an expectation or a draw uses.
     """
 
     xi: ResponseFn
     eta: ResponseFn
     label: str = field(default="", compare=False)
-    bound: float | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.bound is not None:
-            if not 0.0 <= self.bound <= 1.0 + _BOUND_SLACK:
-                raise ValueError(f"bound must lie in [0, 1], got {self.bound!r}")
-            return
-        rng = np.random.default_rng(_PROBE_SEED)
-        lam = rng.uniform(0.0, TWO_PI, _PROBE_DRAWS)
-        angles, grid = rng.uniform(0.0, TWO_PI, (_PROBE_ANGLES, 1)), (_PROBE_ANGLES, _PROBE_DRAWS)
-        for name, fn in (("xi", self.xi), ("eta", self.eta)):
-            try:
-                values = np.asarray(fn(angles, lam))
-                if values.ndim == 0 or np.broadcast_shapes(values.shape, grid) != grid:
-                    raise ValueError(f"got shape {values.shape} for an angle x lambda grid")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"response function {name} must broadcast over an array of angles: {exc}"
-                ) from exc
-            worst = float(np.max(np.abs(values)))
-            if worst > 1.0 + _BOUND_SLACK:
-                raise ValueError(
-                    f"response function {name} exceeds the unit bound: "
-                    f"max |{name}| = {worst!r} over {_PROBE_DRAWS} sampled lambdas"
-                )
+
+def response_values(
+    model: HiddenVariableModel, alpha: float | np.ndarray, beta: float | np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """xi(alpha, lam) and eta(beta, lam), each broadcast to ``lam.shape`` and checked.
+
+    Raises ValueError naming the response if its values do not broadcast to
+    one per lambda, or if any is NaN or outside [-1, 1] past 1e-9.
+    """
+    return _checked(model.xi, alpha, lam, "xi"), _checked(model.eta, beta, lam, "eta")
+
+
+def _checked(fn: ResponseFn, angle: float | np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
+    try:
+        values = np.broadcast_to(fn(angle, lam), lam.shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"response {name} must give one value per lambda: {exc}") from exc
+    low, high = values.min(), values.max()
+    if not -1.0 - _BOUND_SLACK <= low <= high <= 1.0 + _BOUND_SLACK:
+        raise ValueError(f"response {name} breaks the unit bound: values span [{low}, {high}]")
+    return values
 
 
 def cosine_model(g: float) -> HiddenVariableModel:
@@ -122,7 +116,7 @@ def cosine_model(g: float) -> HiddenVariableModel:
     def eta(beta: float, lam: np.ndarray) -> np.ndarray:
         return amplitude * np.cos(beta - lam)
 
-    return HiddenVariableModel(xi=xi, eta=eta, label=f"cosine(g={g!r})", bound=amplitude)
+    return HiddenVariableModel(xi=xi, eta=eta, label=f"cosine(g={g!r})")
 
 
 def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:
@@ -150,9 +144,7 @@ def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:
 
         return response
 
-    return HiddenVariableModel(
-        xi=make_response(), eta=make_response(), label="random-trig", bound=1.0
-    )
+    return HiddenVariableModel(xi=make_response(), eta=make_response(), label="random-trig")
 
 
 def model_expectation_exact(
@@ -172,7 +164,7 @@ def model_expectation_exact(
     """
     a, b = as_angle(alpha), as_angle(beta)
     lam = np.arange(nodes) * (TWO_PI / nodes)
-    return float(np.mean(np.asarray(model.xi(a, lam)) * np.asarray(model.eta(b, lam))))
+    return float(np.mean(np.multiply(*response_values(model, a, b, lam))))
 
 
 def model_expectation_mc(
@@ -189,7 +181,7 @@ def model_expectation_mc(
         raise ValueError(f"at most {MAX_MC_SAMPLES} samples per estimate, got {n}")
     a, b = as_angle(alpha), as_angle(beta)
     lam = rng.uniform(0.0, TWO_PI, n)
-    products = np.asarray(model.xi(a, lam)) * np.asarray(model.eta(b, lam))
+    products = np.multiply(*response_values(model, a, b, lam))
     mean = float(np.mean(products))
     std_error = float(np.std(products, ddof=1) / math.sqrt(n))
     return CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)

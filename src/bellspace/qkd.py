@@ -44,7 +44,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .config import ConfigError, param, reject_unknown
-from .lhv import _BOUND_SLACK, HiddenVariableModel, ResponseFn, cosine_model
+from .lhv import HiddenVariableModel, cosine_model, response_values
 from .rng import split_generators
 from .spatial import SpatialSetup, setup_from_dict, setup_g_factor
 from .spin import TWO_PI, OutcomePair, as_angle
@@ -127,17 +127,6 @@ class QuantumLocalizedChannel:
         return cls.from_setup(setup_from_dict(data["setup"]), t)
 
 
-def _responses(fn: ResponseFn, theta: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
-    """fn at every round's angle in one broadcast call, bound-checked."""
-    values = np.asarray(fn(theta, lam))
-    if values.shape != lam.shape:
-        raise ValueError(f"response {name} gave shape {values.shape} for {lam.shape} rounds")
-    if not np.all(np.abs(values) <= 1.0 + _BOUND_SLACK):
-        worst = float(np.max(np.abs(values)))
-        raise ValueError(f"response {name} exceeds the unit bound: max |{name}| = {worst!r}")
-    return values
-
-
 @dataclass(frozen=True)
 class LhvEveChannel:
     """Channel controlled by a hidden-variable model (Eve = lambda)."""
@@ -157,8 +146,7 @@ class LhvEveChannel:
         """
         n = alice_theta.size
         lam = rng_channel.uniform(0.0, TWO_PI, n)
-        xi = _responses(self.model.xi, alice_theta, lam, "xi")
-        eta = _responses(self.model.eta, bob_theta, lam, "eta")
+        xi, eta = response_values(self.model, alice_theta, bob_theta, lam)
         s_a = np.where(rng_signs.random(n) < (1.0 + xi) / 2.0, 1, -1)
         s_b = np.where(rng_signs.random(n) < (1.0 + eta) / 2.0, -1, 1)
         return np.ones(n, dtype=bool), s_a, s_b

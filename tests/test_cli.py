@@ -688,6 +688,22 @@ class TestPublicNames:
                 missing.append(f"{path.relative_to(root)}: {module} {name or ''}".rstrip())
         assert missing == []
 
+    def test_no_module_imports_another_modules_private_name(self):
+        """Each underscore name has one owner module in ``src/bellspace``;
+        dunder names such as ``__version__`` are public."""
+        import bellspace
+
+        borrowed = []
+        for path in sorted(Path(bellspace.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0] == "bellspace"):
+                    borrowed += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                                 for alias in node.names if alias.name.startswith("_")
+                                 and not (alias.name.startswith("__") and alias.name.endswith("__"))]
+        assert borrowed == []
+
+
 QKD_CHANNEL = {"variant": "quantum_localized", "g": 0.9}
 CANONICAL_TARGET = TestFeasibilityCommand().canonical_target(1.0)
 

@@ -201,7 +201,7 @@ class TestWitnessConsistency:
             for w in result.weights:
                 assert np.array_equal(np.outer(w.s, w.t), matrix)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
     def test_no_feasible_verdict_beyond_the_tolerance(self):
         # row 2 = (1, 1) forces row 1 to be constant, so P lies outside L; the
         # master LP meets its equalities only to HiGHS's primal tolerance (1e-7)

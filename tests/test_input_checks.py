@@ -1,0 +1,68 @@
+"""Input checks of the public constructors and readers: one case per message."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bellspace.config import ConfigError
+from bellspace.feasibility import BellCertificate, CorrelationTarget
+from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, config_from_dict
+from bellspace.spatial import (
+    BoxRegion,
+    g_factor_quadrature,
+    product_density,
+    separated_gaussian_setup,
+)
+
+CHANNEL = QuantumLocalizedChannel(g=0.9)
+SETUP = separated_gaussian_setup(1.0, (20.0, 0.0, 0.0))
+SETUP_BLOCK = {"width_param": 1.0, "separation": [20.0, 0.0, 0.0]}
+
+
+def quadrature(**kwargs):
+    density = product_density(SETUP.packet_a, SETUP.packet_b)
+    return g_factor_quadrature(density, SETUP.region_a, SETUP.region_b, **kwargs)
+
+
+def channel_config(channel: dict):
+    return config_from_dict({"channel": channel})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: CorrelationTarget((0.0, 1.0), (0.0,), [[0.5], [math.nan]]),
+                     ValueError, "matrix entries must be finite", id="target-nan"),
+        pytest.param(lambda: BellCertificate(np.array([[1.0, math.inf]]), 1.0),
+                     ValueError, "coefficients must be a finite 2-d matrix", id="certificate-inf"),
+        pytest.param(lambda: BellCertificate(np.array([1.0, 1.0]), 1.0),
+                     ValueError, "coefficients must be a finite 2-d matrix", id="certificate-1d"),
+        pytest.param(lambda: BoxRegion.centered_cube((0.0, 0.0, 0.0), 0.0),
+                     ValueError, "half_width must be positive", id="cube-half-width"),
+        pytest.param(lambda: quadrature(tol=0.0),
+                     ValueError, "tol must be positive", id="quadrature-tol"),
+        pytest.param(lambda: quadrature(orders=(6,)),
+                     ValueError, "need at least two quadrature orders", id="quadrature-orders"),
+        pytest.param(lambda: separated_gaussian_setup(0.0, (20.0, 0.0, 0.0)),
+                     ValueError, "width_param must be positive", id="setup-width"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, alice_angles=(0.0, 1.0)),
+                     ValueError, "each wing needs exactly three setting angles", id="qkd-angles"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, seed=-1),
+                     ValueError, r"seed must be an integer in \[0, 2\^64\)", id="qkd-seed"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, chsh_pairs=(ChshPair(2, 0, 1),)),
+                     ValueError, "chsh_pairs must be exactly four", id="qkd-pairs"),
+        pytest.param(lambda: QkdConfig(channel="quantum_localized"),
+                     ValueError, "unsupported channel", id="qkd-channel"),
+        pytest.param(lambda: channel_config({"variant": "quantum_localized"}),
+                     ConfigError, "needs either g or setup", id="channel-neither"),
+        pytest.param(lambda: channel_config({"variant": "quantum_localized", "g": 0.9,
+                                             "setup": SETUP_BLOCK}),
+                     ConfigError, "needs either g or setup", id="channel-both"),
+        pytest.param(lambda: channel_config({"variant": "classical"}),
+                     ConfigError, "unknown channel variant", id="channel-variant"),
+    ],
+)
+def test_invalid_input_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -264,27 +264,46 @@ class TestModelChsh:
             xi=lambda a, lam: 1.6 * np.cos(a - lam),
             eta=lambda b, lam: 1.6 * np.cos(b - lam),
         )
-        with pytest.raises(ValueError, match="classical bound"):
+        with pytest.raises(ValueError, match="response xi .*unit bound"):
             model_chsh(broken, canonical_chsh_settings(), mode="exact")
 
+    def test_classical_bound_guard_past_the_unit_check(self):
+        # constants within the unit check's 1e-9 slack: p = (c^2, -c^2, c^2, -c^2)
+        c = 1.0 + 5e-10
+        model = HiddenVariableModel(
+            xi=lambda a, lam: np.full_like(lam, c),
+            eta=lambda b, lam: np.full_like(lam, c if b < math.pi else -c),
+        )
+        settings = canonical_chsh_settings()
+        assert model_expectation_exact(model, settings.alpha1, settings.beta2) == -c * c
+        with pytest.raises(ValueError, match="classical bound"):
+            model_chsh(model, settings, mode="exact")
 
-class TestModelConstruction:
-    def test_bound_check_rejects_oversized_responses(self):
-        with pytest.raises(ValueError, match="unit bound"):
-            HiddenVariableModel(
-                xi=lambda a, lam: 1.2 * np.cos(a - lam),
-                eta=lambda b, lam: np.cos(b - lam),
-            )
 
-    def test_random_models_are_bounded(self):
-        rng = make_generator(127)
-        probe = make_generator(131)
-        for _ in range(10):
-            model = random_bounded_model(rng)
-            lam = probe.uniform(0, TWO_PI, 50_000)
-            for angle in probe.uniform(0, TWO_PI, 4):
-                assert float(np.max(np.abs(model.xi(angle, lam)))) <= 1.0 + 1e-12
-                assert float(np.max(np.abs(model.eta(angle, lam)))) <= 1.0 + 1e-12
+def unit_cosine(angle, lam):
+    return np.cos(angle - lam)
+
+
+def oversized_cosine(angle, lam):
+    return 1.2 * np.cos(angle - lam)
+
+
+def short_response(angle, lam):
+    return np.cos(lam[: lam.size // 2])
+
+
+def assert_rejected_where_used(model, match, uses=("exact", "mc", "chsh", "eve")):
+    """Each named use of the model's responses raises ValueError matching ``match``."""
+    eve = QkdConfig(channel=LhvEveChannel(model=model), n_rounds=1000, seed=1)
+    sites = {
+        "exact": lambda: model_expectation_exact(model, 0.3, 1.1),
+        "mc": lambda: model_expectation_mc(model, 0.3, 1.1, 1000, make_generator(5)),
+        "chsh": lambda: model_chsh(model, canonical_chsh_settings()),
+        "eve": lambda: run_session(eve),
+    }
+    for use in uses:
+        with pytest.raises(ValueError, match=match):
+            sites[use]()
 
 
 class CountingResponse:
@@ -299,54 +318,87 @@ class CountingResponse:
         return values
 
 
+class TestModelConstruction:
+    def test_bound_check_rejects_oversized_responses(self):
+        # building is free; the unit bound is checked where the responses are used,
+        # and a bound the model declares is not trusted
+        false_bound = types.SimpleNamespace(xi=oversized_cosine, eta=unit_cosine, bound=1.0)
+        for model, name in [
+            (HiddenVariableModel(xi=oversized_cosine, eta=unit_cosine), "xi"),
+            (HiddenVariableModel(xi=unit_cosine, eta=oversized_cosine), "eta"),
+            (false_bound, "xi"),
+        ]:
+            assert_rejected_where_used(model, f"response {name} .*unit bound")
+
+    def test_construction_evaluates_no_response(self):
+        xi, eta = CountingResponse(), CountingResponse()
+        model = HiddenVariableModel(xi=xi, eta=eta)
+        assert xi.evals == eta.evals == 0
+        model_expectation_exact(model, 0.2, 0.9)
+        assert xi.evals == eta.evals == 4096
+
+    def test_random_models_are_bounded(self):
+        rng = make_generator(127)
+        probe = make_generator(131)
+        for _ in range(10):
+            model = random_bounded_model(rng)
+            lam = probe.uniform(0, TWO_PI, 50_000)
+            for angle in probe.uniform(0, TWO_PI, 4):
+                assert float(np.max(np.abs(model.xi(angle, lam)))) <= 1.0 + 1e-12
+                assert float(np.max(np.abs(model.eta(angle, lam)))) <= 1.0 + 1e-12
+
+
 class TestProvenBound:
+    """The bounds the constructions prove, and the unit bound every use checks."""
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1))
     def test_random_model_stays_within_its_bound(self, seed):
         model = random_bounded_model(make_generator(seed))
-        assert model.bound == 1.0
         probe = make_generator(seed ^ 0x5EED)
         angles, lam = probe.uniform(0, TWO_PI, (8, 1)), probe.uniform(0, TWO_PI, 20_000)
-        assert float(np.max(np.abs(model.xi(angles, lam)))) <= model.bound
-        assert float(np.max(np.abs(model.eta(angles, lam)))) <= model.bound
+        assert float(np.max(np.abs(model.xi(angles, lam)))) <= 1.0
+        assert float(np.max(np.abs(model.eta(angles, lam)))) <= 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(g=st.floats(0.0, 0.5), angle=st.floats(0.0, TWO_PI, exclude_max=True))
     def test_cosine_model_attains_its_bound(self, g, angle):
         model = cosine_model(g)
-        assert model.bound == math.sqrt(2.0 * g)
         lam = np.array([angle, (angle + math.pi) % TWO_PI])
-        assert float(np.max(np.abs(model.xi(angle, lam)))) == model.bound
-        assert float(np.max(np.abs(model.eta(angle, lam)))) == model.bound
+        assert float(np.max(np.abs(model.xi(angle, lam)))) == math.sqrt(2.0 * g)
+        assert float(np.max(np.abs(model.eta(angle, lam)))) == math.sqrt(2.0 * g)
 
-    @pytest.mark.parametrize("bound", [1.2, -0.1, math.nan])
+    @pytest.mark.parametrize("bound", [1.2, -1.2, math.nan])
     def test_bound_outside_unit_interval_rejected(self, bound):
-        with pytest.raises(ValueError, match="bound"):
-            HiddenVariableModel(
-                xi=lambda a, lam: np.cos(a - lam), eta=lambda b, lam: np.cos(b - lam), bound=bound
-            )
-
-    def test_proven_bound_skips_the_probe(self):
-        xi, eta = CountingResponse(), CountingResponse()
-        HiddenVariableModel(xi=xi, eta=eta, bound=1.0)
-        assert xi.evals == eta.evals == 0
-        HiddenVariableModel(xi=xi, eta=eta)
-        assert xi.evals == eta.evals == 16 * 100_000
+        assert_rejected_where_used(constant_model(bound, 0.0), "response xi .*unit bound")
 
 
 class TestBroadcastResponses:
-    @pytest.mark.parametrize(
-        "xi",
-        [
-            lambda a, lam: math.cos(a) * np.cos(lam),  # math.cos needs a scalar angle
-            lambda a, lam: 0.5,  # one value, not one per lambda
-            lambda a, lam: np.cos(lam[: lam.size // 2]),  # wrong length
-        ],
-        ids=["math-cos", "scalar", "short"],
-    )
-    def test_non_broadcasting_response_rejected_at_construction(self, xi):
-        with pytest.raises(ValueError, match="xi must broadcast"):
-            HiddenVariableModel(xi=xi, eta=lambda b, lam: np.cos(b - lam))
+    def test_non_broadcasting_response_rejected_where_used(self):
+        model = HiddenVariableModel(xi=short_response, eta=unit_cosine)
+        assert_rejected_where_used(model, "response xi must give one value per lambda")
+
+    def test_math_cos_response_needs_scalar_angles(self):
+        # math.cos takes one angle: fine for expectations, not for the Eve channel,
+        # which passes one angle per round
+        model = HiddenVariableModel(
+            xi=lambda a, lam: math.cos(a) * np.cos(lam) + math.sin(a) * np.sin(lam),
+            eta=unit_cosine,
+        )
+        assert model_expectation_exact(model, 0.3, 1.1) == pytest.approx(
+            0.5 * math.cos(0.3 - 1.1), abs=1e-12
+        )
+        model_expectation_mc(model, 0.3, 1.1, 1000, make_generator(5))
+        assert model_chsh(model, canonical_chsh_settings()) == pytest.approx(math.sqrt(2.0))
+        assert_rejected_where_used(model, "response xi must give one value per lambda", ["eve"])
+
+    def test_constant_response_accepted(self):
+        # one value for every lambda is a valid bounded response
+        model = HiddenVariableModel(xi=lambda a, lam: 0.5, eta=lambda b, lam: -1.0)
+        assert model_expectation_exact(model, 0.3, 1.1) == -0.5
+        assert model_expectation_mc(model, 0.3, 1.1, 1000, make_generator(5)).mean == -0.5
+        assert model_chsh(model, canonical_chsh_settings()) == 1.0
+        run_session(QkdConfig(channel=LhvEveChannel(model=model), n_rounds=1000, seed=1))
 
     def test_angle_or_lambda_only_responses_accepted(self):
         model = HiddenVariableModel(
@@ -356,12 +408,9 @@ class TestBroadcastResponses:
         assert model_expectation_exact(model, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_wrong_shape_caught_in_session(self):
-        # duck-typed model, never probed: the session's own shape check fires
-        model = types.SimpleNamespace(
-            xi=lambda a, lam: np.zeros(1),
-            eta=lambda b, lam: np.zeros_like(lam),
-        )
-        with pytest.raises(ValueError, match="response xi gave shape"):
+        # duck-typed model: the session's per-round responses are checked too
+        model = types.SimpleNamespace(xi=short_response, eta=lambda b, lam: np.zeros_like(lam))
+        with pytest.raises(ValueError, match="response xi must give one value per lambda"):
             sample_eve(model, 0.0, 0.0, 100, 1)
 
 
