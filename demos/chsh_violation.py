@@ -19,7 +19,6 @@ from bellspace import (
     quantum_chsh,
     singlet_correlation,
     split_generators,
-    unit_from_planar_angle,
 )
 
 print("=== Singlet correlations ===")
@@ -31,7 +30,7 @@ for alpha, beta in [(0.0, 0.0), (0.0, math.pi / 4), (math.pi / 2, math.pi / 4)]:
 print()
 print("With both wings using the same direction map, equal settings")
 print("anticorrelate perfectly:")
-z = unit_from_planar_angle(1.1)
+z = alice_direction(1.1)
 print(f"  E(a, a) = {singlet_correlation(z, z):+.6f}")
 
 print()

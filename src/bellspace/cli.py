@@ -265,16 +265,17 @@ def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
-    from .feasibility import local_polytope_membership, max_feasible_scale, target_from_dict
+    from .feasibility import local_polytope_membership, target_from_dict
 
     reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
         raise ConfigError("feasibility needs a 'target' block (alphas, betas, matrix)")
     target = target_from_dict(params["target"])
     max_scale, tol = param(params, "max_scale", False, bool), param(params, "tol", 1e-4)
-    payload = result_to_dict(local_polytope_membership(target))
+    result = local_polytope_membership(target)
+    payload = result_to_dict(result)
     if max_scale:
-        payload["max_scale"] = max_feasible_scale(target, tol)
+        payload["max_scale"] = result.max_scale(tol)
     return payload, _csv_from_payload(payload), EXIT_OK
 
 
@@ -360,11 +361,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             _emit(csv_text, args.out)
     except (ValueError, OSError) as exc:  # OSError: an unwritable output path
-        log.error("configuration error: %s", exc, exc_info=log.isEnabledFor(logging.DEBUG))
+        log.debug("configuration error", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
-        log.error("numerical failure: %s", exc)
+        log.debug("numerical failure", exc_info=True)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return exit_code

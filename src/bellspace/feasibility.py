@@ -29,7 +29,6 @@ max_{s,t} s^T C t = max_s ||C^T s||_1 (Brunner et al., Rev. Mod. Phys. 86,
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import NumericalFailure, param, reject_unknown
-from .spin import as_angle
+from .spin import as_angle, canonical_chsh_settings
 
 log = logging.getLogger(__name__)
 
@@ -115,8 +114,9 @@ def cosine_target(
 
 
 def canonical_cosine_target(g: float = 1.0) -> CorrelationTarget:
-    """2x2 cosine target at the maximal-violation angles (pi/2, 0) x (pi/4, -pi/4)."""
-    return cosine_target((math.pi / 2, 0.0), (math.pi / 4, -math.pi / 4), g)
+    """2x2 cosine target at the maximal-violation angles of :func:`canonical_chsh_settings`."""
+    s = canonical_chsh_settings()
+    return cosine_target((s.alpha1, s.alpha2), (s.beta1, s.beta2), g)
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,19 @@ class FeasibilityResult:
     @property
     def is_feasible(self) -> bool:
         return self.status == FEASIBLE
+
+    def max_scale(self, tol: float) -> float:
+        """Largest scaling g in [0, 1] keeping g*P inside the local polytope.
+
+        1 when P itself is feasible.  Otherwise the certificate, scaled to
+        C.P = 1, bounds every feasible g by its classical bound, which the
+        gauge LP's duality makes the threshold g*; the answer bound - tol/2
+        lies within ``tol`` below it, and the certificate separates
+        (answer + tol)*P by tol/2.
+        """
+        if not tol > 0:
+            raise ValueError("tol must be positive")
+        return 1.0 if self.is_feasible else max(0.0, self.certificate.bound - tol / 2)
 
 
 def _half_sign_matrix(k: int) -> np.ndarray:
@@ -353,16 +366,8 @@ def verify_certificate(
 
 
 def max_feasible_scale(target: CorrelationTarget, tol: float) -> float:
-    """Largest scaling g in [0, 1] keeping g*P inside the local polytope.
-
-    One gauge LP gives the threshold g*; the answer is 1 when g* reaches 1,
-    and otherwise g* - tol/2, so that it lies inside the polytope, within
-    ``tol`` below the threshold.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    g = _gauge_lp(target, FEASIBILITY_TOL)[0]
-    return 1.0 if g >= 1.0 - FEASIBILITY_TOL else max(0.0, g - tol / 2)
+    """:meth:`FeasibilityResult.max_scale` of the target's membership result."""
+    return local_polytope_membership(target).max_scale(tol)
 
 
 # --- JSON config reading ----------------------------------------------------

@@ -47,8 +47,7 @@ from .config import ConfigError, param, reject_unknown
 from .lhv import HiddenVariableModel, cosine_model, response_values
 from .rng import split_generators
 from .spatial import SpatialSetup, setup_from_dict, setup_g_factor
-from .spin import TWO_PI, OutcomePair, as_angle
-from .spin import detectability_threshold_report  # re-exported: the QKD regimes of g
+from .spin import TWO_PI, OutcomePair, as_angle, chsh_statistic
 
 SECURE = "secure"
 EVE_DETECTED = "eve_detected"
@@ -328,9 +327,8 @@ def _chsh_from_pairs(
     estimates: list[tuple[float, float]], signs: Sequence[int]
 ) -> ChshEstimate:
     p = [sign * mean for (mean, _), sign in zip(estimates, signs)]
-    s_value = abs(p[0] - p[1]) + abs(p[2] + p[3])
     std_error = math.sqrt(sum(se * se for _, se in estimates))
-    return ChshEstimate(s_value=s_value, std_error=std_error)
+    return ChshEstimate(s_value=chsh_statistic(*p), std_error=std_error)
 
 
 def run_session(

@@ -151,13 +151,6 @@ class BoxRegion:
             tuple(ci + half_width for ci in c),  # type: ignore[arg-type]
         )
 
-    def translate(self, offset: Sequence[float]) -> "BoxRegion":
-        o = _as_vector3(offset, "offset")
-        return BoxRegion(
-            tuple(l + d for l, d in zip(self.lo, o)),  # type: ignore[arg-type]
-            tuple(h + d for h, d in zip(self.hi, o)),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class LocalizationFactor:
@@ -168,9 +161,6 @@ class LocalizationFactor:
     def __post_init__(self) -> None:
         if not 0.0 <= self.g <= 1.0:
             raise ValueError(f"localization factor must lie in [0, 1], got {self.g!r}")
-
-    def __float__(self) -> float:
-        return self.g
 
 
 def _normal_cdf(x: float) -> float:
@@ -199,20 +189,6 @@ def packet_probability_in_box(
         else:
             prob *= _normal_cdf(hi) - _normal_cdf(lo)
     return min(max(prob, 0.0), 1.0)
-
-
-def g_factor_product(
-    packet_a: GaussianPacket,
-    packet_b: GaussianPacket,
-    region_a: BoxRegion,
-    region_b: BoxRegion,
-    t: float = 0.0,
-) -> LocalizationFactor:
-    """Localization factor for a product state: the two box probabilities multiplied."""
-    g = packet_probability_in_box(packet_a, region_a, t) * packet_probability_in_box(
-        packet_b, region_b, t
-    )
-    return LocalizationFactor(min(max(g, 0.0), 1.0))
 
 
 def product_density(
@@ -342,7 +318,7 @@ def separated_gaussian_setup(
     packet_a = GaussianPacket((0.0, 0.0, 0.0), width_param, mass, hbar)
     packet_b = GaussianPacket(sep, width_param, mass, hbar)
     region_a = BoxRegion.centered_cube((0.0, 0.0, 0.0), half)
-    region_b = region_a.translate(sep)
+    region_b = BoxRegion.centered_cube(sep, half)
     return SpatialSetup(packet_a, packet_b, region_a, region_b)
 
 
@@ -380,9 +356,11 @@ def region_from_dict(spec: dict, where: str) -> BoxRegion:
 
 
 def setup_g_factor(setup: SpatialSetup, t: float = 0.0) -> LocalizationFactor:
-    """Product-state localization factor of a :class:`SpatialSetup` at time t."""
-    return g_factor_product(
-        setup.packet_a, setup.packet_b, setup.region_a, setup.region_b, t
+    """Product-state localization factor of a :class:`SpatialSetup` at time t:
+    the two box probabilities multiplied."""
+    return LocalizationFactor(
+        packet_probability_in_box(setup.packet_a, setup.region_a, t)
+        * packet_probability_in_box(setup.packet_b, setup.region_b, t)
     )
 
 

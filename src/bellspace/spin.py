@@ -115,14 +115,10 @@ def canonical_chsh_settings() -> ChshSettings:
     )
 
 
-def unit_from_planar_angle(theta: float) -> UnitVector3:
-    """Planar direction (cos theta, 0, sin theta) in the x-z plane."""
+def alice_direction(theta: float) -> UnitVector3:
+    """Alice's planar direction (cos theta, 0, sin theta) in the x-z plane."""
     t = as_angle(theta)
     return UnitVector3(math.cos(t), 0.0, math.sin(t))
-
-
-#: Alice's planar direction constructor (alias; see module docstring).
-alice_direction = unit_from_planar_angle
 
 
 def bob_direction(theta: float) -> UnitVector3:

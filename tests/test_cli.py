@@ -282,9 +282,9 @@ class TestFeasibilityCommand:
         assert quiet.returncode == debug.returncode == EXIT_OK
         assert debug.stdout == quiet.stdout
         assert json.loads(quiet.stdout)["status"] == "infeasible"
-        # one record per gauge LP: the membership test and the max scale
+        # one gauge LP: the max scale is read off the membership test's certificate
         assert b"gauge LP" not in quiet.stderr
-        assert debug.stderr.count(b"DEBUG:bellspace.feasibility:gauge LP 2x2: status Optimal") == 2
+        assert debug.stderr.count(b"DEBUG:bellspace.feasibility:gauge LP 2x2: status Optimal") == 1
 
     def test_empty_matrix_rejected(self, tmp_path, capsys):
         cfg = write_json(
@@ -507,7 +507,7 @@ class TestGoldenOutputs:
             ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
             ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
             ("feasibility", "json",
-             "aff2d9475353e6b67e73609bbffc1118d77ea072debc9e173f6336a631c50fb4"),
+             "f445433eb33d9c07c164510e73544a15f84d0f04ae40ca2da32fca01a1d7d9e0"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
             ("qkd", "json", "829ea464bae12a257c656a0c8207178f2f370b1be532d6078c19c78dd1c0ff61"),
@@ -688,6 +688,14 @@ class TestPublicNames:
                 missing.append(f"{path.relative_to(root)}: {module} {name or ''}".rstrip())
         assert missing == []
 
+    def test_no_two_exported_names_are_one_object(self):
+        import bellspace
+
+        names_by_object: dict[int, list[str]] = {}
+        for name in bellspace.__all__:
+            names_by_object.setdefault(id(getattr(bellspace, name)), []).append(name)
+        assert [names for names in names_by_object.values() if len(names) > 1] == []
+
     def test_no_module_imports_another_modules_private_name(self):
         """Each underscore name has one owner module in ``src/bellspace``;
         dunder names such as ``__version__`` are public."""
@@ -749,6 +757,43 @@ class TestNumericalFailure:
         code, out, err = run_cli(["feasibility", "--config", cfg], capsys)
         assert code == EXIT_NUMERICAL
         assert out == "" and f"numerical failure: {message}" in err.splitlines()
+
+
+class TestErrorStream:
+    """Each error is one stderr line; ``BELLSPACE_LOG=debug`` adds its traceback."""
+
+    # exit 3 needs a solver failure, so the child patches one in before main runs
+    SCRIPT = (
+        "import sys\n"
+        "import bellspace.feasibility as feasibility\n"
+        "from bellspace.cli import main\n"
+        "def fail(target):\n"
+        "    raise feasibility.FeasibilitySolverError('backend failed')\n"
+        "feasibility.local_polytope_membership = fail\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, params, exit_code, line",
+        [
+            ("chsh", {"g": 2}, EXIT_CONFIG, "error: localization factor g=2.0 outside [0, 1]"),
+            ("feasibility", {"target": CANONICAL_TARGET}, EXIT_NUMERICAL,
+             "numerical failure: backend failed"),
+        ],
+        ids=["config", "numerical"],
+    )
+    def test_one_line_per_error(self, tmp_path, command, params, exit_code, line):
+        env = {k: v for k, v in child_env().items() if k != "BELLSPACE_LOG"}
+        argv = [sys.executable, "-c", self.SCRIPT, command,
+                "--config", write_json(tmp_path / "c.json", params)]
+        quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
+        debug = subprocess.run(argv, capture_output=True, text=True,
+                               env={**env, "BELLSPACE_LOG": "debug"})
+        assert quiet.returncode == debug.returncode == exit_code
+        assert quiet.stdout == debug.stdout == ""
+        assert quiet.stderr.splitlines() == [line]
+        assert "Traceback (most recent call last)" in debug.stderr
+        assert debug.stderr.splitlines()[-1] == line
 
 
 class TestConfigValues:

@@ -130,6 +130,11 @@ class TestMaxFeasibleScale:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             max_feasible_scale(canonical_cosine_target(1.0), tol=0.0)
+        for g in (0.5, 1.0):  # a feasible and an infeasible result
+            result = local_polytope_membership(canonical_cosine_target(g))
+            for tol in (0.0, -1e-4, math.nan):
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    result.max_scale(tol)
 
 
 class TestVerifyCertificate:
@@ -334,6 +339,8 @@ class TestGaugeLpProperties:
         m, n = matrix.shape
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
         scale = max_feasible_scale(target, 1e-4)
+        membership = local_polytope_membership(target)
+        assert scale == membership.max_scale(1e-4)
         assert 0.0 <= scale <= 1.0
         inside = local_polytope_membership(target.scaled(scale))
         assert inside.is_feasible
@@ -352,6 +359,8 @@ class TestGaugeLpProperties:
             margin = np.sum(coeff * outside.matrix) - classical_bound(coeff)
             assert margin > 1e-9
             assert margin == pytest.approx(result.residual, abs=1e-9)
+            # the certificate the scale came from separates (scale + tol)*P too
+            assert verify_certificate(membership.certificate, outside)
 
     @given(correlation_matrices)
     @example(np.array([[0.0, 0.0, 1.0], [2.32001641e-08] * 3]))  # a hot start stops at g > 1

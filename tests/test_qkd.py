@@ -21,13 +21,12 @@ from bellspace.qkd import (
     RoundRecord,
     config_from_dict,
     decide_verdict,
-    detectability_threshold_report,
     rounds_to_csv,
     run_session,
 )
 from bellspace.rng import make_generator, split_generators
 from bellspace.spatial import separated_gaussian_setup
-from bellspace.spin import CHSH_QUANTUM_BOUND, OutcomePair
+from bellspace.spin import CHSH_QUANTUM_BOUND, OutcomePair, detectability_threshold_report
 
 SQRT2 = math.sqrt(2.0)
 

@@ -21,9 +21,9 @@ from bellspace.spatial import (
     GaussianPacket,
     LocalizationFactor,
     QuadratureError,
+    SpatialSetup,
     expanded_width,
     g_decay_curve,
-    g_factor_product,
     g_factor_quadrature,
     packet_probability_in_box,
     product_density,
@@ -169,7 +169,7 @@ class TestGFactorProduct:
         packet = GaussianPacket((0.0, 0.0, 0.0), width_param=1.0)
         far = BoxRegion((50.0, 50.0, 50.0), (51.0, 51.0, 51.0))
         near = BoxRegion((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-        assert g_factor_product(packet, packet, far, near).g < 1e-100
+        assert setup_g_factor(SpatialSetup(packet, packet, far, near)).g < 1e-100
 
     def test_translation_invariance(self):
         rng = make_generator(7)
@@ -180,12 +180,12 @@ class TestGFactorProduct:
             pb = GaussianPacket((12.0, 0.0, 0.0), m)
             ra = BoxRegion.centered_cube((0.0, 0.0, 0.0), 1.0)
             rb = BoxRegion.centered_cube((12.0, 0.0, 0.0), 1.0)
-            g0 = g_factor_product(pa, pb, ra, rb, 0.5).g
+            g0 = setup_g_factor(SpatialSetup(pa, pb, ra, rb), 0.5).g
             pa2 = GaussianPacket(tuple(shift), m)
             pb2 = GaussianPacket(tuple(shift + [12.0, 0.0, 0.0]), m)
-            g1 = g_factor_product(
-                pa2, pb2, ra.translate(shift), rb.translate(shift), 0.5
-            ).g
+            ra2, rb2 = (BoxRegion(tuple(np.add(r.lo, shift)), tuple(np.add(r.hi, shift)))
+                        for r in (ra, rb))
+            g1 = setup_g_factor(SpatialSetup(pa2, pb2, ra2, rb2), 0.5).g
             assert g1 == pytest.approx(g0, abs=1e-12)
 
     def test_region_growth_never_decreases_g(self):
@@ -200,8 +200,8 @@ class TestGFactorProduct:
             small = BoxRegion(tuple(lo), tuple(hi))
             large = BoxRegion(tuple(grow_lo), tuple(grow_hi))
             region_b = BoxRegion.centered_cube((8.0, 0.0, 0.0), 1.0)
-            g_small = g_factor_product(packet_a, packet_b, small, region_b).g
-            g_large = g_factor_product(packet_a, packet_b, large, region_b).g
+            g_small = setup_g_factor(SpatialSetup(packet_a, packet_b, small, region_b)).g
+            g_large = setup_g_factor(SpatialSetup(packet_a, packet_b, large, region_b)).g
             assert g_large >= g_small - 1e-15
 
     def test_bounds_always_hold(self):
@@ -211,7 +211,7 @@ class TestGFactorProduct:
             pb = GaussianPacket(tuple(rng.uniform(-2, 2, 3)), rng.uniform(0.3, 3))
             lo = rng.uniform(-4, 2, 3)
             region = BoxRegion(tuple(lo), tuple(lo + rng.uniform(0.1, 5, 3)))
-            g = g_factor_product(pa, pb, region, region, rng.uniform(0, 3)).g
+            g = setup_g_factor(SpatialSetup(pa, pb, region, region), rng.uniform(0, 3)).g
             assert 0.0 <= g <= 1.0
 
 
@@ -238,7 +238,7 @@ class TestQuadraturePath:
             t = rng.uniform(0, 1)
             tol = 1e-6
             g_quad = g_factor_quadrature(product_density(pa, pb, t), ra, rb, tol=tol)
-            g_prod = g_factor_product(pa, pb, ra, rb, t)
+            g_prod = setup_g_factor(SpatialSetup(pa, pb, ra, rb), t)
             assert abs(g_quad.g - g_prod.g) < 2 * tol
 
     def test_zero_density(self):
@@ -371,7 +371,7 @@ class TestTypes:
             LocalizationFactor(1.2)
         with pytest.raises(ValueError):
             LocalizationFactor(-0.01)
-        assert float(LocalizationFactor(0.25)) == 0.25
+        assert LocalizationFactor(0.25).g == 0.25
 
     def test_box_region_validation(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from bellspace.spin import (
     joint_outcome_probability,
     quantum_chsh,
     singlet_correlation,
-    unit_from_planar_angle,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -64,11 +63,11 @@ ALL_OUTCOMES = [OutcomePair(sa, sb) for sa in (1, -1) for sb in (1, -1)]
 
 class TestDirections:
     def test_axis_cases(self):
-        v = unit_from_planar_angle(0.0)
+        v = alice_direction(0.0)
         assert (v.x, v.y, v.z) == (1.0, 0.0, 0.0)
-        v = unit_from_planar_angle(math.pi / 2)
+        v = alice_direction(math.pi / 2)
         assert abs(v.x) < 1e-15 and v.z == 1.0
-        v = unit_from_planar_angle(math.pi / 4)
+        v = alice_direction(math.pi / 4)
         assert v.x == pytest.approx(SQRT2 / 2, abs=1e-15)
         assert v.z == pytest.approx(SQRT2 / 2, abs=1e-15)
 
@@ -139,8 +138,8 @@ class TestJointProbability:
 
     def test_planar_example_value(self):
         # the anticorrelated convention: both wings along (cos, 0, sin)
-        a = unit_from_planar_angle(0.0)
-        b = unit_from_planar_angle(math.pi / 4)
+        a = alice_direction(0.0)
+        b = alice_direction(math.pi / 4)
         s = OutcomePair(1, -1)
         expected = (1 + math.cos(math.pi / 4)) / 4
         assert joint_outcome_probability(a, b, s) == pytest.approx(
@@ -213,9 +212,9 @@ class TestSampling:
 
     def test_monte_carlo_matches_analytic(self):
         alpha, beta = 0.0, math.pi / 4
-        # the channel measures both wings along unit_from_planar_angle
+        # the channel measures both wings along alice_direction
         expected = singlet_correlation(
-            unit_from_planar_angle(alpha), unit_from_planar_angle(beta)
+            alice_direction(alpha), alice_direction(beta)
         )  # -cos(pi/4)
         n = 1_000_000
         _, s_a, s_b = sample_channel(np.full(n, alpha), np.full(n, beta), 43)
