@@ -42,7 +42,7 @@ _EXPORTS = {
         "spatial": "BoxRegion GaussianPacket LocalizationFactor QuadratureError SpatialSetup "
         "expanded_width g_decay_curve g_factor_quadrature "
         "packet_probability_in_box product_density separated_gaussian_setup "
-        "setup_from_dict setup_g_factor",
+        "setup_g_factor",
         "spin": "CHSH_CLASSICAL_BOUND CHSH_QUANTUM_BOUND ChshSettings OutcomePair "
         "UnitVector3 alice_direction bob_direction canonical_chsh_settings "
         "chsh_statistic detectability_threshold_report joint_outcome_probability "

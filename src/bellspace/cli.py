@@ -15,9 +15,9 @@ Common flags: ``--config PATH`` (JSON parameters), ``--seed U64`` (default
 (default stdout).  CSV floats carry 10 significant digits; JSON output is
 strict (no NaN or Infinity).  Identical invocations give identical bytes.
 
-Configs are read by :mod:`bellspace.config`: unknown keys are rejected;
-numbers are finite JSON numbers, never strings or bools; ``n``,
-``n_rounds``, ``seed`` and the ``chsh_pairs`` entries are integers;
+Every config block is read here, through :mod:`bellspace.config`: unknown
+keys are rejected; numbers are finite JSON numbers, never strings or bools;
+``n``, ``n_rounds``, ``seed`` and the ``chsh_pairs`` entries are integers;
 ``max_scale`` is a boolean and ``round_log`` a path string.
 
 Exit codes: 0 success; 2 configuration error (malformed config, a value the
@@ -49,12 +49,11 @@ from .config import ConfigError, NumericalFailure, param, reject_unknown
 from .rng import DEFAULT_SEED
 from .spatial import (
     BoxRegion,
+    GaussianPacket,
     SpatialSetup,
     g_decay_curve,
-    packet_from_dict,
     packet_probability_in_box,
-    region_from_dict,
-    setup_from_dict,
+    separated_gaussian_setup,
     setup_g_factor,
 )
 from .spin import (
@@ -65,8 +64,8 @@ from .spin import (
 )
 
 if TYPE_CHECKING:
-    from .feasibility import FeasibilityResult
-    from .qkd import QkdSessionReport
+    from .feasibility import CorrelationTarget, FeasibilityResult
+    from .qkd import ChannelModel, QkdConfig, QkdSessionReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,6 +143,118 @@ def _load_parameters(path: str | None) -> dict:
     return data
 
 
+# --- config-block readers ----------------------------------------------------
+
+
+def setup_from_dict(spec: dict) -> SpatialSetup:
+    """:func:`~bellspace.spatial.separated_gaussian_setup` from its JSON block:
+    ``width_param`` and ``separation`` (required), ``mass`` and ``hbar`` (default 1)."""
+    reject_unknown(spec, {"width_param", "separation", "mass", "hbar"}, "setup")
+    return separated_gaussian_setup(
+        param(spec, "width_param", None),
+        param(spec, "separation", []),
+        mass=param(spec, "mass", 1.0),
+        hbar=param(spec, "hbar", 1.0),
+    )
+
+
+def _packet(spec: dict, where: str) -> GaussianPacket:
+    """Packet from the JSON block ``where``: ``width_param`` (required),
+    ``center`` (default origin), ``mass`` and ``hbar`` (default 1)."""
+    reject_unknown(spec, {"center", "width_param", "mass", "hbar"}, where)
+    return GaussianPacket(
+        center=param(spec, "center", [0.0, 0.0, 0.0]),
+        width_param=param(spec, "width_param", None),
+        mass=param(spec, "mass", 1.0),
+        hbar=param(spec, "hbar", 1.0),
+    )
+
+
+def _region(spec: dict, where: str) -> BoxRegion:
+    """Box region from the JSON block ``where``: corners ``lo`` and ``hi``."""
+    reject_unknown(spec, {"lo", "hi"}, where)
+    return BoxRegion(param(spec, "lo", []), param(spec, "hi", []))
+
+
+def _parse_setup(params: dict) -> SpatialSetup:
+    needed = {"packet_a", "packet_b", "region_a", "region_b"}
+    if "setup" in params and not needed & set(params):
+        return setup_from_dict(params["setup"])
+    if "setup" in params or not needed <= set(params):
+        raise ConfigError(
+            "gfactor needs exactly one of a 'setup' block and explicit "
+            "packet_a/packet_b/region_a/region_b"
+        )
+    return SpatialSetup(
+        packet_a=_packet(params["packet_a"], "packet_a"),
+        packet_b=_packet(params["packet_b"], "packet_b"),
+        region_a=_region(params["region_a"], "region_a"),
+        region_b=_region(params["region_b"], "region_b"),
+    )
+
+
+def target_from_dict(data: dict) -> CorrelationTarget:
+    """Correlation target from its JSON block: ``alphas``, ``betas`` and ``matrix``."""
+    from .feasibility import CorrelationTarget
+
+    reject_unknown(data, {"alphas", "betas", "matrix"}, "correlation-target")
+    return CorrelationTarget(
+        param(data, "alphas", []), param(data, "betas", []), param(data, "matrix", [[]])
+    )
+
+
+def _channel(data: dict) -> ChannelModel:
+    """QKD channel from its JSON block: ``variant`` ``quantum_localized`` with ``g``
+    or a ``setup`` block and time ``t``, or ``lhv_eve`` with ``model`` ``"cosine"`` and ``g``."""
+    from .lhv import cosine_model
+    from .qkd import LhvEveChannel, QuantumLocalizedChannel
+
+    variant = param(data, "variant", None, str)
+    if variant == "quantum_localized":
+        reject_unknown(data, {"variant", "g", "setup", "t"}, "channel")
+        if ("g" in data) == ("setup" in data):
+            raise ConfigError("quantum_localized channel needs either g or setup")
+        t = param(data, "t", 0.0)
+        if "g" in data:
+            return QuantumLocalizedChannel(g=param(data, "g", None))
+        return QuantumLocalizedChannel.from_setup(setup_from_dict(data["setup"]), t)
+    if variant == "lhv_eve":
+        reject_unknown(data, {"variant", "model", "g"}, "channel")
+        if data.get("model") != "cosine":
+            raise ConfigError("only the 'cosine' hidden-variable model is supported in JSON")
+        return LhvEveChannel(model=cosine_model(param(data, "g", None)))
+    raise ConfigError(f"unknown channel variant {variant!r}")
+
+
+def config_from_dict(data: dict) -> QkdConfig:
+    """Session config from its JSON form; any malformed input raises ValueError.
+
+    ``n_rounds``, ``seed`` and the ``chsh_pairs`` entries ([alice_idx, bob_idx]
+    or [alice_idx, bob_idx, sign]) are JSON integers; omitted keys take the
+    :class:`~bellspace.qkd.QkdConfig` defaults.
+    """
+    from .qkd import ChshPair, QkdConfig
+
+    reject_unknown(data, {f.name for f in dataclasses.fields(QkdConfig)}, "QKD config")
+    kwargs = {
+        key: param(data, key, like, kind)
+        for key, like, kind in (
+            ("n_rounds", 0, int),
+            ("seed", 0, int),
+            ("alarm_sigma", 0.0, float),
+            ("alice_angles", [], float),
+            ("bob_angles", [], float),
+            ("chsh_pairs", [[]], int),
+        )
+        if key in data
+    }
+    if "chsh_pairs" in kwargs:
+        if not all(2 <= len(p) <= 3 for p in kwargs["chsh_pairs"]):
+            raise ConfigError("each chsh_pairs entry is [alice_idx, bob_idx(, sign)]")
+        kwargs["chsh_pairs"] = [ChshPair(*p) for p in kwargs["chsh_pairs"]]
+    return QkdConfig(channel=_channel(param(data, "channel", None, dict)), **kwargs)
+
+
 # --- subcommand implementations ----------------------------------------------
 
 
@@ -173,23 +284,6 @@ def _cmd_chsh(params: dict) -> tuple[dict, str, int]:
     return payload, _csv_table(("quantity", "alpha", "beta", "value"), records), EXIT_OK
 
 
-def _parse_setup(params: dict) -> SpatialSetup:
-    needed = {"packet_a", "packet_b", "region_a", "region_b"}
-    if "setup" in params and not needed & set(params):
-        return setup_from_dict(params["setup"])
-    if "setup" in params or not needed <= set(params):
-        raise ConfigError(
-            "gfactor needs exactly one of a 'setup' block and explicit "
-            "packet_a/packet_b/region_a/region_b"
-        )
-    return SpatialSetup(
-        packet_a=packet_from_dict(params["packet_a"], "packet_a"),
-        packet_b=packet_from_dict(params["packet_b"], "packet_b"),
-        region_a=region_from_dict(params["region_a"], "region_a"),
-        region_b=region_from_dict(params["region_b"], "region_b"),
-    )
-
-
 def _cmd_gfactor(params: dict) -> tuple[dict, str, int]:
     reject_unknown(
         params,
@@ -209,15 +303,13 @@ def _cmd_gfactor(params: dict) -> tuple[dict, str, int]:
 
 def _cmd_packet(params: dict) -> tuple[dict, str, int]:
     reject_unknown(params, {"packet", "region", "times", "seed"}, "packet")
-    packet = packet_from_dict(params.get("packet", {"width_param": 1.0}), "packet")
+    packet = _packet(params.get("packet", {"width_param": 1.0}), "packet")
     region = (
-        region_from_dict(params["region"], "region")
+        _region(params["region"], "region")
         if "region" in params
         else BoxRegion.centered_cube(packet.center, 1.0 / packet.width_param)
     )
     times = param(params, "times", [0.0])
-    if any(t < 0 for t in times):
-        raise ConfigError("times must be nonnegative")
     records = [
         {
             "t": t,
@@ -265,7 +357,7 @@ def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
-    from .feasibility import local_polytope_membership, target_from_dict
+    from .feasibility import local_polytope_membership
 
     reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
@@ -280,7 +372,7 @@ def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_qkd(params: dict) -> tuple[dict, str, int]:
-    from .qkd import INCONCLUSIVE, config_from_dict, rounds_to_csv, run_session
+    from .qkd import INCONCLUSIVE, rounds_to_csv, run_session
 
     round_log = param(params, "round_log", None, str) if "round_log" in params else None
     params.pop("round_log", None)

@@ -1,8 +1,8 @@
 """Strict reader for JSON config blocks: the one definition of a valid value.
 
-Every parser of a config block (the CLI commands, the spatial setup, packet
-and region blocks, the QKD session and channel specs, the correlation
-target) reads its keys through :func:`param` after :func:`reject_unknown`.
+Every parser of a config block (the commands of :mod:`bellspace.cli` and its
+setup, packet, region, QKD session, channel and correlation-target readers)
+reads its keys through :func:`param` after :func:`reject_unknown`.
 A number is a finite JSON number, never a string or a bool; an integer is a
 JSON integer (``3``, not ``3.0``); booleans, strings and objects are their
 JSON kinds.  Violations raise :class:`ConfigError`, a ValueError.

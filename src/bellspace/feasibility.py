@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import NumericalFailure, param, reject_unknown
+from .config import NumericalFailure
 from .spin import as_angle, canonical_chsh_settings
 
 log = logging.getLogger(__name__)
@@ -225,16 +225,16 @@ def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray) -> None:
 
 
 def _gauge_lp(
-    target: CorrelationTarget, tol: float
+    target: CorrelationTarget,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve max g s.t. g*P in L by column generation over polytope vertices.
 
     The master LP has weights w >= 0 on a subset of vertices s t^T and
     0 <= g <= 1, with sum_k w_k s_k t_k^T - g P = 0 and sum w = 1.  Its
-    equality duals (C, z) bound every master column by s^T C t <= z; each
-    round adds all best responses to C that beat z by more than ``tol``,
-    until none does (or g reaches 1).  The master starts from every
-    strategy's best and worst response to P, so g = 0 is always feasible.
+    equality duals (C, z) bound every master column by s^T C t <= z; each round
+    adds all best responses to C that beat z by more than FEASIBILITY_TOL, until
+    none does (or g reaches 1).  The master starts from every strategy's best
+    and worst response to P, so g = 0 is always feasible.
 
     One HiGHS model holds the master from start to finish: its rows are set
     once, each round appends only the new columns, and the dual simplex
@@ -254,10 +254,7 @@ def _gauge_lp(
     s, t = np.vstack([s, s]), np.vstack([t, -t])
     rhs = np.append(np.zeros(m * n), 1.0)
     highs = _Highs()
-    # linprog(method="highs")'s settings; every tolerance keeps its default
     highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "on")
-    highs.setOptionValue("simplex_strategy", 1)  # dual simplex
     highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
                   np.zeros(0))
     # the seed vertices first, then the g column: cost -1, 0 <= g <= 1, entries -P
@@ -270,7 +267,7 @@ def _gauge_lp(
         highs.run()
         rounds += 1
         info = highs.getInfo()
-        if info.max_primal_infeasibility > tol:
+        if info.max_primal_infeasibility > FEASIBILITY_TOL:
             # a hot start can stop on a basis that misses a bound by up to HiGHS's
             # primal tolerance (1e-7); a solve from scratch, with presolve, often
             # lands on a cleaner vertex.  The tests fire it on [[6e-8, 0], [1, 1]]
@@ -291,13 +288,13 @@ def _gauge_lp(
         iterations += info.simplex_iteration_count
         g, dual = -info.objective_function_value, np.array(solution.row_dual)
         coeff, level = dual[:-1].reshape(m, n), -float(dual[-1])
-        if g >= 1.0 - tol:
+        if g >= 1.0 - FEASIBILITY_TOL:
             break
         s_new, t_new, values = _best_responses(coeff)
-        # within HiGHS's dual tolerance a master column may still beat z + tol
+        # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
         seen = {row.tobytes() for row in np.hstack([s, t])}
         fresh = [
-            i for i in np.flatnonzero(values > level + tol)
+            i for i in np.flatnonzero(values > level + FEASIBILITY_TOL)
             if np.append(s_new[i], t_new[i]).tobytes() not in seen
         ]
         if not fresh:
@@ -321,7 +318,7 @@ def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     C.P = 1, with its classical bound recomputed exactly.  Solver breakdowns
     raise :class:`FeasibilitySolverError` with the solver's message.
     """
-    g, w, s, t, coeff = _gauge_lp(target, FEASIBILITY_TOL)
+    g, w, s, t, coeff = _gauge_lp(target)
     if g >= 1.0 - FEASIBILITY_TOL:
         keep = np.flatnonzero(w > 1e-12)
         rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
@@ -368,14 +365,3 @@ def verify_certificate(
 def max_feasible_scale(target: CorrelationTarget, tol: float) -> float:
     """:meth:`FeasibilityResult.max_scale` of the target's membership result."""
     return local_polytope_membership(target).max_scale(tol)
-
-
-# --- JSON config reading ----------------------------------------------------
-
-
-def target_from_dict(data: dict) -> CorrelationTarget:
-    """Correlation target from its JSON block: ``alphas``, ``betas`` and ``matrix``."""
-    reject_unknown(data, {"alphas", "betas", "matrix"}, "correlation-target")
-    return CorrelationTarget(
-        param(data, "alphas", []), param(data, "betas", []), param(data, "matrix", [[]])
-    )

@@ -38,15 +38,14 @@ numbers and takes no side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .config import ConfigError, param, reject_unknown
-from .lhv import HiddenVariableModel, cosine_model, response_values
+from .lhv import HiddenVariableModel, response_values
 from .rng import split_generators
-from .spatial import SpatialSetup, setup_from_dict, setup_g_factor
+from .spatial import SpatialSetup, setup_g_factor
 from .spin import TWO_PI, OutcomePair, as_angle, chsh_statistic
 
 SECURE = "secure"
@@ -114,17 +113,6 @@ class QuantumLocalizedChannel:
         s_b = np.where(rng_signs.random(n) < (1.0 - dot) / 2.0, s_a, -s_a)
         return detected, s_a, s_b
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuantumLocalizedChannel":
-        """Channel from ``g``, or from a separated-Gaussian ``setup`` block and time ``t``."""
-        reject_unknown(data, {"variant", "g", "setup", "t"}, "channel")
-        if ("g" in data) == ("setup" in data):
-            raise ConfigError("quantum_localized channel needs either g or setup")
-        t = param(data, "t", 0.0)
-        if "g" in data:
-            return cls(g=param(data, "g", None))
-        return cls.from_setup(setup_from_dict(data["setup"]), t)
-
 
 @dataclass(frozen=True)
 class LhvEveChannel:
@@ -149,16 +137,6 @@ class LhvEveChannel:
         s_a = np.where(rng_signs.random(n) < (1.0 + xi) / 2.0, 1, -1)
         s_b = np.where(rng_signs.random(n) < (1.0 + eta) / 2.0, -1, 1)
         return np.ones(n, dtype=bool), s_a, s_b
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LhvEveChannel":
-        reject_unknown(data, {"variant", "model", "g"}, "channel")
-        if data.get("model") != "cosine":
-            raise ConfigError("only the 'cosine' hidden-variable model is supported in JSON")
-        return cls(model=cosine_model(param(data, "g", None)))
-
-
-_CHANNEL_VARIANTS = {"quantum_localized": QuantumLocalizedChannel, "lhv_eve": LhvEveChannel}
 
 
 @dataclass(frozen=True)
@@ -442,40 +420,3 @@ def rounds_to_csv(rounds: RoundLog) -> str:
     cells[:, width:] = tail_bytes[code]
     body = cells[cells != 0].tobytes().decode("ascii")
     return "round,a_idx,b_idx,detected,s_a,s_b\n" + body
-
-
-# --- JSON config reading ----------------------------------------------------
-
-
-def _channel_from_dict(data: dict) -> ChannelModel:
-    variant = param(data, "variant", None, str)
-    if variant not in _CHANNEL_VARIANTS:
-        raise ConfigError(f"unknown channel variant {variant!r}")
-    return _CHANNEL_VARIANTS[variant].from_dict(data)
-
-
-def config_from_dict(data: dict) -> QkdConfig:
-    """Session config from its JSON form; any malformed input raises ValueError.
-
-    ``n_rounds``, ``seed`` and the ``chsh_pairs`` entries ([alice_idx, bob_idx]
-    or [alice_idx, bob_idx, sign]) are JSON integers; omitted keys take the
-    :class:`QkdConfig` defaults.
-    """
-    reject_unknown(data, {f.name for f in fields(QkdConfig)}, "QKD config")
-    kwargs = {
-        key: param(data, key, like, kind)
-        for key, like, kind in (
-            ("n_rounds", 0, int),
-            ("seed", 0, int),
-            ("alarm_sigma", 0.0, float),
-            ("alice_angles", [], float),
-            ("bob_angles", [], float),
-            ("chsh_pairs", [[]], int),
-        )
-        if key in data
-    }
-    if "chsh_pairs" in kwargs:
-        if not all(2 <= len(p) <= 3 for p in kwargs["chsh_pairs"]):
-            raise ConfigError("each chsh_pairs entry is [alice_idx, bob_idx(, sign)]")
-        kwargs["chsh_pairs"] = [ChshPair(*p) for p in kwargs["chsh_pairs"]]
-    return QkdConfig(channel=_channel_from_dict(param(data, "channel", None, dict)), **kwargs)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .config import NumericalFailure, param, reject_unknown
+from .config import NumericalFailure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -322,39 +322,6 @@ def separated_gaussian_setup(
     return SpatialSetup(packet_a, packet_b, region_a, region_b)
 
 
-def setup_from_dict(spec: dict) -> SpatialSetup:
-    """:func:`separated_gaussian_setup` from its JSON block.
-
-    Keys: ``width_param`` and ``separation`` (required), ``mass`` and
-    ``hbar`` (default 1).  Any malformed block raises ValueError.
-    """
-    reject_unknown(spec, {"width_param", "separation", "mass", "hbar"}, "setup")
-    return separated_gaussian_setup(
-        param(spec, "width_param", None),
-        param(spec, "separation", []),
-        mass=param(spec, "mass", 1.0),
-        hbar=param(spec, "hbar", 1.0),
-    )
-
-
-def packet_from_dict(spec: dict, where: str) -> GaussianPacket:
-    """:class:`GaussianPacket` from the JSON block ``where``: ``width_param``
-    (required), ``center`` (default origin), ``mass`` and ``hbar`` (default 1)."""
-    reject_unknown(spec, {"center", "width_param", "mass", "hbar"}, where)
-    return GaussianPacket(
-        center=param(spec, "center", [0.0, 0.0, 0.0]),
-        width_param=param(spec, "width_param", None),
-        mass=param(spec, "mass", 1.0),
-        hbar=param(spec, "hbar", 1.0),
-    )
-
-
-def region_from_dict(spec: dict, where: str) -> BoxRegion:
-    """:class:`BoxRegion` from the JSON block ``where``: corners ``lo`` and ``hi``."""
-    reject_unknown(spec, {"lo", "hi"}, where)
-    return BoxRegion(param(spec, "lo", []), param(spec, "hi", []))
-
-
 def setup_g_factor(setup: SpatialSetup, t: float = 0.0) -> LocalizationFactor:
     """Product-state localization factor of a :class:`SpatialSetup` at time t:
     the two box probabilities multiplied."""
@@ -367,14 +334,12 @@ def setup_g_factor(setup: SpatialSetup, t: float = 0.0) -> LocalizationFactor:
 def g_decay_curve(
     setup: SpatialSetup, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Localization factor along an ascending time grid.
+    """Localization factor along an ascending grid of nonnegative times.
 
     For fixed regions the spreading width drives g to 0 as t grows, so for
     packets centered in their regions the curve is nonincreasing.
     """
     times = [float(t) for t in t_grid]
-    if any(t < 0 for t in times):
-        raise ValueError("t_grid must be nonnegative")
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("t_grid must be ascending")
     return [(t, setup_g_factor(setup, t).g) for t in times]

@@ -143,6 +143,16 @@ class TestGfactorCommand:
         assert code == EXIT_CONFIG
         assert out == "" and "exactly one of" in err
 
+    def test_negative_time_in_sweep_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "g.json",
+            {"setup": {"width_param": 1.0, "separation": [100.0, 0.0, 0.0]}, "times": [-1.0, 0.0]},
+        )
+        code, out, err = run_cli(["gfactor", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "must be nonnegative" in err
+
     def test_invalid_geometry(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "g.json",
@@ -206,6 +216,14 @@ class TestPacketCommand:
         code, out, err = run_cli(["packet", "--config", cfg, "--format", fmt], capsys)
         assert code == EXIT_CONFIG
         assert out == "" and err.startswith("error:")
+
+
+    def test_negative_time_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", {"times": [-1.0]})
+        code, out, err = run_cli(["packet", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "must be nonnegative" in err
 
 
 class TestLhvCommand:
@@ -710,6 +728,25 @@ class TestPublicNames:
                                  for alias in node.names if alias.name.startswith("_")
                                  and not (alias.name.startswith("__") and alias.name.endswith("__"))]
         assert borrowed == []
+
+    def test_only_the_cli_reads_config_blocks(self):
+        """JSON blocks are read in ``cli`` through ``config``; the library
+        modules and the exported classes take Python values only."""
+        import bellspace
+
+        readers = []
+        for path in sorted(Path(bellspace.__file__).parent.glob("*.py")):
+            if path.name in ("cli.py", "config.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("param", "reject_unknown"):
+                        readers.append(f"{path.name}: {name}")
+        readers += [f"{name}.from_dict" for name in bellspace.__all__
+                    if isinstance(getattr(bellspace, name), type)
+                    and hasattr(getattr(bellspace, name), "from_dict")]
+        assert readers == []
 
 
 QKD_CHANNEL = {"variant": "quantum_localized", "g": 0.9}

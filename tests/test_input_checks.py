@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bellspace.cli import config_from_dict
 from bellspace.config import ConfigError
 from bellspace.feasibility import BellCertificate, CorrelationTarget
-from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, config_from_dict
+from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel
 from bellspace.spatial import (
     BoxRegion,
     g_factor_quadrature,

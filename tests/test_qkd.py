@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bellspace.cli import main, report_to_dict
+from bellspace.cli import config_from_dict, main, report_to_dict
 
 from bellspace.lhv import cosine_model, random_bounded_model
 from bellspace.qkd import (
@@ -19,7 +19,6 @@ from bellspace.qkd import (
     QkdConfig,
     QuantumLocalizedChannel,
     RoundRecord,
-    config_from_dict,
     decide_verdict,
     rounds_to_csv,
     run_session,

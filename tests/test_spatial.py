@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from bellspace.cli import setup_from_dict
 from bellspace.rng import make_generator
 from bellspace.spatial import (
     BoxRegion,
@@ -28,7 +29,6 @@ from bellspace.spatial import (
     packet_probability_in_box,
     product_density,
     separated_gaussian_setup,
-    setup_from_dict,
     setup_g_factor,
 )
 
