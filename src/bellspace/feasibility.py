@@ -28,9 +28,13 @@ max_{s,t} s^T C t = max_s ||C^T s||_1 (Brunner et al., Rev. Mod. Phys. 86,
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -224,6 +228,33 @@ def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray) -> None:
                   np.tile(np.arange(rows, dtype=np.int32), k), values.ravel())
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's bundled HiGHS binding (the one ``linprog`` drives), loaded from its file.
+
+    Importing it by name would first run the ``scipy.optimize`` package init,
+    ~570 modules and ~0.5 s that the LP never uses; the extension alone loads
+    in ~8 ms.  It is registered under its own name, so an earlier or later
+    ``import scipy.optimize`` shares the same module.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without running its init
+    paths = [Path(folder, "optimize", "_highspy", "_core" + suffix)
+             for folder in (scipy.submodule_search_locations if scipy else ())
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"{paths[0] if paths else 'scipy'} not found, under any extension "
+                          "suffix: the gauge LP needs the HiGHS binding that scipy >= 1.15 ships")
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    core = sys.modules[_HIGHS_CORE] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    return core
+
+
 def _gauge_lp(
     target: CorrelationTarget,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -239,21 +270,20 @@ def _gauge_lp(
     One HiGHS model holds the master from start to finish: its rows are set
     once, each round appends only the new columns, and the dual simplex
     restarts from the previous round's optimal basis.  Each solve logs one
-    DEBUG record (status, rounds, columns, simplex iterations, g, time) on
-    the ``bellspace.feasibility`` logger.
+    DEBUG record (status, rounds, columns, simplex iterations, g, the last
+    round's pricing violation max s^T C t - z, or 0 when that round stopped at
+    g = 1 unpriced, and time) on the ``bellspace.feasibility`` logger.
 
     Returns (g, w, s, t, C) with w over the master columns (s_k, t_k).
     """
-    # scipy's bundled HiGHS binding (the one linprog drives), imported here and
-    # not at module level: loading scipy.optimize costs ~0.5 s of startup
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
+    # read off the module at each call, so a patched core._Highs takes effect
+    core = _highs_core()
     start = time.perf_counter()
     m, n = target.matrix.shape
     s, t, _ = _best_responses(target.matrix)
     s, t = np.vstack([s, s]), np.vstack([t, -t])
     rhs = np.append(np.zeros(m * n), 1.0)
-    highs = _Highs()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
                   np.zeros(0))
@@ -280,7 +310,7 @@ def _gauge_lp(
             highs.run()
             info = highs.getInfo()
         status = highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
+        if status != core.HighsModelStatus.kOptimal:
             raise FeasibilitySolverError(
                 f"LP solver failed: HiGHS model status {highs.modelStatusToString(status)!r}"
             )
@@ -289,8 +319,10 @@ def _gauge_lp(
         g, dual = -info.objective_function_value, np.array(solution.row_dual)
         coeff, level = dual[:-1].reshape(m, n), -float(dual[-1])
         if g >= 1.0 - FEASIBILITY_TOL:
+            violation = 0.0
             break
         s_new, t_new, values = _best_responses(coeff)
+        violation = float(values.max()) - level
         # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
         seen = {row.tobytes() for row in np.hstack([s, t])}
         fresh = [
@@ -303,8 +335,8 @@ def _gauge_lp(
         s, t = np.vstack([s, s_new[fresh]]), np.vstack([t, t_new[fresh]])
     log.debug(
         "gauge LP %dx%d: status %s, %d master rounds, %d columns, %d simplex iterations, "
-        "g = %r, %.6f s", m, n, highs.modelStatusToString(status), rounds, s.shape[0],
-        iterations, g, time.perf_counter() - start,
+        "g = %r, pricing violation %.3g, %.6f s", m, n, highs.modelStatusToString(status),
+        rounds, s.shape[0], iterations, g, violation, time.perf_counter() - start,
     )
     return g, np.delete(np.array(solution.col_value), g_column), s, t, coeff
 

@@ -28,6 +28,7 @@ from bellspace.cli import (
 from bellspace.config import NumericalFailure
 from bellspace.feasibility import (
     FeasibilitySolverError,
+    _highs_core,
     canonical_cosine_target,
     local_polytope_membership,
 )
@@ -303,6 +304,7 @@ class TestFeasibilityCommand:
         # one gauge LP: the max scale is read off the membership test's certificate
         assert b"gauge LP" not in quiet.stderr
         assert debug.stderr.count(b"DEBUG:bellspace.feasibility:gauge LP 2x2: status Optimal") == 1
+        assert debug.stderr.count(b"pricing violation ") == 1
 
     def test_empty_matrix_rejected(self, tmp_path, capsys):
         cfg = write_json(
@@ -586,7 +588,7 @@ class TestEntryPoint:
 
 
 class TestColdStart:
-    """The closed forms load no numpy, and only the LP needs scipy."""
+    """The closed forms load no numpy, and only the LP loads scipy's HiGHS binding."""
 
     SCRIPT = """
 import contextlib, io, json, os, sys
@@ -650,7 +652,9 @@ print(json.dumps({"status": status, "numpy": modules("numpy"), "scipy": modules(
         assert result.returncode == 0, result.stderr
         payload = json.loads(result.stdout)
         assert payload["status"] == "infeasible"
-        assert "scipy.optimize" in payload["scipy"]
+        # the binding alone, loaded from its file: neither scipy nor scipy.optimize runs its init
+        binding = "scipy.optimize._highspy._core"
+        assert payload["scipy"] == [binding, f"{binding}.cb", f"{binding}.simplex_constants"]
         assert "numpy.random" in payload["numpy"]
 
 
@@ -778,7 +782,7 @@ class TestNumericalFailure:
 
     def test_non_optimal_highs_model_exits_3(self, tmp_path, capsys, monkeypatch):
         # a real HiGHS run that stops at its iteration limit inside the gauge LP
-        from scipy.optimize._highspy import _core
+        _core = _highs_core()
 
         class NoIterations(_core._Highs):
             def __init__(self):

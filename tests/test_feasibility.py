@@ -6,10 +6,15 @@ exhaustive sign-pair enumeration (:func:`classical_bound`, the oracle).
 """
 
 import ast
-import importlib
+import importlib.machinery
+import importlib.util
 import itertools
 import logging
 import math
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -402,36 +407,98 @@ class TestGaugeLpTelemetry:
             g, w, s, _, _ = _gauge_lp(target)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         assert record.levelno == logging.DEBUG
-        m, n, status, rounds, columns, iterations, logged_g, seconds = record.args
+        m, n, status, rounds, columns, iterations, logged_g, violation, seconds = record.args
         assert (m, n) == (2, 2) and status == "Optimal"
         assert rounds >= 1 and columns == s.shape[0] == w.size
         assert iterations > 0 and seconds > 0.0
         assert logged_g == g == pytest.approx(1 / SQRT2, abs=1e-9)
+        # the loop stopped because no best response beats the level z
+        assert isinstance(violation, float) and violation <= FEASIBILITY_TOL
+
+    def test_pricing_violation_on_a_feasible_target(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            assert local_polytope_membership(canonical_cosine_target(0.5)).is_feasible
+        (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
+        rounds, violation = record.args[3], record.args[7]
+        # an earlier round priced and added columns; the last one reached g = 1 unpriced
+        assert rounds >= 2 and violation == 0.0
 
 
 class TestHighsBinding:
     """The engine drives scipy's private HiGHS binding, so pin what it uses."""
 
-    OWNERS = {"highs": "_Highs", "info": "HighsInfo", "solution": "HighsSolution",
-              "HighsModelStatus": "HighsModelStatus"}
+    OWNERS = {"highs": "_Highs", "info": "HighsInfo", "solution": "HighsSolution"}
+
+    def owner(self, node):
+        """The binding name an expression stands for: a local in ``OWNERS`` or ``core.X``."""
+        if isinstance(node, ast.Name):
+            return self.OWNERS.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.value.id == "core" else None
+        return None
 
     def test_binding_has_every_name_the_engine_uses(self):
         tree = ast.parse(Path(feasibility.__file__).read_text())
-        used = {(self.OWNERS[node.value.id], node.attr) for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in self.OWNERS}
-        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                    and node.module == "scipy.optimize._highspy._core" for alias in node.names}
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "core"}
+        used = {(owner, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and (owner := self.owner(node.value))}
+        assert {"_Highs", "HighsModelStatus"} <= read
         assert {("_Highs", "addCols"), ("_Highs", "run"), ("HighsSolution", "row_dual"),
                 ("HighsModelStatus", "kOptimal")} <= used
-        assert {"_Highs", "HighsModelStatus"} <= imported
-        try:
-            core = importlib.import_module("scipy.optimize._highspy._core")
-        except ImportError as exc:
-            pytest.fail(f"scipy {scipy.__version__} has no scipy.optimize._highspy._core ({exc}); "
-                        "the gauge LP needs the HiGHS binding scipy >= 1.15 ships")
-        missing = sorted(name for name in imported if not hasattr(core, name))
+        core = feasibility._highs_core()
+        missing = sorted(name for name in read if not hasattr(core, name))
         missing += sorted(f"{owner}.{attr}" for owner, attr in used
                           if not hasattr(getattr(core, owner, None), attr))
         assert not missing, (f"scipy {scipy.__version__}'s HiGHS binding lacks {missing}, "
                              "which the gauge LP calls")
+
+    def test_missing_binding_is_a_clear_import_error(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, feasibility._HIGHS_CORE, raising=False)
+        (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        expected = tmp_path / "optimize" / "_highspy" / f"_core{suffix}"
+        with pytest.raises(ImportError) as excinfo:
+            feasibility._highs_core()
+        assert str(expected) in str(excinfo.value)
+        assert "needs the HiGHS binding that scipy >= 1.15 ships" in str(excinfo.value)
+        assert feasibility._HIGHS_CORE not in sys.modules
+
+    # a fresh interpreter, so neither scipy.optimize nor the binding is loaded yet
+    LOAD_ORDER = """
+import pickle, sys
+from bellspace.feasibility import _highs_core, canonical_cosine_target, local_polytope_membership
+
+def solve():
+    return local_polytope_membership(canonical_cosine_target(1.0))
+
+if sys.argv[1] == "binding-first":
+    result = solve()
+    core = _highs_core()
+    assert "scipy" not in sys.modules and "scipy.optimize" not in sys.modules
+    from scipy.optimize import linprog
+    lp = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+    assert lp.status == 0 and abs(lp.fun - 1.0) < 1e-12, lp
+    assert sys.modules["scipy.optimize._highspy._core"] is core
+else:
+    import scipy.optimize
+    core = sys.modules["scipy.optimize._highspy._core"]
+    result = solve()
+    assert _highs_core() is core
+sys.stdout.write(pickle.dumps(result).hex())
+"""
+
+    @pytest.mark.parametrize("order", ["binding-first", "scipy-optimize-first"])
+    def test_load_order_shares_one_module(self, order):
+        src = str(Path(feasibility.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", self.LOAD_ORDER, order],
+                               capture_output=True, text=True, env=env)
+        assert child.returncode == 0, child.stderr
+        result = pickle.loads(bytes.fromhex(child.stdout))
+        assert result == local_polytope_membership(canonical_cosine_target(1.0))
+        assert not result.is_feasible
