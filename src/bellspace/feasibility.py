@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import NumericalFailure
-from .spin import as_angle, canonical_chsh_settings
+from .spin import UNIT_SLACK, as_angle, canonical_chsh_settings
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ class CorrelationTarget:
             )
         if not np.all(np.isfinite(matrix)):
             raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(matrix)) > 1.0 + 1e-9:
+        if np.max(np.abs(matrix)) > 1.0 + UNIT_SLACK:
             raise ValueError("correlation entries must lie in [-1, 1]")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)

@@ -32,14 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .spin import TWO_PI, ChshSettings, as_angle, chsh_statistic
+from .spin import TWO_PI, UNIT_SLACK, ChshSettings, as_angle, chsh_statistic
 
 #: Response function: (setting angle, lambdas) -> values in [-1, 1], one per
 #: lambda or broadcasting to that.  The eavesdropper channel passes one angle
 #: per lambda, so a response used there must also accept an angle array.
 ResponseFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
-_BOUND_SLACK = 1e-9
 _EXACT_NODES = 4096
 #: Largest ``n`` for :func:`model_expectation_mc`: peak RSS grows ~30 MB per
 #: 10^6 draws (343 MB at 10^7 through the CLI), so a call stays under ~1.3 GB.
@@ -93,7 +92,7 @@ def _checked(fn: ResponseFn, angle: float | np.ndarray, lam: np.ndarray, name: s
     except (TypeError, ValueError) as exc:
         raise ValueError(f"response {name} must give one value per lambda: {exc}") from exc
     low, high = values.min(), values.max()
-    if not -1.0 - _BOUND_SLACK <= low <= high <= 1.0 + _BOUND_SLACK:
+    if not -1.0 - UNIT_SLACK <= low <= high <= 1.0 + UNIT_SLACK:
         raise ValueError(f"response {name} breaks the unit bound: values span [{low}, {high}]")
     return values
 

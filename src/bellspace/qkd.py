@@ -27,9 +27,10 @@ The session report carries the conditioned CHSH estimate (post-selected on
 coincidences, which restores full singlet statistics and drives the verdict)
 and the unconditioned one (non-coincidences counted as outcome product 0),
 whose expectation is g*cos(alpha - beta): the g-scaled correlation law made
-empirical.  Whether post-selected statistics legitimately certify security
-when g <= 1/2 is exactly the fair-sampling question; the report shows both
-numbers and takes no side.
+empirical.  Both come from per-pair integer counts of the products -1, 0 and
++1, so their standard errors are exact to rounding.  Whether post-selected
+statistics certify security when g <= 1/2 is the fair-sampling question; the
+report shows both numbers and takes no side.
 
 ``return_rounds=True`` adds the per-round log as numpy columns
 (:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access.
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from fractions import Fraction
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -292,21 +294,28 @@ def decide_verdict(s_value: float, std_error: float, k: float) -> str:
     return INCONCLUSIVE
 
 
-def _pair_estimate(products: np.ndarray) -> tuple[float, float, int]:
-    n = products.size
-    if n == 0:
-        return 0.0, math.inf, 0
-    mean = float(np.mean(products))
-    std_error = float(np.std(products, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return mean, std_error, n
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for 0 <= num / den < 2**100, correctly rounded: an integer
+    root of 55+ bits, last bit set when inexact (round to odd), rounded once."""
+    shift = (110 + den.bit_length() - num.bit_length()) // 2
+    root = math.isqrt((num << 2 * shift) // den)
+    return (root | (root * root * den != num << 2 * shift)) / (1 << shift)
 
 
-def _chsh_from_pairs(
-    estimates: list[tuple[float, float]], signs: Sequence[int]
+def _chsh_estimate(
+    pairs: tuple[ChshPair, ...], minus: list[int], plus: list[int], lost: list[int]
 ) -> ChshEstimate:
-    p = [sign * mean for (mean, _), sign in zip(estimates, signs)]
-    std_error = math.sqrt(sum(se * se for _, se in estimates))
-    return ChshEstimate(s_value=chsh_statistic(*p), std_error=std_error)
+    """CHSH statistic from each pair's count of products -1, +1 and 0 (lost rounds).
+
+    A product squares to 1 on a click, so with n rounds, c clicks and product sum
+    s a pair's mean is s/n and its variance (n*c - s^2) / (n^2 (n - 1)), summed exactly.
+    """
+    stats = [(pos - neg, pos + neg, pos + neg + zero) for neg, pos, zero in zip(minus, plus, lost)]
+    p = [pair.sign * (s / n if n else 0.0) for pair, (s, _, n) in zip(pairs, stats)]
+    if min(n for *_, n in stats) < 2:
+        return ChshEstimate(chsh_statistic(*p), math.inf)
+    var = sum(Fraction(n * c - s * s, n * n * (n - 1)) for s, c, n in stats)
+    return ChshEstimate(chsh_statistic(*p), _sqrt_ratio(var.numerator, var.denominator))
 
 
 def run_session(
@@ -334,38 +343,28 @@ def run_session(
     # angles, so flipped bits agree and test correlations become +cos.
     s_b_flipped = -s_b
 
+    cell = 3 * a_idx + b_idx
     angle_matched = np.array(
         [[_angles_match(a, b) for b in config.bob_angles] for a in config.alice_angles]
     )
-    key_mask = detected & angle_matched[a_idx, b_idx]
+    key_mask = detected & angle_matched.ravel()[cell]
 
     alice_bits = (1 + s_a[key_mask]) // 2
     bob_bits = (1 + s_b_flipped[key_mask]) // 2
     n_key = int(key_mask.sum())
     qber = float(np.mean(alice_bits != bob_bits)) if n_key > 0 else None
 
-    products = (s_a.astype(np.int32) * s_b_flipped.astype(np.int32)).astype(float)
-    conditioned: list[tuple[float, float]] = []
-    unconditioned: list[tuple[float, float]] = []
-    n_test: list[int] = []
-    for pair in config.chsh_pairs:
-        combo = (a_idx == pair.alice_idx) & (b_idx == pair.bob_idx)
-        mean, se, count = _pair_estimate(products[combo & detected])
-        conditioned.append((mean, se))
-        n_test.append(count)
-        mean_u, se_u, _ = _pair_estimate(products[combo])
-        unconditioned.append((mean_u, se_u))
-
-    signs = [pair.sign for pair in config.chsh_pairs]
-    chsh_cond = _chsh_from_pairs(conditioned, signs)
-    chsh_uncond = _chsh_from_pairs(unconditioned, signs)
+    # Rounds whose flipped product is -1, 0 (lost) or +1, per setting cell.
+    tally = np.bincount(3 * cell + s_a * s_b_flipped + 1, minlength=27).reshape(9, 3)
+    minus, lost, plus = tally[[3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]].T.tolist()
+    chsh_cond = _chsh_estimate(config.chsh_pairs, minus, plus, [0] * 4)
+    chsh_uncond = _chsh_estimate(config.chsh_pairs, minus, plus, lost)
+    n_test = tuple(m + q for m, q in zip(minus, plus))
 
     if min(n_test) < MIN_TEST_ROUNDS_PER_PAIR:
         verdict = INCONCLUSIVE
     else:
-        verdict = decide_verdict(
-            chsh_cond.s_value, chsh_cond.std_error, config.alarm_sigma
-        )
+        verdict = decide_verdict(chsh_cond.s_value, chsh_cond.std_error, config.alarm_sigma)
 
     report = QkdSessionReport(
         sifted_key_alice=_bit_string(alice_bits),
@@ -378,7 +377,7 @@ def run_session(
         n_rounds=n,
         n_detected=int(detected.sum()),
         n_key_rounds=n_key,
-        n_test_rounds=tuple(n_test),  # type: ignore[arg-type]
+        n_test_rounds=n_test,  # type: ignore[arg-type]
     )
     if not return_rounds:
         return report

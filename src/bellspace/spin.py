@@ -34,8 +34,9 @@ CHSH_CLASSICAL_BOUND = 2.0
 #: Quantum (Tsirelson) CHSH bound, attained by the singlet state.
 CHSH_QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
 
+#: How far past 1 a correlation or response value may go and still count as |value| <= 1.
+UNIT_SLACK = 1e-9
 _UNIT_NORM_TOL = 1e-12
-_CORRELATION_SLACK = 1e-9
 
 
 def as_angle(value: float) -> float:
@@ -152,7 +153,7 @@ def chsh_statistic(p11: float, p12: float, p21: float, p22: float) -> float:
     values rather than a legitimate statistic.
     """
     for name, value in (("p11", p11), ("p12", p12), ("p21", p21), ("p22", p22)):
-        if not math.isfinite(value) or abs(value) > 1.0 + _CORRELATION_SLACK:
+        if not math.isfinite(value) or abs(value) > 1.0 + UNIT_SLACK:
             raise ValueError(f"correlation {name}={value!r} outside [-1, 1]")
     return abs(p11 - p12) + abs(p21 + p22)
 

@@ -550,7 +550,7 @@ class TestGoldenOutputs:
             ("gfactor_blocks", "csv",
              "59cfb31a8e86bdba1cb2e3aa77f10c540d96d1e34059325bf1a78c70f1beb89b"),
             ("qkd_inconclusive", "json",
-             "9050640b8b15c512d99301ea8a3a9812e2e43d55ca3a07d26c68149895356d2b"),
+             "7a80c1dca52883c6537e933f5e7edf8277195da8e93c86a5010cd214c0af5ccc"),
             ("qkd_inconclusive", "csv",
              "e681cf264b0af51e5fa4ea8a0213b976b015f56135a17a390f15ca842b3fe776"),
         ],
@@ -936,6 +936,19 @@ class TestConfigValues:
         code, out, err = run_cli([command, "--config", str(cfg)], capsys)
         assert code == EXIT_CONFIG
         assert out == "" and err.startswith(f"error: parameter {key!r} must be")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, '{"g": ' + "[" * 5000 + "]" * 5000 + "}"],
+        ids=["bare-array", "nested-value"],
+    )
+    def test_config_nested_too_deeply_is_config_error(self, tmp_path, capsys, text):
+        # deeper than the JSON decoder's recursion limit
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["chsh", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_undefined_std_error_is_strict_json(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "q.json", {

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellspace.cli import config_from_dict, main, report_to_dict
 
@@ -25,7 +29,12 @@ from bellspace.qkd import (
 )
 from bellspace.rng import make_generator, split_generators
 from bellspace.spatial import separated_gaussian_setup
-from bellspace.spin import CHSH_QUANTUM_BOUND, OutcomePair, detectability_threshold_report
+from bellspace.spin import (
+    CHSH_QUANTUM_BOUND,
+    OutcomePair,
+    chsh_statistic,
+    detectability_threshold_report,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -209,6 +218,64 @@ class TestRunSessionLhv:
             assert est.s_value <= 2.0 + 3 * est.std_error
 
 
+def masked_chsh(config, rounds, conditioned):
+    """The audit by masked float passes: (S, exact variance of S or None, pair sizes).
+
+    Each pair's mean is ``np.mean`` over its rounds (its detected rounds if
+    ``conditioned``); its variance comes from the exact squared deviations of
+    the -1, 0 and +1 products, so no shortcut formula is shared with the code.
+    """
+    products = (rounds.s_a.astype(np.int32) * -rounds.s_b.astype(np.int32)).astype(float)
+    p, variance, sizes = [], Fraction(0), []
+    for pair in config.chsh_pairs:
+        combo = (rounds.a_idx == pair.alice_idx) & (rounds.b_idx == pair.bob_idx)
+        x = products[combo & rounds.detected] if conditioned else products[combo]
+        n = x.size
+        sizes.append(n)
+        p.append(pair.sign * (float(np.mean(x)) if n else 0.0))
+        if n > 1:
+            mean = Fraction(int(x.sum()), n)
+            squares = sum(int(np.sum(x == v)) * (v - mean) ** 2 for v in (-1, 0, 1))
+            variance += squares / (n - 1) / n
+    return chsh_statistic(*p), (variance if min(sizes) > 1 else None), sizes
+
+
+class TestChshAuditProperties:
+    @given(
+        seed=st.integers(0, 2**32),
+        channel=st.one_of(
+            # g up to 0.02 leaves some pairs with 0 or 1 clicks at 1000 rounds
+            st.builds(QuantumLocalizedChannel, st.floats(0.0, 0.02) | st.floats(0.0, 1.0)),
+            st.builds(lambda g: LhvEveChannel(cosine_model(g)), st.floats(0.0, 0.5)),
+            st.builds(lambda s: LhvEveChannel(random_bounded_model(make_generator(s))),
+                      st.integers(0, 2**32)),
+        ),
+        n_rounds=st.integers(1000, 6000),
+    )
+    @example(seed=3, channel=QuantumLocalizedChannel(0.0), n_rounds=1000)  # no clicks
+    @example(seed=0, channel=QuantumLocalizedChannel(0.01), n_rounds=1000)  # 1, 1, 0, 1 clicks
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_the_masked_passes(self, seed, channel, n_rounds):
+        config = QkdConfig(channel=channel, n_rounds=n_rounds, seed=seed)
+        report, rounds = run_session(config, return_rounds=True)
+        payload = report_to_dict(report)
+        for key, conditioned in (("chsh_estimate", True), ("chsh_unconditioned", False)):
+            estimate = getattr(report, key)
+            s_value, variance, sizes = masked_chsh(config, rounds, conditioned)
+            assert estimate.s_value == s_value
+            if conditioned:
+                assert list(report.n_test_rounds) == sizes
+            if variance is None:
+                assert estimate.std_error == math.inf and payload[key]["std_error"] is None
+                continue
+            # correctly rounded: within half an ulp of the exact root
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = (Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt()
+                error = abs(Decimal(estimate.std_error) - exact)
+                assert error <= Decimal(math.ulp(estimate.std_error)) * Decimal("0.5000001")
+
+
 class TestSifting:
     def test_partition_of_detected_rounds(self):
         config = quantum_config(0.7, n=30_000, seed=11)
@@ -383,7 +450,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("json", "8d25e44af8752f9010639dd798babaafa507a56ea549d7d04414bff2680b08d3"),
+            ("json", "98646bfbd1ebd9cb4b5654a4ae7109cffa15b25a7a049494f14daacfa59ee816"),
             ("csv", "f36013d50ed42e765500d8b3de78f541bebb737c399ada753b4223c171281284"),
         ],
     )
@@ -415,7 +482,7 @@ class TestGoldenOutputs:
         "model, digest",
         [
             (lambda: cosine_model(0.0), "0f4ef151911565108b01860cbdf4edc8889722fa6a8d708d98d5f851be793652"),
-            (lambda: cosine_model(0.2), "0b10bfb0f6a8581615aba5ec0f783575081e2c1e374373658c77590b3ab4c155"),
+            (lambda: cosine_model(0.2), "e1f5d93436be665cd8fbee89db9f14b38f82e4b99ab3a6146dbaa0d4bf6ab3e7"),
             (lambda: cosine_model(0.5), "9a4dc8622cf52555733f32c63d7a912d8d9149f371800601e3dab23905f8884f"),
             (
                 lambda: random_bounded_model(make_generator(4242)),
