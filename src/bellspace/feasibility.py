@@ -28,6 +28,7 @@ max_{s,t} s^T C t = max_s ||C^T s||_1 (Brunner et al., Rev. Mod. Phys. 86,
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -194,14 +195,18 @@ class FeasibilityResult:
         return 1.0 if self.is_feasible else max(0.0, self.certificate.bound - tol / 2)
 
 
+@functools.lru_cache(maxsize=None)
 def _half_sign_matrix(k: int) -> np.ndarray:
     """All of {-1,+1}^k (k >= 1) as rows, with the first coordinate pinned to +1.
 
     The outer products s t^T and (-s)(-t)^T coincide, so pinning one wing's
-    first sign enumerates every polytope vertex exactly once.
+    first sign enumerates every polytope vertex exactly once.  Every pricing
+    round asks for the same k, so the array is built once and read-only.
     """
     bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * bits
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
 
 
 def _best_responses(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,6 +224,13 @@ def _best_responses(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return (reply, own, values) if flip else (own, reply, values)
 
 
+def _vertex_keys(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each vertex s_k t_k^T as one integer: the m + n <= MAX_GRID_SIZE sign bits
+    of its pair flipped to s_k[0] = +1, since (s, t) and (-s, -t) are one vertex."""
+    pairs = np.hstack([s, t]) * s[:, :1]
+    return (pairs < 0.0) @ (1 << np.arange(pairs.shape[1]))
+
+
 def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray) -> None:
     """Append a weight column w_k >= 0 per vertex s_k t_k^T: its entries, then a 1."""
     k, rows = s.shape[0], s.shape[1] * t.shape[1] + 1
@@ -229,6 +241,8 @@ def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray) -> None:
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+# HiGHS simplex_strategy values
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 
 
 def _highs_core():
@@ -255,6 +269,15 @@ def _highs_core():
     return core
 
 
+def _set_option(highs, core, name: str, value) -> None:
+    """Set a HiGHS option; the binding reports a bad name or value only by its status."""
+    if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
+        from importlib.metadata import version
+
+        raise FeasibilitySolverError(f"HiGHS rejected option {name} = {value!r} "
+                                     f"(scipy {version('scipy')})")
+
+
 def _gauge_lp(
     target: CorrelationTarget,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -268,8 +291,9 @@ def _gauge_lp(
     and worst response to P, so g = 0 is always feasible.
 
     One HiGHS model holds the master from start to finish: its rows are set
-    once, each round appends only the new columns, and the dual simplex
-    restarts from the previous round's optimal basis.  Each solve logs one
+    once and each round appends only the new columns.  Those columns enter
+    nonbasic at zero, so the previous round's optimal basis stays primal
+    feasible and the primal simplex resumes from it.  Each solve logs one
     DEBUG record (status, rounds, columns, simplex iterations, g, the last
     round's pricing violation max s^T C t - z, or 0 when that round stopped at
     g = 1 unpriced, and time) on the ``bellspace.feasibility`` logger.
@@ -284,7 +308,8 @@ def _gauge_lp(
     s, t = np.vstack([s, s]), np.vstack([t, -t])
     rhs = np.append(np.zeros(m * n), 1.0)
     highs = core._Highs()
-    highs.setOptionValue("output_flag", False)
+    _set_option(highs, core, "output_flag", False)
+    _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
     highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
                   np.zeros(0))
     # the seed vertices first, then the g column: cost -1, 0 <= g <= 1, entries -P
@@ -292,6 +317,7 @@ def _gauge_lp(
     g_column, p = s.shape[0], target.matrix.ravel()
     nonzero = np.flatnonzero(p).astype(np.int32)
     highs.addCol(-1.0, 0.0, 1.0, nonzero.size, nonzero, -p[nonzero])
+    keys = np.sort(_vertex_keys(s, t))  # the master's columns, sorted for searchsorted
     rounds = iterations = 0
     while True:
         highs.run()
@@ -299,15 +325,18 @@ def _gauge_lp(
         info = highs.getInfo()
         if info.max_primal_infeasibility > FEASIBILITY_TOL:
             # a hot start can stop on a basis that misses a bound by up to HiGHS's
-            # primal tolerance (1e-7); a solve from scratch, with presolve, often
-            # lands on a cleaner vertex.  The tests fire it on [[6e-8, 0], [1, 1]]
-            # and [[0, 0, 1], [2.32e-8]*3] (both still feasible, residuals 6e-8
-            # and 1.16e-8) and on a forced iteration limit; over 3400 seeded edge
-            # targets, deleting it raised feasible verdicts with residual > 1e-9
-            # from 197 to 220
+            # primal tolerance (1e-7); a dual simplex solve from scratch, with
+            # presolve, often lands on a cleaner vertex (a primal one re-solved
+            # [[0, 0, 1], [2.32e-8]*3] to g = 1 + 2.3e-8).  The tests fire it on
+            # [[6e-8, 0], [1, 1]] (still feasible, residual 6e-8) and on a forced
+            # iteration limit.  Over 3400 seeded edge targets, each solved at P and
+            # at its max scale, deleting it raised feasible verdicts with residual
+            # > 1e-9 from 484 to 549 and solver errors from 2 to 14
             iterations += info.simplex_iteration_count
             highs.clearSolver()
+            _set_option(highs, core, "simplex_strategy", _DUAL_SIMPLEX)
             highs.run()
+            _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
             info = highs.getInfo()
         status = highs.getModelStatus()
         if status != core.HighsModelStatus.kOptimal:
@@ -324,15 +353,15 @@ def _gauge_lp(
         s_new, t_new, values = _best_responses(coeff)
         violation = float(values.max()) - level
         # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
-        seen = {row.tobytes() for row in np.hstack([s, t])}
-        fresh = [
-            i for i in np.flatnonzero(values > level + FEASIBILITY_TOL)
-            if np.append(s_new[i], t_new[i]).tobytes() not in seen
-        ]
-        if not fresh:
+        fresh = np.flatnonzero(values > level + FEASIBILITY_TOL)
+        fresh_keys = _vertex_keys(s_new[fresh], t_new[fresh])
+        new = keys[np.minimum(np.searchsorted(keys, fresh_keys), keys.size - 1)] != fresh_keys
+        fresh = fresh[new]
+        if not fresh.size:
             break
         _add_vertex_columns(highs, s_new[fresh], t_new[fresh])
         s, t = np.vstack([s, s_new[fresh]]), np.vstack([t, t_new[fresh]])
+        keys = np.sort(np.append(keys, fresh_keys[new]))
     log.debug(
         "gauge LP %dx%d: status %s, %d master rounds, %d columns, %d simplex iterations, "
         "g = %r, pricing violation %.3g, %.6f s", m, n, highs.modelStatusToString(status),

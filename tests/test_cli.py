@@ -527,7 +527,7 @@ class TestGoldenOutputs:
             ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
             ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
             ("feasibility", "json",
-             "f445433eb33d9c07c164510e73544a15f84d0f04ae40ca2da32fca01a1d7d9e0"),
+             "a18ee01f488a8c7f05bc7f3c0199c8082bf26d1d526c070552d12f73b898f92e"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
             ("qkd", "json", "829ea464bae12a257c656a0c8207178f2f370b1be532d6078c19c78dd1c0ff61"),

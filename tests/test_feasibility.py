@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,6 +231,13 @@ class TestWitnessConsistency:
         assert scale == pytest.approx(0.79995, abs=1e-12)
         assert local_polytope_membership(target.scaled(scale)).is_feasible
 
+    @pytest.mark.xfail(strict=True, raises=FeasibilitySolverError, reason="ROADMAP item 6")
+    def test_membership_next_to_a_vertex_solves(self):
+        # a point of the 1x3 polytope, the cube [-1, 1]^3; round 2 ends at g = -4e-8
+        # and the cold re-solve stops at 'Not Set'
+        target = CorrelationTarget((0.0,), (0.0, 1.0, 2.0), np.array([[0.0, 1.0, -1.3e-9]]))
+        assert local_polytope_membership(target).is_feasible
+
 
 class TestInvariances:
     def test_permutations_preserve_membership(self):
@@ -330,6 +338,13 @@ class TestJsonRoundTrip:
 correlation_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
 )
+# entries at the polytope's edges: vertices, zeros and magnitudes near HiGHS's tolerances
+edge_entries = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0]),
+    st.floats(-1.0, 1.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-9.0, -6.0)),
+)
 
 
 class TestGaugeLpProperties:
@@ -399,6 +414,74 @@ class TestGaugeLpProperties:
             feasible = local_polytope_membership(target).is_feasible
             assert feasible == (dense >= 1.0 - FEASIBILITY_TOL)
 
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=edge_entries))
+    @example(np.array([[0.0, 1.0], [0.21875, 1e-7]]))  # a master column prices above z + tol
+    # m > n: pricing offers (-s, t), the same vertex as the seed column (s, -t)
+    @example(np.array([[0.0, -3.924189758484536e-07], [0.0, 0.0012499495207810233],
+                       [0.0012499495207810233, -5.72829641445747e-07], [1.0, -1.0],
+                       [0.0, 2.053525026457146e-07]]))
+    @settings(max_examples=100, deadline=None)
+    def test_no_vertex_enters_the_master_twice(self, matrix):
+        # every column handed to HiGHS, read back as its entries s t^T and its 1
+        core, columns = feasibility._highs_core(), []
+
+        class Recording(core._Highs):
+            def addCols(self, count, *args):
+                columns.extend(map(tuple, args[-1].reshape(count, -1)))
+                return super().addCols(count, *args)
+
+        m, n = matrix.shape
+        target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
+        with mock.patch.object(core, "_Highs", Recording):
+            try:
+                _gauge_lp(target)
+            except FeasibilitySolverError:
+                pass  # 'Not Set' at the boundary, pinned below; its columns count all the same
+        assert len(columns) >= 2 and len(set(columns)) == len(columns)
+
+    def test_half_sign_matrix_is_a_cached_read_only_enumeration(self):
+        for k in range(1, 9):
+            signs = feasibility._half_sign_matrix(k)
+            assert signs.tolist() == [[1.0, *rest]
+                                      for rest in itertools.product((1.0, -1.0), repeat=k - 1)]
+            assert feasibility._half_sign_matrix(k) is signs
+            with pytest.raises(ValueError, match="read-only"):
+                signs[0, 0] = -1.0
+
+
+class TestSimplexStrategy:
+    @staticmethod
+    def recorded_runs(monkeypatch, target):
+        """``_gauge_lp``'s HiGHS calls: the simplex_strategy at each run, "clear" at each reset."""
+        core, events = feasibility._highs_core(), []
+
+        class Recording(core._Highs):
+            def clearSolver(self):
+                events.append("clear")
+                return super().clearSolver()
+
+            def run(self):
+                events.append(self.getOptionValue("simplex_strategy")[1])
+                return super().run()
+
+        monkeypatch.setattr(core, "_Highs", Recording)
+        _gauge_lp(target)
+        return events
+
+    def test_primal_simplex_on_every_hot_round(self, monkeypatch):
+        events = self.recorded_runs(monkeypatch, canonical_cosine_target(1.0))
+        assert len(events) >= 2 and set(events) == {feasibility._PRIMAL_SIMPLEX}
+
+    def test_dual_simplex_on_the_cold_re_solve(self, monkeypatch):
+        # the hot start misses a bound by 6e-8 here, above FEASIBILITY_TOL
+        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0), np.array([[6e-8, 0.0], [1.0, 1.0]]))
+        events = self.recorded_runs(monkeypatch, target)
+        cold = [i + 1 for i, event in enumerate(events) if event == "clear"]
+        assert cold and all(events[i] == feasibility._DUAL_SIMPLEX for i in cold)
+        hot = [event for i, event in enumerate(events) if event != "clear" and i not in cold]
+        assert hot and set(hot) == {feasibility._PRIMAL_SIMPLEX}
+
 
 class TestGaugeLpTelemetry:
     def test_one_debug_record_per_solve(self, caplog):
@@ -452,6 +535,37 @@ class TestHighsBinding:
                           if not hasattr(getattr(core, owner, None), attr))
         assert not missing, (f"scipy {scipy.__version__}'s HiGHS binding lacks {missing}, "
                              "which the gauge LP calls")
+
+    def test_binding_accepts_every_option_the_engine_sets(self):
+        tree = ast.parse(Path(feasibility.__file__).read_text())
+        names = {arg.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 in ("_set_option", "setOptionValue")
+                 for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+        assert {"output_flag", "simplex_strategy"} <= names
+        core = feasibility._highs_core()
+        highs = core._Highs()
+        rejected = sorted(name for name in names
+                          if highs.getOptionValue(name)[0] != core.HighsStatus.kOk)
+        assert not rejected, (f"scipy {scipy.__version__}'s HiGHS binding lacks the options "
+                              f"{rejected}, which the gauge LP sets")
+        for strategy in (feasibility._DUAL_SIMPLEX, feasibility._PRIMAL_SIMPLEX):
+            assert highs.setOptionValue("simplex_strategy", strategy) == core.HighsStatus.kOk
+
+    def test_rejected_option_is_a_solver_error(self, monkeypatch):
+        core = feasibility._highs_core()
+        with pytest.raises(FeasibilitySolverError) as excinfo:
+            feasibility._set_option(core._Highs(), core, "simplex_strategy", 99)
+        assert str(excinfo.value) == (
+            f"HiGHS rejected option simplex_strategy = 99 (scipy {scipy.__version__})")
+
+        class Misspelled(core._Highs):
+            def setOptionValue(self, name, value):
+                return super().setOptionValue(name.replace("strategy", "strategyy"), value)
+
+        monkeypatch.setattr(core, "_Highs", Misspelled)
+        with pytest.raises(FeasibilitySolverError, match="rejected option simplex_strategy = 4"):
+            local_polytope_membership(canonical_cosine_target(1.0))
 
     def test_missing_binding_is_a_clear_import_error(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, feasibility._HIGHS_CORE, raising=False)

@@ -295,6 +295,23 @@ class TestBenchmarkSetup:
         separated_gaussian_setup(1.0, (10.0, 0.0, 0.0))
 
 
+@st.composite
+def ratio_inputs(draw):
+    """(epsilon, mass, t, hbar) as mantissa * 2^exponent, any exponent of each
+    input, each next one drawn so that the running exponent of
+    hbar * t / mass / epsilon stays normal (the mantissas can still push a
+    step just past the range)."""
+    lo, hi = -1074, 1023  # the exponents of positive floats, subnormals included
+    e_hbar = draw(st.integers(lo, hi))
+    e_t = draw(st.integers(max(lo, -1023 - e_hbar), min(hi, 1023 - e_hbar)))
+    e_mass = draw(st.integers(max(lo, e_hbar + e_t - 1023), min(hi, e_hbar + e_t + 1023)))
+    e_eps = draw(st.integers(max(lo, e_hbar + e_t - e_mass - 1023),
+                             min(hi, e_hbar + e_t - e_mass + 1023)))
+    mantissa = st.floats(1.0, 2.0, exclude_max=True)
+    hbar, t, mass, epsilon = (math.ldexp(draw(mantissa), e) for e in (e_hbar, e_t, e_mass, e_eps))
+    return epsilon, mass, t, hbar
+
+
 class TestExpandedWidth:
     def test_zero_time(self):
         assert expanded_width(1.0, 1.0, 0.0, 1.0) == 1.0
@@ -315,15 +332,11 @@ class TestExpandedWidth:
         assert all(w2 > w1 for w1, w2 in zip(widths, widths[1:]))
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        epsilon=st.floats(min_value=5e-324, max_value=1e308),
-        mass=st.floats(min_value=5e-324, max_value=1e308),
-        t=st.floats(min_value=0.0, max_value=1e308),
-        hbar=st.floats(min_value=5e-324, max_value=1e308),
-    )
-    def test_matches_the_plain_ratio_where_it_is_normal(self, epsilon, mass, t, hbar):
+    @given(ratio_inputs())
+    def test_matches_the_plain_ratio_where_it_is_normal(self, inputs):
         # the exponent-scaled ratio is bit-identical to hbar * t / mass / epsilon
         # wherever that expression never leaves the normal floats
+        epsilon, mass, t, hbar = inputs
         steps = [hbar * t]
         steps.append(steps[-1] / mass)
         steps.append(steps[-1] / epsilon)
