@@ -53,11 +53,11 @@ print()
 print("=== Sampling outcomes ===")
 print("  the QKD singlet channel measures both wings along alice_direction,")
 print("  so its outcomes follow E(a, b) = -cos(alpha - beta)")
-rng_channel, rng_signs = split_generators(2, 2)
+rng_channel, rng_alice, rng_bob = split_generators(2, 3)
 n = 200_000
 alpha, beta = 0.0, math.pi / 4
 _, s_a, s_b = QuantumLocalizedChannel(g=1.0).sample(
-    np.full(n, alpha), np.full(n, beta), rng_channel, rng_signs
+    np.full(n, alpha), np.full(n, beta), rng_channel, rng_alice, rng_bob
 )
 empirical = float(np.mean(s_a * s_b))
 analytic = singlet_correlation(alice_direction(alpha), alice_direction(beta))

@@ -2,14 +2,18 @@
 
 Each round the source emits a singlet pair; Alice and Bob draw independent
 uniform settings from three directions each and measure.  :func:`run_session`
-draws all settings, then the channel's ``sample`` method, its one vectorized
-rule, produces every round's detection and outcomes.  The quantum channel
-registers a coincidence with probability g (the localization factor of the
-detector regions) and, conditioned on detection, produces full singlet
-statistics.  The eavesdropper channel replaces the pair by a local
-hidden-variable model: lambda plays the role of Eve, every round is detected,
-and outcomes come from the model's bounded responses, Bob's sign negated so
-that, like the singlet's, her raw correlations are -E[xi * eta].
+walks the rounds in fixed chunks: it draws each chunk's settings, then the
+channel's ``sample`` method, its one vectorized rule, produces that chunk's
+detection and outcomes, and only the chunk's tally and key bits are kept.
+Every stream is split exactly, so a session draws the same numbers as if it
+were sampled in one piece and the chunk size never shows in the output.
+The quantum channel registers a coincidence with probability g (the
+localization factor of the detector regions) and, conditioned on detection,
+produces full singlet statistics.  The eavesdropper channel replaces the
+pair by a local hidden-variable model: lambda plays the role of Eve, every
+round is detected, and outcomes come from the model's bounded responses,
+Bob's sign negated so that, like the singlet's, her raw correlations are
+-E[xi * eta].
 
 After the public announcement of settings, rounds split into key rounds
 (equal angles on both wings), test rounds (the four configured CHSH setting
@@ -33,11 +37,13 @@ statistics certify security when g <= 1/2 is the fair-sampling question; the
 report shows both numbers and takes no side.
 
 ``return_rounds=True`` adds the per-round log as numpy columns
-(:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access.
+(:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access;
+only this log grows with the session.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,11 +62,15 @@ INCONCLUSIVE = "inconclusive"
 
 #: Minimum detected test rounds per CHSH pair for a statistically usable S.
 MIN_TEST_ROUNDS_PER_PAIR = 50
-#: Largest session: peak RSS grows ~63 MB per 10^6 rounds (~110 MB with the
-#: round log), so a 10^7-round session stays under ~1.2 GB either way.
+#: Largest session.  Without the round log, peak RSS grows ~7 MB at 10^6
+#: rounds and ~19 MB at 10^7 (chunk buffers, then the key bits); the log and
+#: its CSV take ~115 MB per 10^6 rounds, so this cap keeps a logged session
+#: under ~1.2 GB.
 MAX_ROUNDS = 10_000_000
 
 _ANGLE_MATCH_TOL = 1e-12
+#: Rounds simulated per chunk of a session; the output does not depend on it.
+_CHUNK = 1 << 16
 
 
 Rng = np.random.Generator
@@ -72,14 +82,18 @@ Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 class ChannelModel(Protocol):
     """A channel: one vectorized sampling rule.
 
-    ``sample`` gets every round's setting angles and returns (detected, s_a,
-    s_b): physical (unflipped) +-1 outcomes on every round, lost or not.
-    ``rng_channel`` drives detection or the hidden variable; ``rng_signs``
-    gives two uniforms per round, all of Alice's, then all of Bob's.
+    ``sample`` gets a run of rounds' setting angles and returns (detected,
+    s_a, s_b): physical (unflipped) +-1 int8 outcomes on every round, lost or
+    not.  ``rng_channel`` drives detection or the hidden variable with one
+    uniform per round; ``rng_alice`` and ``rng_bob`` each give one uniform per
+    round for that wing's sign.  One draw per round and stream is what lets
+    :func:`run_session` sample a session chunk by chunk with the draws of a
+    single call.
     """
 
     def sample(
-        self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
+        self, alice_theta: np.ndarray, bob_theta: np.ndarray,
+        rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws: ...
 
 
@@ -99,7 +113,8 @@ class QuantumLocalizedChannel:
         return cls(g=setup_g_factor(setup, t).g)
 
     def sample(
-        self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
+        self, alice_theta: np.ndarray, bob_theta: np.ndarray,
+        rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws:
         """Coincidences with probability g, singlet outcomes on every round.
 
@@ -111,8 +126,8 @@ class QuantumLocalizedChannel:
         n = alice_theta.size
         detected = rng_channel.random(n) < self.g
         dot = np.cos(alice_theta - bob_theta)
-        s_a = np.where(rng_signs.random(n) < 0.5, 1, -1)
-        s_b = np.where(rng_signs.random(n) < (1.0 - dot) / 2.0, s_a, -s_a)
+        s_a = np.where(rng_alice.random(n) < 0.5, np.int8(1), np.int8(-1))
+        s_b = np.where(rng_bob.random(n) < (1.0 - dot) / 2.0, s_a, -s_a)
         return detected, s_a, s_b
 
 
@@ -123,7 +138,8 @@ class LhvEveChannel:
     model: HiddenVariableModel
 
     def sample(
-        self, alice_theta: np.ndarray, bob_theta: np.ndarray, rng_channel: Rng, rng_signs: Rng
+        self, alice_theta: np.ndarray, bob_theta: np.ndarray,
+        rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws:
         """One lambda per round, every round detected.
 
@@ -136,8 +152,8 @@ class LhvEveChannel:
         n = alice_theta.size
         lam = rng_channel.uniform(0.0, TWO_PI, n)
         xi, eta = response_values(self.model, alice_theta, bob_theta, lam)
-        s_a = np.where(rng_signs.random(n) < (1.0 + xi) / 2.0, 1, -1)
-        s_b = np.where(rng_signs.random(n) < (1.0 + eta) / 2.0, -1, 1)
+        s_a = np.where(rng_alice.random(n) < (1.0 + xi) / 2.0, np.int8(1), np.int8(-1))
+        s_b = np.where(rng_bob.random(n) < (1.0 + eta) / 2.0, np.int8(-1), np.int8(1))
         return np.ones(n, dtype=bool), s_a, s_b
 
 
@@ -324,39 +340,67 @@ def run_session(
     """Simulate a full session: rounds, sifting, CHSH audit, verdict.
 
     Three independent generator streams (settings, channel, outcome signs)
-    are split from the seed.  All settings are drawn first, then the channel
-    samples every round at once, so reports are bit-reproducible for a fixed
-    config.  ``return_rounds=True`` adds the per-round :class:`RoundLog`.
+    are split from the seed.  The settings stream gives all of Alice's
+    settings, then all of Bob's; the signs stream all of Alice's uniforms,
+    then all of Bob's.  Rounds are simulated in chunks of ``_CHUNK``, each
+    wing reading its share from its own position in the stream, so reports
+    are bit-reproducible for a fixed config and independent of the chunk
+    size.  A chunk leaves behind only its integer tally and its key bits,
+    so only the key grows with ``n_rounds``.  ``return_rounds=True`` adds the
+    per-round :class:`RoundLog`, whose columns grow too.
     """
     n = config.n_rounds
     rng_settings, rng_channel, rng_signs = split_generators(config.seed, 3)
+    # Bounded integers take a data-dependent number of draws, so Bob's
+    # settings stream is found by drawing Alice's n settings once more; a
+    # uniform takes exactly one draw, so Bob's signs stream is an advance.
+    bob_settings = copy.deepcopy(rng_settings)
+    for start in range(0, n, _CHUNK):
+        bob_settings.integers(0, 3, min(_CHUNK, n - start))
+    rng_bob = copy.deepcopy(rng_signs)
+    rng_bob.bit_generator.advance(n)
 
-    a_idx = rng_settings.integers(0, 3, n)
-    b_idx = rng_settings.integers(0, 3, n)
-    alice_theta = np.asarray(config.alice_angles)[a_idx]
-    bob_theta = np.asarray(config.bob_angles)[b_idx]
-
-    detected, s_a, s_b = config.channel.sample(alice_theta, bob_theta, rng_channel, rng_signs)
-    s_a = np.where(detected, s_a, 0).astype(np.int8)
-    s_b = np.where(detected, s_b, 0).astype(np.int8)
-    # Bob's public flip: physical singlet outcomes anticorrelate at matched
-    # angles, so flipped bits agree and test correlations become +cos.
-    s_b_flipped = -s_b
-
-    cell = 3 * a_idx + b_idx
+    alice_angles, bob_angles = np.asarray(config.alice_angles), np.asarray(config.bob_angles)
     angle_matched = np.array(
-        [[_angles_match(a, b) for b in config.bob_angles] for a in config.alice_angles]
+        [_angles_match(a, b) for a in config.alice_angles for b in config.bob_angles]
     )
-    key_mask = detected & angle_matched.ravel()[cell]
+    log = None
+    if return_rounds:
+        dtypes = (np.int64, np.int64, bool, np.int8, np.int8)
+        log = RoundLog(*(np.empty(n, dtype) for dtype in dtypes))
+    tally = np.zeros(27, dtype=np.int64)
+    n_detected = 0
+    alice_bits, bob_bits = [], []
+    for start in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - start)
+        a_idx = rng_settings.integers(0, 3, size)
+        b_idx = bob_settings.integers(0, 3, size)
+        detected, s_a, s_b = config.channel.sample(
+            alice_angles[a_idx], bob_angles[b_idx], rng_channel, rng_signs, rng_bob
+        )
+        s_a = np.where(detected, s_a, np.int8(0))
+        s_b = np.where(detected, s_b, np.int8(0))
+        cell = 3 * a_idx + b_idx
+        key_mask = detected & angle_matched[cell]
+        # Bob's public flip: physical singlet outcomes anticorrelate at matched
+        # angles, so flipped bits agree and test correlations become +cos.
+        alice_bits.append(s_a[key_mask] > 0)
+        bob_bits.append(s_b[key_mask] < 0)
+        # Rounds whose flipped product is -1, 0 (lost) or +1, per setting cell.
+        tally += np.bincount(3 * cell - s_a * s_b + 1, minlength=27)
+        n_detected += int(np.count_nonzero(detected))
+        if log is not None:
+            columns = (log.a_idx, log.b_idx, log.detected, log.s_a, log.s_b)
+            for column, values in zip(columns, (a_idx, b_idx, detected, s_a, s_b)):
+                column[start:start + size] = values
 
-    alice_bits = (1 + s_a[key_mask]) // 2
-    bob_bits = (1 + s_b_flipped[key_mask]) // 2
-    n_key = int(key_mask.sum())
-    qber = float(np.mean(alice_bits != bob_bits)) if n_key > 0 else None
+    alice_key, bob_key = np.concatenate(alice_bits), np.concatenate(bob_bits)
+    n_key = alice_key.size
+    qber = int(np.count_nonzero(alice_key != bob_key)) / n_key if n_key > 0 else None
 
-    # Rounds whose flipped product is -1, 0 (lost) or +1, per setting cell.
-    tally = np.bincount(3 * cell + s_a * s_b_flipped + 1, minlength=27).reshape(9, 3)
-    minus, lost, plus = tally[[3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]].T.tolist()
+    minus, lost, plus = tally.reshape(9, 3)[
+        [3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]
+    ].T.tolist()
     chsh_cond = _chsh_estimate(config.chsh_pairs, minus, plus, [0] * 4)
     chsh_uncond = _chsh_estimate(config.chsh_pairs, minus, plus, lost)
     n_test = tuple(m + q for m, q in zip(minus, plus))
@@ -367,26 +411,26 @@ def run_session(
         verdict = decide_verdict(chsh_cond.s_value, chsh_cond.std_error, config.alarm_sigma)
 
     report = QkdSessionReport(
-        sifted_key_alice=_bit_string(alice_bits),
-        sifted_key_bob=_bit_string(bob_bits),
+        sifted_key_alice=_bit_string(alice_key),
+        sifted_key_bob=_bit_string(bob_key),
         qber=qber,
         chsh_estimate=chsh_cond,
         chsh_unconditioned=chsh_uncond,
         verdict=verdict,
-        coincidence_rate=float(np.mean(detected)),
+        coincidence_rate=n_detected / n,
         n_rounds=n,
-        n_detected=int(detected.sum()),
+        n_detected=n_detected,
         n_key_rounds=n_key,
         n_test_rounds=n_test,  # type: ignore[arg-type]
     )
-    if not return_rounds:
+    if log is None:
         return report
-    return report, RoundLog(a_idx, b_idx, detected, s_a, s_b)
+    return report, log
 
 
 def _bit_string(bits: np.ndarray) -> str:
-    """0/1 array as a string of '0'/'1' characters."""
-    return (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    """Boolean array as a string of '0'/'1' characters."""
+    return (bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def rounds_to_csv(rounds: RoundLog) -> str:
@@ -406,8 +450,10 @@ def rounds_to_csv(rounds: RoundLog) -> str:
         for s_b in (-1, 0, 1)
     ]
     tail_bytes = np.array(tails, dtype="S").view(np.uint8).reshape(len(tails), -1)
+    # in intp: the code reaches 161, past what narrow index columns can hold
+    a_idx = rounds.a_idx.astype(np.intp)
     code = (
-        ((rounds.a_idx * 3 + rounds.b_idx) * 2 + rounds.detected) * 3 + rounds.s_a + 1
+        ((a_idx * 3 + rounds.b_idx) * 2 + rounds.detected) * 3 + rounds.s_a + 1
     ) * 3 + rounds.s_b + 1
     width = len(str(n - 1))
     cells = np.zeros((n, width + tail_bytes.shape[1]), dtype=np.uint8)

@@ -166,12 +166,10 @@ class TestMonteCarlo:
 
 def sample_eve(model, alpha, beta, n, seed):
     """(s_a, s_b) from the eavesdropper channel at per-round or fixed angles."""
-    rng_channel, rng_signs = split_generators(seed, 2)
     detected, s_a, s_b = LhvEveChannel(model=model).sample(
         np.broadcast_to(np.asarray(alpha, dtype=float), (n,)),
         np.broadcast_to(np.asarray(beta, dtype=float), (n,)),
-        rng_channel,
-        rng_signs,
+        *split_generators(seed, 3),
     )
     assert detected.all()
     return s_a, s_b

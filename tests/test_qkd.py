@@ -3,14 +3,20 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellspace import qkd
 from bellspace.cli import config_from_dict, main, report_to_dict
 
 from bellspace.lhv import cosine_model, random_bounded_model
@@ -22,6 +28,7 @@ from bellspace.qkd import (
     LhvEveChannel,
     QkdConfig,
     QuantumLocalizedChannel,
+    RoundLog,
     RoundRecord,
     decide_verdict,
     rounds_to_csv,
@@ -49,8 +56,7 @@ def lhv_config(g: float, n: int = 100_000, seed: int = 2024) -> QkdConfig:
 
 def sample_rounds(channel, alpha, beta, n, seed):
     """(detected, s_a, s_b) from a channel at fixed angles on both wings."""
-    rng_channel, rng_signs = split_generators(seed, 2)
-    return channel.sample(np.full(n, alpha), np.full(n, beta), rng_channel, rng_signs)
+    return channel.sample(np.full(n, alpha), np.full(n, beta), *split_generators(seed, 3))
 
 
 class TestQuantumChannelRounds:
@@ -417,6 +423,16 @@ class TestSerialization:
             lines.append(f"{i},{r.alice_setting},{r.bob_setting},{int(r.detected)},{s_a},{s_b}\n")
         assert rounds_to_csv(rounds) == "".join(lines)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_rounds_csv_narrow_index_columns(self, dtype):
+        # the row code reaches 161, which an int8 or uint8 column cannot hold
+        _, rounds = run_session(quantum_config(0.7, n=1_000, seed=29), return_rounds=True)
+        narrow = RoundLog(
+            rounds.a_idx.astype(dtype), rounds.b_idx.astype(dtype),
+            rounds.detected, rounds.s_a, rounds.s_b,
+        )
+        assert rounds_to_csv(narrow) == rounds_to_csv(rounds)
+
     def test_round_log_columns_and_rows(self):
         report, rounds = run_session(quantum_config(0.5, n=2_000, seed=19), return_rounds=True)
         assert len(rounds) == 2_000
@@ -495,3 +511,65 @@ class TestGoldenOutputs:
         config = QkdConfig(channel=LhvEveChannel(model=model()), n_rounds=20_000, seed=8008)
         text = json.dumps(report_to_dict(run_session(config)), sort_keys=True)
         assert self.sha256(text) == digest
+
+
+LOG_COLUMNS = ("a_idx", "b_idx", "detected", "s_a", "s_b")
+
+
+@st.composite
+def rounds_and_chunk(draw):
+    """A session length in [1000, 5000] and a chunk size in [1, n + 1], often a divisor of n."""
+    n = draw(st.integers(1000, 5000))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return n, draw(st.one_of(st.integers(1, n + 1), st.sampled_from(divisors)))
+
+
+class TestChunkedSessions:
+    """run_session walks the rounds in chunks; the chunk size must not show."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rounds_and_chunk(), st.sampled_from(["quantum", "eve"]), st.integers(0, 2**64 - 1))
+    @example((1000, 1), "quantum", 0)
+    @example((4096, 1024), "eve", 1)
+    @example((5000, 4999), "quantum", 2)
+    @example((5000, 5000), "eve", 3)
+    def test_chunk_size_changes_nothing(self, n_and_chunk, channel, seed):
+        n, chunk = n_and_chunk
+        config = quantum_config(0.7, n, seed) if channel == "quantum" else lhv_config(0.5, n, seed)
+        with mock.patch.object(qkd, "_CHUNK", n):
+            whole, whole_log = run_session(config, return_rounds=True)
+        with mock.patch.object(qkd, "_CHUNK", chunk):
+            report, log = run_session(config, return_rounds=True)
+        assert report == whole
+        # numpy.float64 would compare equal but change the report's repr
+        assert type(report.qber) is float and type(report.coincidence_rate) is float
+        for name in LOG_COLUMNS:
+            column, expected = getattr(log, name), getattr(whole_log, name)
+            assert column.dtype == expected.dtype
+            assert np.array_equal(column, expected)
+        assert rounds_to_csv(log) == rounds_to_csv(whole_log)
+
+    MEMORY_PROBE = (
+        "import resource\n"
+        "from bellspace.qkd import MAX_ROUNDS, QkdConfig, QuantumLocalizedChannel, run_session\n"
+        "config = QkdConfig(channel=QuantumLocalizedChannel(0.9), n_rounds=MAX_ROUNDS, seed=5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "report = run_session(config)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(report.n_rounds, (after - before) / 1024)\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_longest_session_memory(self):
+        # one session at the round cap, in a fresh interpreter so that no earlier
+        # test has already raised the peak; materializing it would take ~640 MB
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", self.MEMORY_PROBE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        n_rounds, growth_mb = result.stdout.split()
+        assert int(n_rounds) == qkd.MAX_ROUNDS
+        assert float(growth_mb) <= 64.0

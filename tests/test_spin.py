@@ -198,9 +198,8 @@ class TestJointProbability:
 
 def sample_channel(alpha, beta, seed):
     """Singlet outcomes from the QKD channel at g = 1 (per-round planar angles)."""
-    rng_channel, rng_signs = split_generators(seed, 2)
     return QuantumLocalizedChannel(g=1.0).sample(
-        np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float), rng_channel, rng_signs
+        np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float), *split_generators(seed, 3)
     )
 
 
