@@ -56,8 +56,9 @@ print("  so its outcomes follow E(a, b) = -cos(alpha - beta)")
 rng_channel, rng_alice, rng_bob = split_generators(2, 3)
 n = 200_000
 alpha, beta = 0.0, math.pi / 4
+# one setting pair, every round in its cell
 _, s_a, s_b = QuantumLocalizedChannel(g=1.0).sample(
-    np.full(n, alpha), np.full(n, beta), rng_channel, rng_alice, rng_bob
+    np.array([[alpha, beta]]), np.zeros(n, dtype=np.intp), rng_channel, rng_alice, rng_bob
 )
 empirical = float(np.mean(s_a * s_b))
 analytic = singlet_correlation(alice_direction(alpha), alice_direction(beta))

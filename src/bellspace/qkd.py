@@ -4,7 +4,8 @@ Each round the source emits a singlet pair; Alice and Bob draw independent
 uniform settings from three directions each and measure.  :func:`run_session`
 walks the rounds in fixed chunks: it draws each chunk's settings, then the
 channel's ``sample`` method, its one vectorized rule, produces that chunk's
-detection and outcomes, and only the chunk's tally and key bits are kept.
+detection and outcomes from the table of the nine setting pairs and each
+round's cell (row) in it, and only the chunk's tally and key bits are kept.
 Every stream is split exactly, so a session draws the same numbers as if it
 were sampled in one piece and the chunk size never shows in the output.
 The quantum channel registers a coincidence with probability g (the
@@ -38,7 +39,8 @@ report shows both numbers and takes no side.
 
 ``return_rounds=True`` adds the per-round log as numpy columns
 (:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access;
-only this log grows with the session.
+only this log grows with the session.  :func:`rounds_to_csv` writes it in
+blocks of rows, so besides the columns only the CSV text itself grows.
 """
 
 from __future__ import annotations
@@ -62,15 +64,31 @@ INCONCLUSIVE = "inconclusive"
 
 #: Minimum detected test rounds per CHSH pair for a statistically usable S.
 MIN_TEST_ROUNDS_PER_PAIR = 50
-#: Largest session.  Without the round log, peak RSS grows ~7 MB at 10^6
+#: Largest session.  Without the round log, peak RSS grows ~5 MB at 10^6
 #: rounds and ~19 MB at 10^7 (chunk buffers, then the key bits); the log and
-#: its CSV take ~115 MB per 10^6 rounds, so this cap keeps a logged session
-#: under ~1.2 GB.
+#: its CSV take ~55 MB per 10^6 rounds (19 MB of columns, the CSV text and its
+#: joined copy), so this cap keeps a logged session under ~0.6 GB (544 MB
+#: measured at 10^7).
 MAX_ROUNDS = 10_000_000
 
 _ANGLE_MATCH_TOL = 1e-12
 #: Rounds simulated per chunk of a session; the output does not depend on it.
 _CHUNK = 1 << 16
+#: Rows per block of :func:`rounds_to_csv`; the output does not depend on it.
+_CSV_BLOCK = 1 << 14
+#: Every ``,a,b,d,s_a,s_b`` row tail of the round-log CSV as NUL-padded bytes,
+#: indexed by the row code ((((a * 3 + b) * 2 + d) * 3 + s_a + 1) * 3 + s_b + 1).
+_CSV_TAILS = np.array(
+    [
+        f",{a},{b},{d},{s_a or ''},{s_b or ''}\n"
+        for a in range(3)
+        for b in range(3)
+        for d in range(2)
+        for s_a in (-1, 0, 1)
+        for s_b in (-1, 0, 1)
+    ],
+    dtype="S",
+)
 
 
 Rng = np.random.Generator
@@ -82,19 +100,26 @@ Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 class ChannelModel(Protocol):
     """A channel: one vectorized sampling rule.
 
-    ``sample`` gets a run of rounds' setting angles and returns (detected,
-    s_a, s_b): physical (unflipped) +-1 int8 outcomes on every round, lost or
-    not.  ``rng_channel`` drives detection or the hidden variable with one
-    uniform per round; ``rng_alice`` and ``rng_bob`` each give one uniform per
-    round for that wing's sign.  One draw per round and stream is what lets
-    :func:`run_session` sample a session chunk by chunk with the draws of a
-    single call.
+    ``sample`` gets a (k, 2) table ``pairs`` of (alpha, beta) setting angles
+    and one row index per round, ``cell``, and returns (detected, s_a, s_b):
+    physical (unflipped) +-1 int8 outcomes on every round, lost or not.  A
+    channel may work per table row (a session has only nine pairs) and gather
+    by ``cell``.  ``rng_channel`` drives detection or the hidden variable with
+    one uniform per round; ``rng_alice`` and ``rng_bob`` each give one uniform
+    per round for that wing's sign.  One draw per round and stream is what
+    lets :func:`run_session` sample a session chunk by chunk with the draws of
+    a single call.
     """
 
     def sample(
-        self, alice_theta: np.ndarray, bob_theta: np.ndarray,
+        self, pairs: np.ndarray, cell: np.ndarray,
         rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws: ...
+
+
+def _signs(positive: np.ndarray) -> np.ndarray:
+    """+1 where ``positive`` holds, -1 elsewhere, as int8."""
+    return (positive.view(np.int8) << 1) - 1
 
 
 @dataclass(frozen=True)
@@ -113,22 +138,21 @@ class QuantumLocalizedChannel:
         return cls(g=setup_g_factor(setup, t).g)
 
     def sample(
-        self, alice_theta: np.ndarray, bob_theta: np.ndarray,
+        self, pairs: np.ndarray, cell: np.ndarray,
         rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws:
         """Coincidences with probability g, singlet outcomes on every round.
 
         Both wings measure along (cos t, 0, sin t), so a . b = cos(alpha -
         beta): s_a is a fair coin and s_b equals s_a with probability
-        (1 - a . b)/2, giving E[s_a * s_b] = -cos(alpha - beta) and exact
-        anticorrelation at equal angles.
+        (1 - a . b)/2, computed once per pair, giving E[s_a * s_b] =
+        -cos(alpha - beta) and exact anticorrelation at equal angles.
         """
-        n = alice_theta.size
+        n = cell.size
         detected = rng_channel.random(n) < self.g
-        dot = np.cos(alice_theta - bob_theta)
-        s_a = np.where(rng_alice.random(n) < 0.5, np.int8(1), np.int8(-1))
-        s_b = np.where(rng_bob.random(n) < (1.0 - dot) / 2.0, s_a, -s_a)
-        return detected, s_a, s_b
+        p_same = (1.0 - np.cos(pairs[:, 0] - pairs[:, 1])) / 2.0
+        s_a = _signs(rng_alice.random(n) < 0.5)
+        return detected, s_a, s_a * _signs(rng_bob.random(n) < p_same[cell])
 
 
 @dataclass(frozen=True)
@@ -138,7 +162,7 @@ class LhvEveChannel:
     model: HiddenVariableModel
 
     def sample(
-        self, alice_theta: np.ndarray, bob_theta: np.ndarray,
+        self, pairs: np.ndarray, cell: np.ndarray,
         rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws:
         """One lambda per round, every round detected.
@@ -149,11 +173,11 @@ class LhvEveChannel:
         key bits agree exactly as often as the model correlates.  Raises
         ValueError if any response value leaves [-1, 1].
         """
-        n = alice_theta.size
+        n = cell.size
         lam = rng_channel.uniform(0.0, TWO_PI, n)
-        xi, eta = response_values(self.model, alice_theta, bob_theta, lam)
-        s_a = np.where(rng_alice.random(n) < (1.0 + xi) / 2.0, np.int8(1), np.int8(-1))
-        s_b = np.where(rng_bob.random(n) < (1.0 + eta) / 2.0, np.int8(-1), np.int8(1))
+        xi, eta = response_values(self.model, pairs[cell, 0], pairs[cell, 1], lam)
+        s_a = _signs(rng_alice.random(n) < (1.0 + xi) / 2.0)
+        s_b = -_signs(rng_bob.random(n) < (1.0 + eta) / 2.0)
         return np.ones(n, dtype=bool), s_a, s_b
 
 
@@ -345,8 +369,10 @@ def run_session(
     then all of Bob's.  Rounds are simulated in chunks of ``_CHUNK``, each
     wing reading its share from its own position in the stream, so reports
     are bit-reproducible for a fixed config and independent of the chunk
-    size.  A chunk leaves behind only its integer tally and its key bits,
-    so only the key grows with ``n_rounds``.  ``return_rounds=True`` adds the
+    size.  The channel samples a chunk from the table of the nine (alpha,
+    beta) setting pairs and each round's cell ``3 * a_idx + b_idx`` in it.
+    A chunk leaves behind only its integer tally and its key bits, so only
+    the key grows with ``n_rounds``.  ``return_rounds=True`` adds the
     per-round :class:`RoundLog`, whose columns grow too.
     """
     n = config.n_rounds
@@ -360,7 +386,7 @@ def run_session(
     rng_bob = copy.deepcopy(rng_signs)
     rng_bob.bit_generator.advance(n)
 
-    alice_angles, bob_angles = np.asarray(config.alice_angles), np.asarray(config.bob_angles)
+    pairs = np.array([(a, b) for a in config.alice_angles for b in config.bob_angles])
     angle_matched = np.array(
         [_angles_match(a, b) for a in config.alice_angles for b in config.bob_angles]
     )
@@ -375,17 +401,15 @@ def run_session(
         size = min(_CHUNK, n - start)
         a_idx = rng_settings.integers(0, 3, size)
         b_idx = bob_settings.integers(0, 3, size)
-        detected, s_a, s_b = config.channel.sample(
-            alice_angles[a_idx], bob_angles[b_idx], rng_channel, rng_signs, rng_bob
-        )
-        s_a = np.where(detected, s_a, np.int8(0))
-        s_b = np.where(detected, s_b, np.int8(0))
         cell = 3 * a_idx + b_idx
-        key_mask = detected & angle_matched[cell]
+        detected, s_a, s_b = config.channel.sample(pairs, cell, rng_channel, rng_signs, rng_bob)
+        s_a = s_a * detected
+        s_b = s_b * detected
+        key = np.flatnonzero(detected & angle_matched[cell])
         # Bob's public flip: physical singlet outcomes anticorrelate at matched
         # angles, so flipped bits agree and test correlations become +cos.
-        alice_bits.append(s_a[key_mask] > 0)
-        bob_bits.append(s_b[key_mask] < 0)
+        alice_bits.append(s_a[key] > 0)
+        bob_bits.append(s_b[key] < 0)
         # Rounds whose flipped product is -1, 0 (lost) or +1, per setting cell.
         tally += np.bincount(3 * cell - s_a * s_b + 1, minlength=27)
         n_detected += int(np.count_nonzero(detected))
@@ -436,32 +460,32 @@ def _bit_string(bits: np.ndarray) -> str:
 def rounds_to_csv(rounds: RoundLog) -> str:
     """Per-round log: round, a_idx, b_idx, detected, s_a, s_b (blank if lost).
 
-    Built without a per-row loop: each row is the round number's digits
-    followed by one of the few possible ``,a,b,d,s_a,s_b`` tails, laid out in
-    a NUL-padded byte matrix whose padding is then dropped.
+    Built without a per-row loop, ``_CSV_BLOCK`` rows at a time: each row is
+    the round number's digits followed by one of the few possible
+    ``,a,b,d,s_a,s_b`` tails, laid out in NUL-padded fixed-width byte rows
+    whose padding is then dropped.  Only one block's rows exist at a time.
     """
     n = len(rounds)
-    tails = [
-        f",{a},{b},{d},{s_a or ''},{s_b or ''}\n"
-        for a in range(3)
-        for b in range(3)
-        for d in range(2)
-        for s_a in (-1, 0, 1)
-        for s_b in (-1, 0, 1)
-    ]
-    tail_bytes = np.array(tails, dtype="S").view(np.uint8).reshape(len(tails), -1)
-    # in intp: the code reaches 161, past what narrow index columns can hold
-    a_idx = rounds.a_idx.astype(np.intp)
-    code = (
-        ((a_idx * 3 + rounds.b_idx) * 2 + rounds.detected) * 3 + rounds.s_a + 1
-    ) * 3 + rounds.s_b + 1
     width = len(str(n - 1))
-    cells = np.zeros((n, width + tail_bytes.shape[1]), dtype=np.uint8)
-    number = np.arange(n)
-    for p in range(width):
-        # rows from 10**p on have a digit at place p; row 0 still needs its "0"
-        first = 10**p if p else 0
-        cells[first:, width - 1 - p] = ord("0") + number[first:] // 10**p % 10
-    cells[:, width:] = tail_bytes[code]
-    body = cells[cells != 0].tobytes().decode("ascii")
-    return "round,a_idx,b_idx,detected,s_a,s_b\n" + body
+    row = np.dtype([("digits", np.uint8, (width,)), ("tail", _CSV_TAILS.dtype)])
+    parts = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
+    for start in range(0, n, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, n)
+        a_idx, b_idx, detected, s_a, s_b = (
+            column[start:stop]
+            for column in (rounds.a_idx, rounds.b_idx, rounds.detected, rounds.s_a, rounds.s_b)
+        )
+        # in intp: the code reaches 161, past what narrow index columns can hold
+        code = (((a_idx.astype(np.intp) * 3 + b_idx) * 2 + detected) * 3 + s_a + 1) * 3 + s_b + 1
+        cells = np.zeros(stop - start, row)
+        # unsigned and no wider than n needs: the divisions by 10 cost the most
+        number = np.arange(start, stop, dtype=np.min_scalar_type(n))
+        for p in range(width):
+            tens = number // 10
+            # rows from 10**p on have a digit at place p; row 0 still needs its "0"
+            first = max((10**p if p else 0) - start, 0)
+            cells["digits"][first:, width - 1 - p] = (number - tens * 10)[first:] + ord("0")
+            number = tens
+        cells["tail"] = _CSV_TAILS[code]
+        parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)

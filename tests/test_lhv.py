@@ -165,11 +165,14 @@ class TestMonteCarlo:
 
 
 def sample_eve(model, alpha, beta, n, seed):
-    """(s_a, s_b) from the eavesdropper channel at per-round or fixed angles."""
+    """(s_a, s_b) from the eavesdropper channel at per-round or fixed angles.
+
+    Round i gets its own setting pair: row i of the pair table.
+    """
+    pairs = np.empty((n, 2))
+    pairs[:, 0], pairs[:, 1] = alpha, beta
     detected, s_a, s_b = LhvEveChannel(model=model).sample(
-        np.broadcast_to(np.asarray(alpha, dtype=float), (n,)),
-        np.broadcast_to(np.asarray(beta, dtype=float), (n,)),
-        *split_generators(seed, 3),
+        pairs, np.arange(n), *split_generators(seed, 3)
     )
     assert detected.all()
     return s_a, s_b

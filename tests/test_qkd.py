@@ -55,8 +55,19 @@ def lhv_config(g: float, n: int = 100_000, seed: int = 2024) -> QkdConfig:
 
 
 def sample_rounds(channel, alpha, beta, n, seed):
-    """(detected, s_a, s_b) from a channel at fixed angles on both wings."""
-    return channel.sample(np.full(n, alpha), np.full(n, beta), *split_generators(seed, 3))
+    """(detected, s_a, s_b) from a channel at fixed angles: one pair, n rounds in its cell."""
+    pairs = np.array([[alpha, beta]])
+    return channel.sample(pairs, np.zeros(n, dtype=np.intp), *split_generators(seed, 3))
+
+
+def assert_same_csv(text, expected):
+    """Equal CSV texts; a mismatch names its first differing line, since pytest's
+    own diff of two long strings takes minutes."""
+    if text != expected:
+        got, want = text.splitlines(), expected.splitlines()
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"{len(got)} vs {len(want)} lines, first difference at line {i}: "
+                    f"{got[i:i + 1]} vs {want[i:i + 1]}")
 
 
 class TestQuantumChannelRounds:
@@ -100,6 +111,53 @@ class TestLhvChannelRounds:
         n = 20_000
         _, s_a, s_b = sample_rounds(LhvEveChannel(cosine_model(0.0)), 0.1, 0.9, n, 331)
         assert abs(float(np.mean(s_a * s_b))) < 4 / math.sqrt(n)
+
+
+#: Angles for setting-pair tables: negative, beyond 2*pi and exact multiples of pi.
+PAIR_ANGLES = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, math.pi / 4, -math.pi / 4, math.pi, 3 * math.pi / 2, 2 * math.pi, -6 * math.pi]),
+)
+
+
+@st.composite
+def pair_tables(draw):
+    """A (k, 2) table of (alpha, beta) pairs, 1 <= k <= 12, with equal and 2*pi-wrapped pairs."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        alpha = draw(PAIR_ANGLES)
+        kind = draw(st.sampled_from(["free", "equal", "wrapped"]))
+        if kind == "free":
+            beta = draw(PAIR_ANGLES)
+        else:
+            beta = alpha + (2 * math.pi * draw(st.integers(-3, 3)) if kind == "wrapped" else 0.0)
+        rows.append((alpha, beta))
+    return np.array(rows)
+
+
+CELL_CHANNELS = {
+    "quantum": lambda: QuantumLocalizedChannel(0.8),
+    "cosine-eve": lambda: LhvEveChannel(cosine_model(0.5)),
+    "random-eve": lambda: LhvEveChannel(random_bounded_model(make_generator(4242))),
+}
+
+
+class TestCellSampling:
+    """A channel given a pair table and cells draws as if each round had its own pair."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pair_tables(), st.integers(1, 400), st.sampled_from(sorted(CELL_CHANNELS)),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_cells_match_per_round_pairs(self, pairs, n, channel, seed):
+        cell = make_generator(seed).integers(0, len(pairs), n)
+        sampler = CELL_CHANNELS[channel]()
+        by_cell = sampler.sample(pairs, cell, *split_generators(seed, 3))
+        per_round = sampler.sample(pairs[cell], np.arange(n), *split_generators(seed, 3))
+        for drawn, expected in zip(by_cell, per_round):
+            assert drawn.dtype == expected.dtype
+            assert drawn.tobytes() == expected.tobytes()
 
 
 class TestDecideVerdict:
@@ -433,6 +491,29 @@ class TestSerialization:
         )
         assert rounds_to_csv(narrow) == rounds_to_csv(rounds)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1, 9, 10, 11, 99_999, 100_000, 100_001,
+            qkd._CSV_BLOCK - 1, qkd._CSV_BLOCK, qkd._CSV_BLOCK + 1,
+        ],
+    )
+    def test_rounds_csv_matches_plain_formatter(self, n):
+        # row numbers that gain a digit and logs that end at a block edge
+        rng = make_generator(n)
+        detected = rng.random(n) < 0.7
+        signs = (2 * rng.integers(0, 2, (2, n)) - 1).astype(np.int8) * detected
+        rounds = RoundLog(
+            rng.integers(0, 3, n), rng.integers(0, 3, n), detected, signs[0], signs[1]
+        )
+        lines = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
+        for i, (a, b, d, s_a, s_b) in enumerate(
+            zip(*(getattr(rounds, name).tolist() for name in LOG_COLUMNS))
+        ):
+            outcomes = f"{s_a},{s_b}" if d else ","
+            lines.append(f"{i},{a},{b},{int(d)},{outcomes}\n")
+        assert_same_csv(rounds_to_csv(rounds), "".join(lines))
+
     def test_round_log_columns_and_rows(self):
         report, rounds = run_session(quantum_config(0.5, n=2_000, seed=19), return_rounds=True)
         assert len(rounds) == 2_000
@@ -518,23 +599,26 @@ LOG_COLUMNS = ("a_idx", "b_idx", "detected", "s_a", "s_b")
 
 @st.composite
 def rounds_and_chunk(draw):
-    """A session length in [1000, 5000] and a chunk size in [1, n + 1], often a divisor of n."""
+    """A session length in [1000, 5000], then a session chunk size and a CSV block
+    size, each in [1, n + 1] and often a divisor of n."""
     n = draw(st.integers(1000, 5000))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    return n, draw(st.one_of(st.integers(1, n + 1), st.sampled_from(divisors)))
+    sizes = st.one_of(st.integers(1, n + 1), st.sampled_from(divisors))
+    return n, draw(sizes), draw(sizes)
 
 
 class TestChunkedSessions:
-    """run_session walks the rounds in chunks; the chunk size must not show."""
+    """run_session walks the rounds in chunks and rounds_to_csv the log in blocks;
+    neither size may show."""
 
     @settings(max_examples=25, deadline=None)
     @given(rounds_and_chunk(), st.sampled_from(["quantum", "eve"]), st.integers(0, 2**64 - 1))
-    @example((1000, 1), "quantum", 0)
-    @example((4096, 1024), "eve", 1)
-    @example((5000, 4999), "quantum", 2)
-    @example((5000, 5000), "eve", 3)
+    @example((1000, 1, 1000), "quantum", 0)
+    @example((4096, 1024, 1), "eve", 1)
+    @example((5000, 4999, 5001), "quantum", 2)
+    @example((5000, 5000, 4999), "eve", 3)
     def test_chunk_size_changes_nothing(self, n_and_chunk, channel, seed):
-        n, chunk = n_and_chunk
+        n, chunk, block = n_and_chunk
         config = quantum_config(0.7, n, seed) if channel == "quantum" else lhv_config(0.5, n, seed)
         with mock.patch.object(qkd, "_CHUNK", n):
             whole, whole_log = run_session(config, return_rounds=True)
@@ -547,7 +631,21 @@ class TestChunkedSessions:
             column, expected = getattr(log, name), getattr(whole_log, name)
             assert column.dtype == expected.dtype
             assert np.array_equal(column, expected)
-        assert rounds_to_csv(log) == rounds_to_csv(whole_log)
+        with mock.patch.object(qkd, "_CSV_BLOCK", n):
+            whole_csv = rounds_to_csv(whole_log)
+        with mock.patch.object(qkd, "_CSV_BLOCK", block):
+            assert_same_csv(rounds_to_csv(log), whole_csv)
+
+    @staticmethod
+    def fresh_interpreter(code: str) -> list[str]:
+        """Run ``code`` in a new Python process on this checkout; its stdout fields."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        )
+        return result.stdout.split()
 
     MEMORY_PROBE = (
         "import resource\n"
@@ -563,13 +661,25 @@ class TestChunkedSessions:
     def test_longest_session_memory(self):
         # one session at the round cap, in a fresh interpreter so that no earlier
         # test has already raised the peak; materializing it would take ~640 MB
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", self.MEMORY_PROBE],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        n_rounds, growth_mb = result.stdout.split()
+        n_rounds, growth_mb = self.fresh_interpreter(self.MEMORY_PROBE)
         assert int(n_rounds) == qkd.MAX_ROUNDS
         assert float(growth_mb) <= 64.0
+
+    LOG_MEMORY_PROBE = (
+        "import resource\n"
+        "from bellspace.qkd import QkdConfig, QuantumLocalizedChannel, rounds_to_csv, run_session\n"
+        "config = QkdConfig(channel=QuantumLocalizedChannel(0.9), n_rounds=10**6, seed=5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "_, rounds = run_session(config, return_rounds=True)\n"
+        "text = rounds_to_csv(rounds)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(text.count('\\n'), (after - before) / 1024)\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_logged_session_memory(self):
+        # the five log columns take 19 MB, the CSV text ~20 MB and the copy that
+        # joins its blocks as much again; the matrix of one block is small
+        n_lines, growth_mb = self.fresh_interpreter(self.LOG_MEMORY_PROBE)
+        assert int(n_lines) == 10**6 + 1
+        assert float(growth_mb) <= 80.0

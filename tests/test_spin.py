@@ -197,9 +197,13 @@ class TestJointProbability:
 
 
 def sample_channel(alpha, beta, seed):
-    """Singlet outcomes from the QKD channel at g = 1 (per-round planar angles)."""
+    """Singlet outcomes from the QKD channel at g = 1 (per-round planar angles).
+
+    Round i gets its own setting pair: row i of the pair table.
+    """
+    pairs = np.column_stack((alpha, beta)).astype(float)
     return QuantumLocalizedChannel(g=1.0).sample(
-        np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float), *split_generators(seed, 3)
+        pairs, np.arange(len(pairs)), *split_generators(seed, 3)
     )
 
 
