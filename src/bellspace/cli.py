@@ -214,6 +214,8 @@ def _channel(data: dict) -> ChannelModel:
         reject_unknown(data, {"variant", "g", "setup", "t"}, "channel")
         if ("g" in data) == ("setup" in data):
             raise ConfigError("quantum_localized channel needs either g or setup")
+        if "g" in data and "t" in data:
+            raise ConfigError("quantum_localized channel takes t only with a setup")
         t = param(data, "t", 0.0)
         if "g" in data:
             return QuantumLocalizedChannel(g=param(data, "g", None))

@@ -2,12 +2,13 @@
 
 Each round the source emits a singlet pair; Alice and Bob draw independent
 uniform settings from three directions each and measure.  :func:`run_session`
-walks the rounds in fixed chunks: it draws each chunk's settings, then the
-channel's ``sample`` method, its one vectorized rule, produces that chunk's
-detection and outcomes from the table of the nine setting pairs and each
-round's cell (row) in it, and only the chunk's tally and key bits are kept.
-Every stream is split exactly, so a session draws the same numbers as if it
-were sampled in one piece and the chunk size never shows in the output.
+walks the rounds in fixed chunks: it draws each chunk's setting cells, then
+the channel's ``sample`` method, its one vectorized rule, produces that
+chunk's detection and outcomes from the table of the nine setting pairs and
+each round's cell (row) in it, and only the chunk's tally and key bits are
+kept.  Cells, channel and each wing's signs have their own spawned stream,
+read in round order, so a session draws the same numbers as if it were
+sampled in one piece and the chunk size never shows in the output.
 The quantum channel registers a coincidence with probability g (the
 localization factor of the detector regions) and, conditioned on detection,
 produces full singlet statistics.  The eavesdropper channel replaces the
@@ -45,7 +46,6 @@ blocks of rows, so besides the columns only the CSV text itself grows.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,11 +104,11 @@ class ChannelModel(Protocol):
     and one row index per round, ``cell``, and returns (detected, s_a, s_b):
     physical (unflipped) +-1 int8 outcomes on every round, lost or not.  A
     channel may work per table row (a session has only nine pairs) and gather
-    by ``cell``.  ``rng_channel`` drives detection or the hidden variable with
-    one uniform per round; ``rng_alice`` and ``rng_bob`` each give one uniform
-    per round for that wing's sign.  One draw per round and stream is what
-    lets :func:`run_session` sample a session chunk by chunk with the draws of
-    a single call.
+    by ``cell``.  ``rng_channel`` drives detection or the hidden variable;
+    ``rng_alice`` and ``rng_bob`` drive that wing's sign.  Each stream must be
+    read in round order with a fixed number of draws per round (say one
+    ``(n, k)`` array), which is what lets :func:`run_session` sample a session
+    chunk by chunk with the draws of a single call.
     """
 
     def sample(
@@ -363,29 +363,20 @@ def run_session(
 ) -> QkdSessionReport | tuple[QkdSessionReport, RoundLog]:
     """Simulate a full session: rounds, sifting, CHSH audit, verdict.
 
-    Three independent generator streams (settings, channel, outcome signs)
-    are split from the seed.  The settings stream gives all of Alice's
-    settings, then all of Bob's; the signs stream all of Alice's uniforms,
-    then all of Bob's.  Rounds are simulated in chunks of ``_CHUNK``, each
-    wing reading its share from its own position in the stream, so reports
-    are bit-reproducible for a fixed config and independent of the chunk
-    size.  The channel samples a chunk from the table of the nine (alpha,
-    beta) setting pairs and each round's cell ``3 * a_idx + b_idx`` in it.
-    A chunk leaves behind only its integer tally and its key bits, so only
-    the key grows with ``n_rounds``.  ``return_rounds=True`` adds the
-    per-round :class:`RoundLog`, whose columns grow too.
+    Four independent generator streams are spawned from the seed: setting
+    cells, channel, Alice's signs and Bob's signs.  Each round's cell
+    ``3 * a_idx + b_idx`` is uniform on the nine (alpha, beta) setting pairs,
+    which makes both wings' settings independent and uniform on three.
+    Rounds are simulated in chunks of ``_CHUNK``, every stream read in round
+    order, so reports are bit-reproducible for a fixed config and independent
+    of the chunk size.  The channel samples a chunk from the table of the
+    nine setting pairs and each round's cell in it.  A chunk leaves behind
+    only its integer tally and its key bits, so only the key grows with
+    ``n_rounds``.  ``return_rounds=True`` adds the per-round
+    :class:`RoundLog`, whose columns grow too.
     """
     n = config.n_rounds
-    rng_settings, rng_channel, rng_signs = split_generators(config.seed, 3)
-    # Bounded integers take a data-dependent number of draws, so Bob's
-    # settings stream is found by drawing Alice's n settings once more; a
-    # uniform takes exactly one draw, so Bob's signs stream is an advance.
-    bob_settings = copy.deepcopy(rng_settings)
-    for start in range(0, n, _CHUNK):
-        bob_settings.integers(0, 3, min(_CHUNK, n - start))
-    rng_bob = copy.deepcopy(rng_signs)
-    rng_bob.bit_generator.advance(n)
-
+    rng_cells, rng_channel, rng_alice, rng_bob = split_generators(config.seed, 4)
     pairs = np.array([(a, b) for a in config.alice_angles for b in config.bob_angles])
     angle_matched = np.array(
         [_angles_match(a, b) for a in config.alice_angles for b in config.bob_angles]
@@ -399,10 +390,8 @@ def run_session(
     alice_bits, bob_bits = [], []
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
-        a_idx = rng_settings.integers(0, 3, size)
-        b_idx = bob_settings.integers(0, 3, size)
-        cell = 3 * a_idx + b_idx
-        detected, s_a, s_b = config.channel.sample(pairs, cell, rng_channel, rng_signs, rng_bob)
+        cell = rng_cells.integers(0, 9, size)
+        detected, s_a, s_b = config.channel.sample(pairs, cell, rng_channel, rng_alice, rng_bob)
         s_a = s_a * detected
         s_b = s_b * detected
         key = np.flatnonzero(detected & angle_matched[cell])
@@ -415,7 +404,7 @@ def run_session(
         n_detected += int(np.count_nonzero(detected))
         if log is not None:
             columns = (log.a_idx, log.b_idx, log.detected, log.s_a, log.s_b)
-            for column, values in zip(columns, (a_idx, b_idx, detected, s_a, s_b)):
+            for column, values in zip(columns, (*divmod(cell, 3), detected, s_a, s_b)):
                 column[start:start + size] = values
 
     alice_key, bob_key = np.concatenate(alice_bits), np.concatenate(bob_bits)

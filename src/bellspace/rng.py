@@ -2,12 +2,12 @@
 
 Every stochastic routine in this package takes an explicit
 ``numpy.random.Generator``; nothing draws from global state.  Multi-stream
-work (e.g. the QKD session's settings / channel / outcome streams) derives
-independent child generators via :func:`split_generators`, which spawns them
-from a single ``numpy.random.SeedSequence`` so the streams are statistically
-independent and reproducible for a fixed root seed.  numpy is imported by
-the two helpers, not by the module, so reading :data:`DEFAULT_SEED` loads
-no numpy.
+work (e.g. the QKD session's four streams: setting cells, channel, Alice's
+signs and Bob's signs) derives independent child generators via
+:func:`split_generators`, which spawns them from a single
+``numpy.random.SeedSequence`` so the streams are statistically independent
+and reproducible for a fixed root seed.  numpy is imported by the two
+helpers, not by the module, so reading :data:`DEFAULT_SEED` loads no numpy.
 """
 
 from __future__ import annotations

@@ -505,7 +505,7 @@ class TestGoldenOutputs:
                                        "channel": {"variant": "quantum_localized", "g": 0.01}}),
     }
     EXIT_CODES = {"qkd_inconclusive": EXIT_INCONCLUSIVE}
-    QKD_ROUND_LOG = "155b82b6da1bc9f2e636fa5657cbb863400e8a007a28706820889e907e732409"
+    QKD_ROUND_LOG = "ca93491b4dbc6ea5ae60244d41b3dc3edcc5d8a6a11a688e46d923cf17fddfa1"
 
     @staticmethod
     def sha256(data: bytes) -> str:
@@ -530,8 +530,8 @@ class TestGoldenOutputs:
              "a18ee01f488a8c7f05bc7f3c0199c8082bf26d1d526c070552d12f73b898f92e"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
-            ("qkd", "json", "829ea464bae12a257c656a0c8207178f2f370b1be532d6078c19c78dd1c0ff61"),
-            ("qkd", "csv", "0f2c2e9a0733f94698fc67e42b2a0a9859f92429f02830e53724af43879f9ce8"),
+            ("qkd", "json", "5819009a51136c7665d4124a75b9544dad216cdc3c2b4c2a8de328c3c1391dca"),
+            ("qkd", "csv", "d8c017a8715e268c65a83cc55ea79f949d8d646d21fa9329ebd6f5f4b1293156"),
             ("packet", "json", "9855a06e0c6455d124596149568a33d4f72bf9ffc1ccb2159a69857160dd7609"),
             ("packet", "csv", "0238030a07e8e17a2680f7171ae2559a51c9dac882ab8e89eff013e20cf1386a"),
             ("gfactor", "json",
@@ -550,9 +550,9 @@ class TestGoldenOutputs:
             ("gfactor_blocks", "csv",
              "59cfb31a8e86bdba1cb2e3aa77f10c540d96d1e34059325bf1a78c70f1beb89b"),
             ("qkd_inconclusive", "json",
-             "7a80c1dca52883c6537e933f5e7edf8277195da8e93c86a5010cd214c0af5ccc"),
+             "09aac7041f74440780df29fd5382e9b91962dd6501f1a3ad6649b49b27311291"),
             ("qkd_inconclusive", "csv",
-             "e681cf264b0af51e5fa4ea8a0213b976b015f56135a17a390f15ca842b3fe776"),
+             "e3547d15a4705589e86ed68b64b43a141a2c710fca809186159291696e6e3a45"),
         ],
     )
     def test_cli_stdout(self, case, fmt, digest, tmp_path, capsys):

@@ -60,6 +60,8 @@ def channel_config(channel: dict):
         pytest.param(lambda: channel_config({"variant": "quantum_localized", "g": 0.9,
                                              "setup": SETUP_BLOCK}),
                      ConfigError, "needs either g or setup", id="channel-both"),
+        pytest.param(lambda: channel_config({"variant": "quantum_localized", "g": 0.9, "t": 50.0}),
+                     ConfigError, "takes t only with a setup", id="channel-g-with-t"),
         pytest.param(lambda: channel_config({"variant": "classical"}),
                      ConfigError, "unknown channel variant", id="channel-variant"),
     ],

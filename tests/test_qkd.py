@@ -547,8 +547,8 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("json", "98646bfbd1ebd9cb4b5654a4ae7109cffa15b25a7a049494f14daacfa59ee816"),
-            ("csv", "f36013d50ed42e765500d8b3de78f541bebb737c399ada753b4223c171281284"),
+            ("json", "1e118c7fd98811a42df5e864c7342a62bd2a3083d46f2c4cb7a1edb3ad36deeb"),
+            ("csv", "eee9ccca5f28f5d43db1f7cb7208fd3a5123e8b5e6e3a604d54ba5ddc220952e"),
         ],
     )
     def test_cli_stdout(self, fmt, digest, tmp_path, capsys):
@@ -561,7 +561,7 @@ class TestGoldenOutputs:
         config = QkdConfig(channel=QuantumLocalizedChannel(0.7), n_rounds=5000, seed=2718)
         _, rounds = run_session(config, return_rounds=True)
         assert self.sha256(rounds_to_csv(rounds)) == (
-            "f861306f6b79ca094c8dea1b2f1f6b55208c5c65438f198cdcc8f87a99bf8291"
+            "058c6b07a744c51031ae39981ca199174d1ce548018bfad923213a92c6dc834c"
         )
 
     def test_eve_audit_fields(self):
@@ -572,18 +572,18 @@ class TestGoldenOutputs:
         )
         text = json.dumps({k: payload[k] for k in kept}, sort_keys=True)
         assert self.sha256(text) == (
-            "54edede2e4475846161de58d4b0bde254d8eb9502c62549af26783a18969c66a"
+            "30e119d447e12603fd2285c27110a79d11bc34bb4ce84af48f5dc637c2804fd8"
         )
 
     @pytest.mark.parametrize(
         "model, digest",
         [
-            (lambda: cosine_model(0.0), "0f4ef151911565108b01860cbdf4edc8889722fa6a8d708d98d5f851be793652"),
-            (lambda: cosine_model(0.2), "e1f5d93436be665cd8fbee89db9f14b38f82e4b99ab3a6146dbaa0d4bf6ab3e7"),
-            (lambda: cosine_model(0.5), "9a4dc8622cf52555733f32c63d7a912d8d9149f371800601e3dab23905f8884f"),
+            (lambda: cosine_model(0.0), "df6906a364a392309e0aaa9ac946119797375c219db87d132e8b749687ab7e26"),
+            (lambda: cosine_model(0.2), "6746ad2dc13cfccd4d916e1157c2c12ba4cafabefa9e1e15423c89e72a99e5d5"),
+            (lambda: cosine_model(0.5), "16567bcd625db120c6a9f948988840f69a434c239f6734b2b7a029fa6ae6b33d"),
             (
                 lambda: random_bounded_model(make_generator(4242)),
-                "225e37d2eef029fa3575ce9f2ded8c197dbc4ed53618c2a2c7d19194b62d1c39",
+                "7d7d3221053c2115a604e55b4fab8f446f09b2df6e0e22f600c14b32d086da29",
             ),
         ],
         ids=["cosine-0", "cosine-0.2", "cosine-0.5", "random-trig"],
@@ -683,3 +683,39 @@ class TestChunkedSessions:
         n_lines, growth_mb = self.fresh_interpreter(self.LOG_MEMORY_PROBE)
         assert int(n_lines) == 10**6 + 1
         assert float(growth_mb) <= 80.0
+
+
+class SpyChannel:
+    """Detects every round and records what it draws from each stream; the
+    Alice stream gives two uniforms a round, as a per-wing click would need."""
+
+    def __init__(self):
+        self.drawn = {"channel": [], "alice": [], "bob": []}
+
+    def sample(self, pairs, cell, rng_channel, rng_alice, rng_bob):
+        n = cell.size
+        self.drawn["channel"].append(rng_channel.random(n))
+        self.drawn["alice"].append(rng_alice.random((n, 2)).ravel())
+        self.drawn["bob"].append(rng_bob.random(n))
+        ones = np.ones(n, dtype=np.int8)
+        return np.ones(n, dtype=bool), ones, -ones
+
+
+class TestSessionStreams:
+    """run_session gives the setting cells, the channel and each wing its own stream."""
+
+    def test_streams_share_no_draws(self):
+        spy = SpyChannel()
+        run_session(QkdConfig(channel=spy, n_rounds=1000, seed=1))
+        drawn = {name: np.concatenate(parts) for name, parts in spy.drawn.items()}
+        assert drawn["alice"].size == 2000
+        for first, second in (("channel", "alice"), ("channel", "bob"), ("alice", "bob")):
+            assert np.intersect1d(drawn[first], drawn[second]).size == 0, (first, second)
+
+    def test_setting_cells_equally_likely(self):
+        n = 100_000
+        _, rounds = run_session(quantum_config(0.7, n), return_rounds=True)
+        counts = np.zeros((3, 3), dtype=np.int64)
+        np.add.at(counts, (rounds.a_idx, rounds.b_idx), 1)
+        sigma = math.sqrt(n * (1 / 9) * (8 / 9))
+        assert np.all(np.abs(counts - n / 9) <= 5 * sigma), counts
