@@ -36,7 +36,9 @@ from .spin import TWO_PI, UNIT_SLACK, ChshSettings, as_angle, chsh_statistic
 
 #: Response function: (setting angle, lambdas) -> values in [-1, 1], one per
 #: lambda or broadcasting to that.  The eavesdropper channel passes one angle
-#: per lambda, so a response used there must also accept an angle array.
+#: per lambda, so a response used there must also accept an angle array, and
+#: it calls xi on a worker thread while eta runs, so the two must not share
+#: mutable state.
 ResponseFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
 _EXACT_NODES = 4096
@@ -76,24 +78,20 @@ class HiddenVariableModel:
 
 
 def response_values(
-    model: HiddenVariableModel, alpha: float | np.ndarray, beta: float | np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """xi(alpha, lam) and eta(beta, lam), each broadcast to ``lam.shape`` and checked.
+    model: HiddenVariableModel, wing: str, angle: float | np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """The response ``wing`` ("xi" or "eta") at ``angle``, broadcast to ``lam.shape`` and checked.
 
     Raises ValueError naming the response if its values do not broadcast to
     one per lambda, or if any is NaN or outside [-1, 1] past 1e-9.
     """
-    return _checked(model.xi, alpha, lam, "xi"), _checked(model.eta, beta, lam, "eta")
-
-
-def _checked(fn: ResponseFn, angle: float | np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
     try:
-        values = np.broadcast_to(fn(angle, lam), lam.shape)
+        values = np.broadcast_to(getattr(model, wing)(angle, lam), lam.shape)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"response {name} must give one value per lambda: {exc}") from exc
+        raise ValueError(f"response {wing} must give one value per lambda: {exc}") from exc
     low, high = values.min(), values.max()
     if not -1.0 - UNIT_SLACK <= low <= high <= 1.0 + UNIT_SLACK:
-        raise ValueError(f"response {name} breaks the unit bound: values span [{low}, {high}]")
+        raise ValueError(f"response {wing} breaks the unit bound: values span [{low}, {high}]")
     return values
 
 
@@ -163,7 +161,8 @@ def model_expectation_exact(
     """
     a, b = as_angle(alpha), as_angle(beta)
     lam = np.arange(nodes) * (TWO_PI / nodes)
-    return float(np.mean(np.multiply(*response_values(model, a, b, lam))))
+    xi, eta = response_values(model, "xi", a, lam), response_values(model, "eta", b, lam)
+    return float(np.mean(xi * eta))
 
 
 def model_expectation_mc(
@@ -180,7 +179,7 @@ def model_expectation_mc(
         raise ValueError(f"at most {MAX_MC_SAMPLES} samples per estimate, got {n}")
     a, b = as_angle(alpha), as_angle(beta)
     lam = rng.uniform(0.0, TWO_PI, n)
-    products = np.multiply(*response_values(model, a, b, lam))
+    products = response_values(model, "xi", a, lam) * response_values(model, "eta", b, lam)
     mean = float(np.mean(products))
     std_error = float(np.std(products, ddof=1) / math.sqrt(n))
     return CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)

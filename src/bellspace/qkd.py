@@ -8,7 +8,11 @@ chunk's detection and outcomes from the table of the nine setting pairs and
 each round's cell (row) in it, and only the chunk's tally and key bits are
 kept.  Cells, channel and each wing's signs have their own spawned stream,
 read in round order, so a session draws the same numbers as if it were
-sampled in one piece and the chunk size never shows in the output.
+sampled in one piece and the chunk size never shows in the output.  One
+worker thread folds each chunk while the next is sampled, and the
+eavesdropper channel runs Alice's wing on it while Bob's runs on the caller;
+numpy releases the interpreter lock in the heavy calls, so two cores share
+a session, and the draws and their order are those of a serial run.
 The quantum channel registers a coincidence with probability g (the
 localization factor of the detector regions) and, conditioned on detection,
 produces full singlet statistics.  The eavesdropper channel replaces the
@@ -47,6 +51,7 @@ blocks of rows, so besides the columns only the CSV text itself grows.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Protocol, runtime_checkable
@@ -95,6 +100,26 @@ Rng = np.random.Generator
 #: A channel's per-round output: (detected, s_a, s_b).
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: The module's single-thread executor, under "pool" once :func:`_worker` made it.
+_POOL: dict = {}
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but not its thread: work sent there would never run
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _worker():
+    """A single-thread executor, shared by every session in the process.
+
+    It runs jobs in the order they were sent.  The executor starts its thread
+    on the first job, so one that loses a race to ``setdefault`` costs nothing.
+    """
+    pool = _POOL.get("pool")
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = _POOL.setdefault("pool", ThreadPoolExecutor(1, thread_name_prefix="bellspace-qkd"))
+    return pool
+
 
 @runtime_checkable
 class ChannelModel(Protocol):
@@ -108,7 +133,9 @@ class ChannelModel(Protocol):
     ``rng_alice`` and ``rng_bob`` drive that wing's sign.  Each stream must be
     read in round order with a fixed number of draws per round (say one
     ``(n, k)`` array), which is what lets :func:`run_session` sample a session
-    chunk by chunk with the draws of a single call.
+    chunk by chunk with the draws of a single call.  The returned arrays must
+    be new ones that ``sample`` does not reuse or change later: a session
+    folds chunk i on another thread while it samples chunk i + 1.
     """
 
     def sample(
@@ -170,15 +197,28 @@ class LhvEveChannel:
         s_a is +1 with probability (1 + xi)/2; independently Bob's sign is -1
         with probability (1 + eta)/2.  Negating Bob's sign gives the singlet's
         convention, E[s_a * s_b] = -E[xi * eta], so after Bob's public flip the
-        key bits agree exactly as often as the model correlates.  Raises
-        ValueError if any response value leaves [-1, 1].
+        key bits agree exactly as often as the model correlates.  Lambda is
+        drawn here; Alice's wing (xi, its check and her signs) runs on the
+        module's worker thread while Bob's runs on this one.  Raises
+        ValueError if any response value leaves [-1, 1], xi's error first.
         """
-        n = cell.size
-        lam = rng_channel.uniform(0.0, TWO_PI, n)
-        xi, eta = response_values(self.model, pairs[cell, 0], pairs[cell, 1], lam)
-        s_a = _signs(rng_alice.random(n) < (1.0 + xi) / 2.0)
-        s_b = -_signs(rng_bob.random(n) < (1.0 + eta) / 2.0)
-        return np.ones(n, dtype=bool), s_a, s_b
+        lam = rng_channel.uniform(0.0, TWO_PI, cell.size)
+        alice = _worker().submit(_wing, self.model, "xi", pairs[:, 0], cell, lam, rng_alice)
+        try:
+            s_b = -_wing(self.model, "eta", pairs[:, 1], cell, lam, rng_bob)
+        finally:
+            # awaited first, so a model bad on both wings raises xi's error, as serially
+            s_a = alice.result()
+        return np.ones(cell.size, dtype=bool), s_a, s_b
+
+
+def _wing(
+    model: HiddenVariableModel, wing: str, angles: np.ndarray, cell: np.ndarray,
+    lam: np.ndarray, rng: Rng,
+) -> np.ndarray:
+    """One wing of the Eve channel: +1 with probability (1 + response)/2, checked."""
+    response = response_values(model, wing, angles[cell], lam)
+    return _signs(rng.random(lam.size) < (1.0 + response) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -373,7 +413,9 @@ def run_session(
     nine setting pairs and each round's cell in it.  A chunk leaves behind
     only its integer tally and its key bits, so only the key grows with
     ``n_rounds``.  ``return_rounds=True`` adds the per-round
-    :class:`RoundLog`, whose columns grow too.
+    :class:`RoundLog`, whose columns grow too.  The module's worker thread
+    folds each chunk (masking, key bits, tally, log) while this thread
+    samples the next; folds run one at a time and in chunk order.
     """
     n = config.n_rounds
     rng_cells, rng_channel, rng_alice, rng_bob = split_generators(config.seed, 4)
@@ -388,10 +430,11 @@ def run_session(
     tally = np.zeros(27, dtype=np.int64)
     n_detected = 0
     alice_bits, bob_bits = [], []
-    for start in range(0, n, _CHUNK):
-        size = min(_CHUNK, n - start)
-        cell = rng_cells.integers(0, 9, size)
-        detected, s_a, s_b = config.channel.sample(pairs, cell, rng_channel, rng_alice, rng_bob)
+
+    def fold(
+        start: int, cell: np.ndarray, detected: np.ndarray, s_a: np.ndarray, s_b: np.ndarray
+    ) -> None:
+        nonlocal tally, n_detected
         s_a = s_a * detected
         s_b = s_b * detected
         key = np.flatnonzero(detected & angle_matched[cell])
@@ -405,7 +448,18 @@ def run_session(
         if log is not None:
             columns = (log.a_idx, log.b_idx, log.detected, log.s_a, log.s_b)
             for column, values in zip(columns, (*divmod(cell, 3), detected, s_a, s_b)):
-                column[start:start + size] = values
+                column[start:start + cell.size] = values
+
+    # The worker folds chunk i while this thread samples chunk i + 1; one fold
+    # at a time, in chunk order, so the tally, key and log are as if serial.
+    folding = None
+    for start in range(0, n, _CHUNK):
+        cell = rng_cells.integers(0, 9, min(_CHUNK, n - start))
+        draws = config.channel.sample(pairs, cell, rng_channel, rng_alice, rng_bob)
+        if folding is not None:
+            folding.result()
+        folding = _worker().submit(fold, start, cell, *draws)
+    folding.result()
 
     alice_key, bob_key = np.concatenate(alice_bits), np.concatenate(bob_bits)
     n_key = alice_key.size

@@ -15,6 +15,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -237,6 +238,24 @@ class TestWitnessConsistency:
         # and the cold re-solve stops at 'Not Set'
         target = CorrelationTarget((0.0,), (0.0, 1.0, 2.0), np.array([[0.0, 1.0, -1.3e-9]]))
         assert local_polytope_membership(target).is_feasible
+
+    def test_boundary_target_gets_a_verified_infeasible_verdict(self):
+        # once exited 3 ("dual certificate margin -5.8e-09"); the integer CHSH
+        # functional below separates it from L by 1.17e-8 in exact arithmetic
+        matrix = np.array([
+            [-1.0, 0.0],
+            [1.1655996159131177e-08, 1.0],
+            [0.3937524987663972, 1.0073873961340148e-09],
+        ])
+        target = CorrelationTarget((0.0, 1.0, 2.0), (0.0, 1.0), matrix)
+        result = local_polytope_membership(target)
+        assert result.status == INFEASIBLE
+        assert result.residual == pytest.approx(5.83e-9, rel=0.01)
+        assert verify_certificate(result.certificate, target)
+        chsh = np.array([[-1, 1], [1, 1], [0, 0]])
+        assert classical_bound(chsh) == 2
+        excess = sum(int(c) * Fraction(p) for c, p in zip(chsh.flat, matrix.flat)) - 2
+        assert excess == Fraction(1.1655996159131177e-08) > 0
 
 
 class TestInvariances:

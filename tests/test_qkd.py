@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from bellspace import qkd
 from bellspace.cli import config_from_dict, main, report_to_dict
 
-from bellspace.lhv import cosine_model, random_bounded_model
+from bellspace.lhv import HiddenVariableModel, cosine_model, random_bounded_model
 from bellspace.qkd import (
     EVE_DETECTED,
     INCONCLUSIVE,
@@ -547,8 +548,13 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("json", "1e118c7fd98811a42df5e864c7342a62bd2a3083d46f2c4cb7a1edb3ad36deeb"),
-            ("csv", "eee9ccca5f28f5d43db1f7cb7208fd3a5123e8b5e6e3a604d54ba5ddc220952e"),
+            # explicit ids, so that re-pinning a digest does not rename the test
+            pytest.param(
+                "json", "1e118c7fd98811a42df5e864c7342a62bd2a3083d46f2c4cb7a1edb3ad36deeb", id="json"
+            ),
+            pytest.param(
+                "csv", "eee9ccca5f28f5d43db1f7cb7208fd3a5123e8b5e6e3a604d54ba5ddc220952e", id="csv"
+            ),
         ],
     )
     def test_cli_stdout(self, fmt, digest, tmp_path, capsys):
@@ -719,3 +725,68 @@ class TestSessionStreams:
         np.add.at(counts, (rounds.a_idx, rounds.b_idx), 1)
         sigma = math.sqrt(n * (1 / 9) * (8 / 9))
         assert np.all(np.abs(counts - n / 9) <= 5 * sigma), counts
+
+
+@contextmanager
+def fast_thread_switching():
+    """Make the interpreter switch threads every microsecond, then restore it."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestWorkerThread:
+    """Each chunk's fold and the Eve channel's Alice wing run on a worker thread;
+    neither may change what a session outputs or which error it raises."""
+
+    def test_model_bad_on_both_wings_raises_the_xi_error(self):
+        # xi does more work than eta, so a wrong order of the two errors would show
+        model = HiddenVariableModel(
+            xi=lambda alpha, lam: 2.0 + np.cos(alpha - lam) ** 2,
+            eta=lambda beta, lam: np.full_like(lam, 3.0),
+        )
+        config = QkdConfig(channel=LhvEveChannel(model), n_rounds=1000, seed=6)
+        with fast_thread_switching():
+            for _ in range(20):
+                with pytest.raises(ValueError, match="response xi breaks the unit bound"):
+                    run_session(config)
+
+    def test_repeated_sessions_give_identical_bytes(self):
+        configs = (quantum_config(0.7, 5000, seed=61), lhv_config(0.5, 5000, seed=62))
+        outputs = []
+        with fast_thread_switching(), mock.patch.object(qkd, "_CHUNK", 777):
+            for _ in range(5):
+                runs = [run_session(config, return_rounds=True) for config in configs]
+                outputs.append([
+                    (repr(report), [getattr(log, name).tobytes() for name in LOG_COLUMNS],
+                     rounds_to_csv(log))
+                    for report, log in runs
+                ])
+        assert all(output == outputs[0] for output in outputs[1:])
+
+    FORK_PROBE = (
+        "import multiprocessing\n"
+        "from bellspace.lhv import cosine_model\n"
+        "from bellspace.qkd import LhvEveChannel, QkdConfig, run_session\n"
+        "config = QkdConfig(channel=LhvEveChannel(cosine_model(0.5)), n_rounds=1000, seed=9)\n"
+        "def child(queue):\n"
+        "    queue.put(run_session(config))\n"
+        "report = run_session(config)\n"
+        "context = multiprocessing.get_context('fork')\n"
+        "queue = context.Queue()\n"
+        "# a daemon, so that a child that hangs is ended when this process exits\n"
+        "process = context.Process(target=child, args=(queue,), daemon=True)\n"
+        "process.start()\n"
+        "forked = queue.get(timeout=60)\n"
+        "process.join(60)\n"
+        "print(forked == report, process.is_alive(), process.exitcode)\n"
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_a_session(self):
+        # the child inherits the parent's worker pool but not its thread
+        equal, alive, exitcode = TestChunkedSessions.fresh_interpreter(self.FORK_PROBE)
+        assert (equal, alive, exitcode) == ("True", "False", "0")
