@@ -10,12 +10,20 @@ JSON kinds.  Violations raise :class:`ConfigError`, a ValueError.
 Solver errors on valid input derive from :class:`NumericalFailure`, declared
 here so that the CLI maps them to their exit code without importing the
 solvers.
+
+:func:`on_worker` runs a job on the process's one worker thread, which the
+QKD session and the 6-d quadrature share.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+import os
+import threading
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: Accepted Python types of each kind, as :func:`json.load` produces them.
 _JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str, dict: dict}
@@ -76,3 +84,41 @@ def param(params: dict, key: str, default: Any, kind: type = float) -> Any:
         one, many = _NAMES[kind]
         what = "a list of " + "lists of " * (depth - 1) + many if depth else one
         raise ConfigError(f"parameter {key!r} must be {what}") from exc
+
+
+#: The process's single-thread executor under "pool", and its thread's ident under
+#: "thread" once that thread has started.
+_POOL: dict = {}
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but not its thread: work sent there would never run
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def on_worker(fn: Callable[..., Any], /, *args: Any) -> Future:
+    """Run ``fn(*args)`` on the process's one worker thread; a Future of its result.
+
+    Jobs run one at a time, in the order they were sent, and the thread
+    starts with the first job (an executor that loses a race to
+    ``setdefault`` never starts one).  A job sent from the worker thread
+    itself, say by a density or a response function that calls a routine
+    using the worker, runs at once on that thread: queued behind the job
+    that waits for it, it would never run.
+    """
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    if _POOL.get("thread") == threading.get_ident():
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+    pool = _POOL.get("pool")
+    if pool is None:
+        pool = _POOL.setdefault("pool", ThreadPoolExecutor(
+            1, thread_name_prefix="bellspace", initializer=_mark_worker_thread))
+    return pool.submit(fn, *args)
+
+
+def _mark_worker_thread() -> None:
+    _POOL["thread"] = threading.get_ident()

@@ -8,9 +8,10 @@ chunk's detection and outcomes from the table of the nine setting pairs and
 each round's cell (row) in it, and only the chunk's tally and key bits are
 kept.  Cells, channel and each wing's signs have their own spawned stream,
 read in round order, so a session draws the same numbers as if it were
-sampled in one piece and the chunk size never shows in the output.  One
-worker thread folds each chunk while the next is sampled, and the
-eavesdropper channel runs Alice's wing on it while Bob's runs on the caller;
+sampled in one piece and the chunk size never shows in the output.  The
+process's worker thread (:func:`bellspace.config.on_worker`) folds each
+chunk but the last while the next is sampled, and the eavesdropper channel
+runs Alice's wing on it while Bob's runs on the caller;
 numpy releases the interpreter lock in the heavy calls, so two cores share
 a session, and the draws and their order are those of a serial run.
 The quantum channel registers a coincidence with probability g (the
@@ -51,13 +52,13 @@ blocks of rows, so besides the columns only the CSV text itself grows.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from .config import on_worker
 from .lhv import HiddenVariableModel, response_values
 from .rng import split_generators
 from .spatial import SpatialSetup, setup_g_factor
@@ -99,27 +100,6 @@ _CSV_TAILS = np.array(
 Rng = np.random.Generator
 #: A channel's per-round output: (detected, s_a, s_b).
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: The module's single-thread executor, under "pool" once :func:`_worker` made it.
-_POOL: dict = {}
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool but not its thread: work sent there would never run
-    os.register_at_fork(after_in_child=_POOL.clear)
-
-
-def _worker():
-    """A single-thread executor, shared by every session in the process.
-
-    It runs jobs in the order they were sent.  The executor starts its thread
-    on the first job, so one that loses a race to ``setdefault`` costs nothing.
-    """
-    pool = _POOL.get("pool")
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = _POOL.setdefault("pool", ThreadPoolExecutor(1, thread_name_prefix="bellspace-qkd"))
-    return pool
-
 
 @runtime_checkable
 class ChannelModel(Protocol):
@@ -199,11 +179,11 @@ class LhvEveChannel:
         convention, E[s_a * s_b] = -E[xi * eta], so after Bob's public flip the
         key bits agree exactly as often as the model correlates.  Lambda is
         drawn here; Alice's wing (xi, its check and her signs) runs on the
-        module's worker thread while Bob's runs on this one.  Raises
+        process's worker thread while Bob's runs on this one.  Raises
         ValueError if any response value leaves [-1, 1], xi's error first.
         """
         lam = rng_channel.uniform(0.0, TWO_PI, cell.size)
-        alice = _worker().submit(_wing, self.model, "xi", pairs[:, 0], cell, lam, rng_alice)
+        alice = on_worker(_wing, self.model, "xi", pairs[:, 0], cell, lam, rng_alice)
         try:
             s_b = -_wing(self.model, "eta", pairs[:, 1], cell, lam, rng_bob)
         finally:
@@ -413,9 +393,10 @@ def run_session(
     nine setting pairs and each round's cell in it.  A chunk leaves behind
     only its integer tally and its key bits, so only the key grows with
     ``n_rounds``.  ``return_rounds=True`` adds the per-round
-    :class:`RoundLog`, whose columns grow too.  The module's worker thread
+    :class:`RoundLog`, whose columns grow too.  The process's worker thread
     folds each chunk (masking, key bits, tally, log) while this thread
-    samples the next; folds run one at a time and in chunk order.
+    samples the next; folds run one at a time and in chunk order, and the
+    last chunk is folded here, so a one-chunk session hands no fold off.
     """
     n = config.n_rounds
     rng_cells, rng_channel, rng_alice, rng_bob = split_generators(config.seed, 4)
@@ -458,8 +439,10 @@ def run_session(
         draws = config.channel.sample(pairs, cell, rng_channel, rng_alice, rng_bob)
         if folding is not None:
             folding.result()
-        folding = _worker().submit(fold, start, cell, *draws)
-    folding.result()
+        if start + _CHUNK < n:
+            folding = on_worker(fold, start, cell, *draws)
+        else:
+            fold(start, cell, *draws)  # the last chunk: nothing is left to sample meanwhile
 
     alice_key, bob_key = np.concatenate(alice_bits), np.concatenate(bob_bits)
     n_key = alice_key.size

@@ -5,7 +5,12 @@ g: the probability of finding particle 1 inside region A and particle 2
 inside region B.  For a product state this factorizes into two box
 probabilities with a closed form in the normal CDF; for a general joint
 density a tensor-product Gauss-Legendre quadrature over the 6-dimensional
-box A x B is provided.
+box A x B is provided.  The quadrature walks the grid in slabs of fixed
+(x1, y1) and splits them between the caller and the process's worker
+thread (:func:`bellspace.config.on_worker`); numpy releases the
+interpreter lock in the density's array calls, so two cores share it, and
+the slab terms are added in serial order, so the result is that of a
+serial run whatever the thread timing.
 
 Free evolution is modeled as pure spreading: packet centers stay put (zero
 mean momentum) and the per-axis width grows as
@@ -32,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .config import NumericalFailure
+from .config import NumericalFailure, on_worker
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +49,9 @@ Vector3 = tuple[float, float, float]
 
 #: A joint position density on R^3 x R^3.  Called as ``density(r1, r2)`` with
 #: arrays of shape (..., 3); must return the (...)-shaped nonnegative values,
-#: vectorized over the leading axes.
+#: vectorized over the leading axes.  The quadrature calls it from two threads
+#: at once, so it must not write to its inputs and must share no mutable state
+#: between calls.
 JointDensity = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
@@ -203,8 +211,8 @@ def product_density(
 
 
 # Per-axis Gauss-Legendre orders tried in turn; successive estimates must
-# agree within tol.  The 6-d tensor grids are evaluated in chunks over the
-# first two axes, keeping memory at O(order^4) points.
+# agree within tol.  The 6-d tensor grids are evaluated in slabs over the
+# first two axes, keeping memory at O(order^4) points per thread.
 _GL_ORDERS = (6, 10, 16, 24)
 
 
@@ -225,28 +233,44 @@ def _tensor_gl_6d(
     bounds += [(region_b.lo[i], region_b.hi[i]) for i in range(3)]
     nodes, weights = zip(*(_mapped_gl(order, lo, hi) for lo, hi in bounds))
 
-    # Inner 4-d grid over axes 2..5, built once; axes 0 and 1 are looped over
-    # in a fixed order so the summation is deterministic.
-    inner_axes = np.meshgrid(*nodes[2:6], indexing="ij")
-    inner_pts = np.stack([axis.ravel() for axis in inner_axes], axis=-1)
-    wg = np.meshgrid(*weights[2:6], indexing="ij")
-    inner_w = (wg[0] * wg[1] * wg[2] * wg[3]).ravel()
+    # Inner 4-d grid over axes 2..5 (axis 5 fastest), each column written
+    # through a view of the points as an order^4 block; axes 0 and 1 pick
+    # the (i0, i1) slab.  r2 is the same for every slab, so both threads read it.
+    inner = (order,) * 4
+    r2 = np.empty(inner + (3,))
+    r2[..., 0] = nodes[3][:, None, None]
+    r2[..., 1] = nodes[4][:, None]
+    r2[..., 2] = nodes[5]
+    r2 = r2.reshape(-1, 3)
+    inner_w = reduce(np.multiply.outer, weights[2:]).ravel()
 
-    npts = inner_pts.shape[0]
-    r1 = np.empty((npts, 3))
-    r2 = np.empty((npts, 3))
-    r1[:, 2] = inner_pts[:, 0]
-    r2[:, 0] = inner_pts[:, 1]
-    r2[:, 1] = inner_pts[:, 2]
-    r2[:, 2] = inner_pts[:, 3]
+    def slab_terms(rows: range) -> list[float]:
+        r1 = np.empty(inner + (3,))
+        r1[..., 2] = nodes[2][:, None, None, None]
+        r1 = r1.reshape(-1, 3)
+        terms = []
+        for i0 in rows:
+            r1[:, 0] = nodes[0][i0]
+            for i1 in range(order):
+                r1[:, 1] = nodes[1][i1]
+                vals = np.asarray(density(r1, r2), dtype=float)
+                # einsum's own loop, not BLAS: a threaded ddot would oversubscribe the cores
+                slab = float(np.einsum("i,i->", vals, inner_w))
+                terms.append(weights[0][i0] * weights[1][i1] * slab)
+        return terms
 
+    # The worker thread takes the upper half of the i0 slabs while this one
+    # takes the lower; the terms are then added in serial (i0, i1) order.
+    half = (order + 1) // 2
+    upper = on_worker(slab_terms, range(half, order))
+    try:
+        terms = slab_terms(range(half))
+    except BaseException:
+        upper.exception()  # awaited, but a lower slab's error is the one a serial loop meets first
+        raise
     total = 0.0
-    for i0 in range(order):
-        r1[:, 0] = nodes[0][i0]
-        for i1 in range(order):
-            r1[:, 1] = nodes[1][i1]
-            vals = np.asarray(density(r1, r2), dtype=float)
-            total += weights[0][i0] * weights[1][i1] * float(np.dot(vals, inner_w))
+    for term in terms + upper.result():
+        total += term
     return total
 
 

@@ -2,13 +2,16 @@
 and the CHSH bound as a property over random bounded models."""
 
 import math
+import sys
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellspace import lhv
 from bellspace.lhv import (
     MAX_MC_SAMPLES,
     CorrelationEstimate,
@@ -162,6 +165,73 @@ class TestMonteCarlo:
             CorrelationEstimate(mean=0.0, std_error=-1.0, n_samples=10)
         with pytest.raises(ValueError):
             CorrelationEstimate(mean=0.0, std_error=0.0, n_samples=0)
+
+
+class TestChunkedMonteCarlo:
+    """model_expectation_mc draws lambda in chunks of _MC_CHUNK and combines the
+    chunks' means and sums of squared deviations."""
+
+    @staticmethod
+    def numpy_estimate(model, alpha, beta, n, seed):
+        """Mean and standard error of all n products at once, on the same draws."""
+        lam = make_generator(seed).uniform(0.0, TWO_PI, n)
+        products = model.xi(alpha, lam) * model.eta(beta, lam)
+        return float(np.mean(products)), float(np.std(products, ddof=1) / math.sqrt(n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(100, lhv._MC_CHUNK), st.integers(0, 2**32 - 1))
+    @example(100, 5)
+    @example(lhv._MC_CHUNK, 5)
+    def test_one_chunk_is_bit_identical_to_numpy(self, n, seed):
+        model = random_bounded_model(make_generator(seed))
+        est = model_expectation_mc(model, 0.3, 1.1, n, make_generator(seed + 1))
+        assert (est.mean, est.std_error) == self.numpy_estimate(model, 0.3, 1.1, n, seed + 1)
+
+    @pytest.mark.parametrize(
+        "n, chunk", [(lhv._MC_CHUNK + 1, lhv._MC_CHUNK), (3 * lhv._MC_CHUNK + 7, lhv._MC_CHUNK),
+                     (100_000, 1000), (100_001, 333)],
+    )
+    def test_many_chunks_agree_with_numpy(self, n, chunk):
+        # matched angles keep the mean at g, far from 0, so a relative bound means something
+        model = cosine_model(0.4)
+        with mock.patch.object(lhv, "_MC_CHUNK", chunk):
+            est = model_expectation_mc(model, 0.7, 0.7, n, make_generator(6))
+        mean, std_error = self.numpy_estimate(model, 0.7, 0.7, n, 6)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+
+    def test_chunks_draw_the_numbers_of_one_call(self):
+        seen = []
+
+        def xi(alpha, lam):
+            seen.append(lam.copy())
+            return np.cos(alpha - lam)
+
+        model = HiddenVariableModel(xi=xi, eta=lambda beta, lam: np.cos(beta - lam))
+        with mock.patch.object(lhv, "_MC_CHUNK", 1000):
+            model_expectation_mc(model, 0.0, 0.0, 4321, make_generator(8))
+        assert [part.size for part in seen] == [1000, 1000, 1000, 1000, 321]
+        assert np.array_equal(np.concatenate(seen), make_generator(8).uniform(0.0, TWO_PI, 4321))
+
+    MEMORY_PROBE = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from bellspace.lhv import cosine_model, model_expectation_mc\n"
+        "model = cosine_model(0.4)\n"
+        "model_expectation_mc(model, 0.1, 0.7, 1000, np.random.default_rng(0))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "est = model_expectation_mc(model, 0.1, 0.7, 10**7, np.random.default_rng(1))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(est.n_samples, (after - before) / 1024)\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_large_estimate_memory(self, fresh_interpreter):
+        # in a fresh interpreter, so that no earlier test has already raised the
+        # peak; ~20 MB measured, where one array per quantity took ~300 MB
+        n_samples, growth_mb = fresh_interpreter(self.MEMORY_PROBE)
+        assert int(n_samples) == 10**7
+        assert float(growth_mb) < 40.0
 
 
 def sample_eve(model, alpha, beta, n, seed):

@@ -4,12 +4,9 @@ import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
-from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -642,17 +639,6 @@ class TestChunkedSessions:
         with mock.patch.object(qkd, "_CSV_BLOCK", block):
             assert_same_csv(rounds_to_csv(log), whole_csv)
 
-    @staticmethod
-    def fresh_interpreter(code: str) -> list[str]:
-        """Run ``code`` in a new Python process on this checkout; its stdout fields."""
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
-        )
-        return result.stdout.split()
-
     MEMORY_PROBE = (
         "import resource\n"
         "from bellspace.qkd import MAX_ROUNDS, QkdConfig, QuantumLocalizedChannel, run_session\n"
@@ -664,10 +650,10 @@ class TestChunkedSessions:
     )
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-    def test_longest_session_memory(self):
+    def test_longest_session_memory(self, fresh_interpreter):
         # one session at the round cap, in a fresh interpreter so that no earlier
         # test has already raised the peak; materializing it would take ~640 MB
-        n_rounds, growth_mb = self.fresh_interpreter(self.MEMORY_PROBE)
+        n_rounds, growth_mb = fresh_interpreter(self.MEMORY_PROBE)
         assert int(n_rounds) == qkd.MAX_ROUNDS
         assert float(growth_mb) <= 64.0
 
@@ -683,10 +669,10 @@ class TestChunkedSessions:
     )
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-    def test_logged_session_memory(self):
+    def test_logged_session_memory(self, fresh_interpreter):
         # the five log columns take 19 MB, the CSV text ~20 MB and the copy that
         # joins its blocks as much again; the matrix of one block is small
-        n_lines, growth_mb = self.fresh_interpreter(self.LOG_MEMORY_PROBE)
+        n_lines, growth_mb = fresh_interpreter(self.LOG_MEMORY_PROBE)
         assert int(n_lines) == 10**6 + 1
         assert float(growth_mb) <= 80.0
 
@@ -727,37 +713,26 @@ class TestSessionStreams:
         assert np.all(np.abs(counts - n / 9) <= 5 * sigma), counts
 
 
-@contextmanager
-def fast_thread_switching():
-    """Make the interpreter switch threads every microsecond, then restore it."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestWorkerThread:
-    """Each chunk's fold and the Eve channel's Alice wing run on a worker thread;
-    neither may change what a session outputs or which error it raises."""
+    """Each chunk's fold but the last and the Eve channel's Alice wing run on the
+    worker thread; neither may change what a session outputs or which error it
+    raises."""
 
-    def test_model_bad_on_both_wings_raises_the_xi_error(self):
+    def test_model_bad_on_both_wings_raises_the_xi_error(self, fast_thread_switching):
         # xi does more work than eta, so a wrong order of the two errors would show
         model = HiddenVariableModel(
             xi=lambda alpha, lam: 2.0 + np.cos(alpha - lam) ** 2,
             eta=lambda beta, lam: np.full_like(lam, 3.0),
         )
         config = QkdConfig(channel=LhvEveChannel(model), n_rounds=1000, seed=6)
-        with fast_thread_switching():
-            for _ in range(20):
-                with pytest.raises(ValueError, match="response xi breaks the unit bound"):
-                    run_session(config)
+        for _ in range(20):
+            with pytest.raises(ValueError, match="response xi breaks the unit bound"):
+                run_session(config)
 
-    def test_repeated_sessions_give_identical_bytes(self):
+    def test_repeated_sessions_give_identical_bytes(self, fast_thread_switching):
         configs = (quantum_config(0.7, 5000, seed=61), lhv_config(0.5, 5000, seed=62))
         outputs = []
-        with fast_thread_switching(), mock.patch.object(qkd, "_CHUNK", 777):
+        with mock.patch.object(qkd, "_CHUNK", 777):
             for _ in range(5):
                 runs = [run_session(config, return_rounds=True) for config in configs]
                 outputs.append([
@@ -766,6 +741,15 @@ class TestWorkerThread:
                     for report, log in runs
                 ])
         assert all(output == outputs[0] for output in outputs[1:])
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    def test_last_chunk_folds_on_the_caller(self, n_chunks):
+        # a quantum session hands the worker every fold but the last one
+        with mock.patch.object(qkd, "_CHUNK", 1000), \
+                mock.patch.object(qkd, "on_worker", wraps=qkd.on_worker) as on_worker:
+            report = run_session(quantum_config(0.7, 1000 * n_chunks, seed=63))
+        assert on_worker.call_count == n_chunks - 1
+        assert report == run_session(quantum_config(0.7, 1000 * n_chunks, seed=63))
 
     FORK_PROBE = (
         "import multiprocessing\n"
@@ -786,7 +770,7 @@ class TestWorkerThread:
     )
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_runs_a_session(self):
+    def test_forked_child_runs_a_session(self, fresh_interpreter):
         # the child inherits the parent's worker pool but not its thread
-        equal, alive, exitcode = TestChunkedSessions.fresh_interpreter(self.FORK_PROBE)
+        equal, alive, exitcode = fresh_interpreter(self.FORK_PROBE)
         assert (equal, alive, exitcode) == ("True", "False", "0")

@@ -2,11 +2,15 @@
 
 Closed-form box probabilities are checked against adaptive 1-d quadrature of
 the Gaussian density (scipy.integrate.quad), and the 6-d quadrature path is
-checked against the closed-form product path.
+checked against the closed-form product path.  The quadrature's split of its
+slabs over two threads is checked against a serial loop.
 """
 
+import ast
+import inspect
 import math
 import sys
+import textwrap
 
 import mpmath
 import numpy as np
@@ -15,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from bellspace import spatial
 from bellspace.cli import setup_from_dict
 from bellspace.rng import make_generator
 from bellspace.spatial import (
@@ -273,6 +278,148 @@ class TestQuadraturePath:
             g_factor_quadrature(wiggly, region, region, tol=1e-12, orders=(4, 6, 8))
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.error_bound > 0
+
+
+def serial_tensor_gl_6d(density, region_a, region_b, order):
+    """The 6-d quadrature as one serial loop over the (i0, i1) slabs, on a grid
+    built with meshgrid; each slab's term formed as the engine forms it."""
+    nodes, weights = [], []
+    for lo, hi in list(zip(region_a.lo, region_a.hi)) + list(zip(region_b.lo, region_b.hi)):
+        x, w = np.polynomial.legendre.leggauss(order)
+        half = 0.5 * (hi - lo)
+        nodes.append(lo + half * (x + 1.0))
+        weights.append(half * w)
+    inner = np.stack([axis.ravel() for axis in np.meshgrid(*nodes[2:], indexing="ij")], axis=-1)
+    wg = np.meshgrid(*weights[2:], indexing="ij")
+    inner_w = (wg[0] * wg[1] * wg[2] * wg[3]).ravel()
+    r2 = np.ascontiguousarray(inner[:, 1:])
+    total = 0.0
+    for i0 in range(order):
+        for i1 in range(order):
+            r1 = np.column_stack([
+                np.full(len(inner), nodes[0][i0]), np.full(len(inner), nodes[1][i1]), inner[:, 0]
+            ])
+            slab = float(np.einsum("i,i->", density(r1, r2), inner_w))
+            total += weights[0][i0] * weights[1][i1] * slab
+    return total
+
+
+def random_density(rng, components):
+    """A product of two random packets (one component) or a weighted sum of such
+    products, which correlates r1 with r2."""
+    def packet():
+        return GaussianPacket(tuple(rng.uniform(-1.0, 1.0, 3)), rng.uniform(0.5, 2.0))
+
+    if components == 1:
+        return product_density(packet(), packet())
+    parts = [(rng.uniform(0.5, 1.5), packet(), packet()) for _ in range(components)]
+
+    def density(r1, r2):
+        return sum(w * a.density(r1) * b.density(r2) for w, a, b in parts)
+
+    return density
+
+
+def random_box(rng):
+    lo = rng.uniform(-2.0, 0.0, 3)
+    return BoxRegion(tuple(lo), tuple(lo + rng.uniform(0.5, 3.0, 3)))
+
+
+class TestThreadedQuadrature:
+    """_tensor_gl_6d gives the lower half of its i0 slabs to the caller and the
+    upper half to the worker thread; neither the value nor the error raised may
+    depend on that split or on the threads' timing."""
+
+    REGION = BoxRegion((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    PACKET = GaussianPacket((0.2, 0.0, -0.1), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_the_serial_loop_bit_for_bit(self, order, components, seed):
+        rng = make_generator(seed)
+        density = random_density(rng, components)
+        region_a, region_b = random_box(rng), random_box(rng)
+        got = spatial._tensor_gl_6d(density, region_a, region_b, order)
+        assert got == serial_tensor_gl_6d(density, region_a, region_b, order)
+
+    def test_repeated_runs_give_identical_floats(self, fast_thread_switching):
+        density = random_density(make_generator(23), 3)
+        region_a, region_b = random_box(make_generator(24)), random_box(make_generator(25))
+        runs = [
+            (spatial._tensor_gl_6d(density, region_a, region_b, 11),
+             g_factor_quadrature(density, region_a, region_b, tol=1e-6, orders=(6, 10)).g)
+            for _ in range(5)
+        ]
+        assert all(run == runs[0] for run in runs[1:])
+        assert runs[0][0] == serial_tensor_gl_6d(density, region_a, region_b, 11)
+
+    @pytest.mark.parametrize("bad, worker_calls", [((2,), 32), ((6,), 17), ((1, 5), 9), ((3, 4), 1)])
+    def test_raises_the_error_a_serial_loop_meets_first(
+        self, bad, worker_calls, fast_thread_switching
+    ):
+        # order 8: slabs i0 = 0..3 run on the caller, 4..7 on the worker, which
+        # stops at its first bad slab or else makes all 4 * 8 of its calls
+        order = 8
+        nodes, _ = spatial._mapped_gl(order, -1.0, 1.0)
+        calls = []
+
+        def density(r1, r2):
+            i0 = int(np.flatnonzero(nodes == r1[0, 0])[0])
+            calls.append(i0)
+            if i0 in bad:
+                raise ValueError(f"slab {i0}")
+            return self.PACKET.density(r1) * self.PACKET.density(r2)
+
+        for _ in range(5):
+            calls.clear()
+            with pytest.raises(ValueError, match=f"^slab {bad[0]}$"):
+                spatial._tensor_gl_6d(density, self.REGION, self.REGION, order)
+            # the worker's half is over before the error leaves
+            assert sum(i0 >= order // 2 for i0 in calls) == worker_calls
+        density_ok = product_density(self.PACKET, self.PACKET)
+        assert spatial._tensor_gl_6d(density_ok, self.REGION, self.REGION, order) == (
+            serial_tensor_gl_6d(density_ok, self.REGION, self.REGION, order))
+
+    REENTRANT_PROBE = (
+        "import numpy as np\n"
+        "from bellspace.lhv import HiddenVariableModel\n"
+        "from bellspace.qkd import LhvEveChannel, QkdConfig, run_session\n"
+        "from bellspace.spatial import BoxRegion, GaussianPacket, g_factor_quadrature, product_density\n"
+        "packet = GaussianPacket((0.0, 0.0, 0.0), 1.0)\n"
+        "region = BoxRegion((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))\n"
+        "inner = product_density(packet, packet)\n"
+        "def g():\n"
+        "    return g_factor_quadrature(inner, region, region, tol=1.0, orders=(2, 3)).g\n"
+        "def density(r1, r2):\n"
+        "    return inner(r1, r2) * g()\n"
+        "outer = g_factor_quadrature(density, region, region, tol=1.0, orders=(2, 3)).g\n"
+        "model = HiddenVariableModel(xi=lambda alpha, lam: g() * np.cos(alpha - lam),\n"
+        "                            eta=lambda beta, lam: np.cos(beta - lam))\n"
+        "report = run_session(QkdConfig(channel=LhvEveChannel(model), n_rounds=1000, seed=3))\n"
+        "print(outer / g() ** 2, report.n_rounds)\n"
+    )
+
+    def test_density_and_response_may_call_the_quadrature(self, fresh_interpreter):
+        # the outer quadrature's worker half and the Eve session's xi run on the
+        # worker thread, so their inner quadratures must not queue behind them
+        ratio, n_rounds = fresh_interpreter(self.REENTRANT_PROBE)
+        assert float(ratio) == pytest.approx(1.0, rel=1e-12)
+        assert int(n_rounds) == 1000
+
+    def test_slab_sum_calls_no_blas(self):
+        # a BLAS reduction starts its own threads, which oversubscribe the cores
+        # the two slab threads already use
+        blas = {"dot", "vdot", "inner", "matmul", "tensordot", "multi_dot", "einsum_path"}
+        tree = ast.parse(textwrap.dedent(inspect.getsource(spatial._tensor_gl_6d)))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        names = {getattr(call.func, "attr", getattr(call.func, "id", None)) for call in calls}
+        assert "einsum" in names and not names & blas
+        # einsum dispatches to BLAS only when asked to optimize
+        assert all(kw.arg != "optimize" for call in calls for kw in call.keywords)
+        assert not any(
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            for node in ast.walk(tree)
+        )
 
 
 class TestBenchmarkSetup:
