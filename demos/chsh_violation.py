@@ -57,7 +57,7 @@ rng_channel, rng_alice, rng_bob = split_generators(2, 3)
 n = 200_000
 alpha, beta = 0.0, math.pi / 4
 # one setting pair, every round in its cell
-_, s_a, s_b = QuantumLocalizedChannel(g=1.0).sample(
+s_a, s_b = QuantumLocalizedChannel(g=1.0).sample(
     np.array([[alpha, beta]]), np.zeros(n, dtype=np.intp), rng_channel, rng_alice, rng_bob
 )
 empirical = float(np.mean(s_a * s_b))

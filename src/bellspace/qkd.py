@@ -3,24 +3,25 @@
 Each round the source emits a singlet pair; Alice and Bob draw independent
 uniform settings from three directions each and measure.  :func:`run_session`
 walks the rounds in fixed chunks: it draws each chunk's setting cells, then
-the channel's ``sample`` method, its one vectorized rule, produces that
-chunk's detection and outcomes from the table of the nine setting pairs and
-each round's cell (row) in it, and only the chunk's tally and key bits are
+the channel's ``sample`` method, its one vectorized rule, produces each
+round's two signs, 0 where that wing did not click, from the table of the
+nine setting pairs and each round's cell (row) in it, and only the chunk's
+tally (setting cell x Alice's sign x Bob's sign, 81 cells) and key bits are
 kept.  Cells, channel and each wing's signs have their own spawned stream,
 read in round order, so a session draws the same numbers as if it were
 sampled in one piece and the chunk size never shows in the output.  The
 process's worker thread (:func:`bellspace.config.on_worker`) folds each
 chunk but the last while the next is sampled, and the eavesdropper channel
-runs Alice's wing on it while Bob's runs on the caller;
-numpy releases the interpreter lock in the heavy calls, so two cores share
-a session, and the draws and their order are those of a serial run.
-The quantum channel registers a coincidence with probability g (the
-localization factor of the detector regions) and, conditioned on detection,
-produces full singlet statistics.  The eavesdropper channel replaces the
-pair by a local hidden-variable model: lambda plays the role of Eve, every
-round is detected, and outcomes come from the model's bounded responses,
-Bob's sign negated so that, like the singlet's, her raw correlations are
--E[xi * eta].
+runs Alice's wing on it while Bob's runs on the caller; numpy releases the
+interpreter lock in the heavy calls, so two cores share a session, and the
+draws and their order are those of a serial run.  The quantum channel
+clicks on both wings with probability g (the localization factor of the
+detector regions), else on neither, and on a coincidence (both wings
+clicked) produces full singlet statistics.  The eavesdropper channel
+replaces the pair by a local hidden-variable model: lambda plays the role
+of Eve, both wings click on every round, and outcomes come from the model's
+bounded responses, Bob's sign negated so that, like the singlet's, her raw
+correlations are -E[xi * eta].
 
 After the public announcement of settings, rounds split into key rounds
 (equal angles on both wings), test rounds (the four configured CHSH setting
@@ -28,20 +29,20 @@ pairs) and discarded rounds.  Bob flips all of his announced outcomes: the
 physical singlet anticorrelates at equal angles (E = -cos(alpha - beta) with
 both wings measuring along (cos, 0, sin)), so the flip makes matched-round
 key bits agree and turns the test-round correlations into +cos(alpha -
-beta).  A cosine-model Eve therefore errs on (1 - g)/2 of the key bits.
-Each CHSH pair additionally carries an explicit sign with which its
-correlation enters the statistic; the default grids need signs (+,-,+,-) to
-map Bob's 3*pi/4 setting onto the canonical -pi/4 slot (cos(x - 3*pi/4) =
--cos(x + pi/4)).
+beta).  A cosine-model Eve therefore errs on (1 - g)/2 of the key bits, and
+only coincidences give key bits.  Each CHSH pair additionally carries an
+explicit sign with which its correlation enters the statistic; the default
+grids need signs (+,-,+,-) to map Bob's 3*pi/4 setting onto the canonical
+-pi/4 slot (cos(x - 3*pi/4) = -cos(x + pi/4)).
 
 The session report carries the conditioned CHSH estimate (post-selected on
 coincidences, which restores full singlet statistics and drives the verdict)
-and the unconditioned one (non-coincidences counted as outcome product 0),
-whose expectation is g*cos(alpha - beta): the g-scaled correlation law made
-empirical.  Both come from per-pair integer counts of the products -1, 0 and
-+1, so their standard errors are exact to rounding.  Whether post-selected
-statistics certify security when g <= 1/2 is the fair-sampling question; the
-report shows both numbers and takes no side.
+and the unconditioned one (a round without a coincidence counts as outcome
+product 0), whose expectation is g*cos(alpha - beta): the g-scaled
+correlation law made empirical.  Both come from per-pair integer counts of
+the products -1, 0 and +1, so their standard errors are exact to rounding.
+Whether post-selected statistics certify security when g <= 1/2 is the
+fair-sampling question; the report shows both numbers and takes no side.
 
 ``return_rounds=True`` adds the per-round log as numpy columns
 (:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access;
@@ -72,7 +73,7 @@ INCONCLUSIVE = "inconclusive"
 MIN_TEST_ROUNDS_PER_PAIR = 50
 #: Largest session.  Without the round log, peak RSS grows ~5 MB at 10^6
 #: rounds and ~19 MB at 10^7 (chunk buffers, then the key bits); the log and
-#: its CSV take ~55 MB per 10^6 rounds (19 MB of columns, the CSV text and its
+#: its CSV take ~55 MB per 10^6 rounds (18 MB of columns, the CSV text and its
 #: joined copy), so this cap keeps a logged session under ~0.6 GB (544 MB
 #: measured at 10^7).
 MAX_ROUNDS = 10_000_000
@@ -83,13 +84,12 @@ _CHUNK = 1 << 16
 #: Rows per block of :func:`rounds_to_csv`; the output does not depend on it.
 _CSV_BLOCK = 1 << 14
 #: Every ``,a,b,d,s_a,s_b`` row tail of the round-log CSV as NUL-padded bytes,
-#: indexed by the row code ((((a * 3 + b) * 2 + d) * 3 + s_a + 1) * 3 + s_b + 1).
+#: indexed by the row code ((a * 3 + b) * 3 + s_a + 1) * 3 + s_b + 1.
 _CSV_TAILS = np.array(
     [
-        f",{a},{b},{d},{s_a or ''},{s_b or ''}\n"
+        f",{a},{b},{int(bool(s_a and s_b))},{s_a or ''},{s_b or ''}\n"
         for a in range(3)
         for b in range(3)
-        for d in range(2)
         for s_a in (-1, 0, 1)
         for s_b in (-1, 0, 1)
     ],
@@ -98,24 +98,25 @@ _CSV_TAILS = np.array(
 
 
 Rng = np.random.Generator
-#: A channel's per-round output: (detected, s_a, s_b).
-Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A channel's per-round output: (s_a, s_b), 0 where that wing did not click.
+Draws = tuple[np.ndarray, np.ndarray]
 
 @runtime_checkable
 class ChannelModel(Protocol):
     """A channel: one vectorized sampling rule.
 
     ``sample`` gets a (k, 2) table ``pairs`` of (alpha, beta) setting angles
-    and one row index per round, ``cell``, and returns (detected, s_a, s_b):
-    physical (unflipped) +-1 int8 outcomes on every round, lost or not.  A
-    channel may work per table row (a session has only nine pairs) and gather
-    by ``cell``.  ``rng_channel`` drives detection or the hidden variable;
-    ``rng_alice`` and ``rng_bob`` drive that wing's sign.  Each stream must be
-    read in round order with a fixed number of draws per round (say one
-    ``(n, k)`` array), which is what lets :func:`run_session` sample a session
-    chunk by chunk with the draws of a single call.  The returned arrays must
-    be new ones that ``sample`` does not reuse or change later: a session
-    folds chunk i on another thread while it samples chunk i + 1.
+    and one row index per round, ``cell``, and returns (s_a, s_b): physical
+    (unflipped) int8 outcomes, +-1 where that wing clicked and 0 where it did
+    not, so a coincidence has both signs nonzero.  A channel may work per
+    table row (a session has only nine pairs) and gather by ``cell``.
+    ``rng_channel`` drives a joint click or the hidden variable; ``rng_alice``
+    and ``rng_bob`` drive that wing's sign, and may drive its own click.  Each
+    stream must be read in round order with a fixed number of draws per round
+    (say one ``(n, k)`` array), which is what lets :func:`run_session` sample
+    a session chunk by chunk with the draws of a single call.  The returned
+    arrays must be new ones that ``sample`` does not reuse or change later: a
+    session folds chunk i on another thread while it samples chunk i + 1.
     """
 
     def sample(
@@ -148,18 +149,19 @@ class QuantumLocalizedChannel:
         self, pairs: np.ndarray, cell: np.ndarray,
         rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws:
-        """Coincidences with probability g, singlet outcomes on every round.
+        """Both wings click with probability g (one draw for the pair), else neither.
 
         Both wings measure along (cos t, 0, sin t), so a . b = cos(alpha -
         beta): s_a is a fair coin and s_b equals s_a with probability
         (1 - a . b)/2, computed once per pair, giving E[s_a * s_b] =
-        -cos(alpha - beta) and exact anticorrelation at equal angles.
+        -cos(alpha - beta) on coincidences and exact anticorrelation at equal
+        angles.
         """
         n = cell.size
-        detected = rng_channel.random(n) < self.g
+        clicked = (rng_channel.random(n) < self.g).view(np.int8)
         p_same = (1.0 - np.cos(pairs[:, 0] - pairs[:, 1])) / 2.0
-        s_a = _signs(rng_alice.random(n) < 0.5)
-        return detected, s_a, s_a * _signs(rng_bob.random(n) < p_same[cell])
+        s_a = _signs(rng_alice.random(n) < 0.5) * clicked
+        return s_a, s_a * _signs(rng_bob.random(n) < p_same[cell])
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ class LhvEveChannel:
         self, pairs: np.ndarray, cell: np.ndarray,
         rng_channel: Rng, rng_alice: Rng, rng_bob: Rng,
     ) -> Draws:
-        """One lambda per round, every round detected.
+        """One lambda per round, both wings clicking on every round.
 
         s_a is +1 with probability (1 + xi)/2; independently Bob's sign is -1
         with probability (1 + eta)/2.  Negating Bob's sign gives the singlet's
@@ -189,7 +191,7 @@ class LhvEveChannel:
         finally:
             # awaited first, so a model bad on both wings raises xi's error, as serially
             s_a = alice.result()
-        return np.ones(cell.size, dtype=bool), s_a, s_b
+        return s_a, s_b
 
 
 def _wing(
@@ -275,7 +277,7 @@ class QkdConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """A single protocol round; outcomes are present exactly when detected."""
+    """A single protocol round; outcomes are present exactly when both wings clicked."""
 
     alice_setting: int
     bob_setting: int
@@ -291,22 +293,26 @@ class RoundRecord:
 class RoundLog:
     """Per-round session log as numpy columns.
 
-    ``s_a`` and ``s_b`` are the physical (unflipped) int8 outcomes, 0 where the
-    round was lost.  ``len()``, indexing and iteration yield
-    :class:`RoundRecord` rows, built on demand.
+    ``s_a`` and ``s_b`` are the physical (unflipped) int8 outcomes, 0 where
+    that wing did not click; ``detected`` (both clicked) is derived from them.
+    ``len()``, indexing and iteration yield :class:`RoundRecord` rows, built
+    on demand; a single-click row is not detected and has no outcomes.
     """
 
     a_idx: np.ndarray
     b_idx: np.ndarray
-    detected: np.ndarray
     s_a: np.ndarray
     s_b: np.ndarray
+
+    @property
+    def detected(self) -> np.ndarray:
+        return (self.s_a != 0) & (self.s_b != 0)
 
     def __len__(self) -> int:
         return self.a_idx.size
 
     def __getitem__(self, i: int) -> RoundRecord:
-        detected = bool(self.detected[i])
+        detected = bool(self.s_a[i] and self.s_b[i])
         outcomes = OutcomePair(int(self.s_a[i]), int(self.s_b[i])) if detected else None
         return RoundRecord(int(self.a_idx[i]), int(self.b_idx[i]), detected, outcomes)
 
@@ -391,12 +397,13 @@ def run_session(
     order, so reports are bit-reproducible for a fixed config and independent
     of the chunk size.  The channel samples a chunk from the table of the
     nine setting pairs and each round's cell in it.  A chunk leaves behind
-    only its integer tally and its key bits, so only the key grows with
+    only its integer tally of rounds per setting cell and sign pair, and its
+    key bits (coincidences at matched angles), so only the key grows with
     ``n_rounds``.  ``return_rounds=True`` adds the per-round
     :class:`RoundLog`, whose columns grow too.  The process's worker thread
-    folds each chunk (masking, key bits, tally, log) while this thread
-    samples the next; folds run one at a time and in chunk order, and the
-    last chunk is folded here, so a one-chunk session hands no fold off.
+    folds each chunk (key bits, tally, log) while this thread samples the
+    next; folds run one at a time and in chunk order, and the last chunk is
+    folded here, so a one-chunk session hands no fold off.
     """
     n = config.n_rounds
     rng_cells, rng_channel, rng_alice, rng_bob = split_generators(config.seed, 4)
@@ -406,29 +413,22 @@ def run_session(
     )
     log = None
     if return_rounds:
-        dtypes = (np.int64, np.int64, bool, np.int8, np.int8)
-        log = RoundLog(*(np.empty(n, dtype) for dtype in dtypes))
-    tally = np.zeros(27, dtype=np.int64)
-    n_detected = 0
+        log = RoundLog(*(np.empty(n, dtype) for dtype in (np.int64, np.int64, np.int8, np.int8)))
+    tally = np.zeros(81, dtype=np.int64)
     alice_bits, bob_bits = [], []
 
-    def fold(
-        start: int, cell: np.ndarray, detected: np.ndarray, s_a: np.ndarray, s_b: np.ndarray
-    ) -> None:
-        nonlocal tally, n_detected
-        s_a = s_a * detected
-        s_b = s_b * detected
-        key = np.flatnonzero(detected & angle_matched[cell])
+    def fold(start: int, cell: np.ndarray, s_a: np.ndarray, s_b: np.ndarray) -> None:
+        nonlocal tally
+        key = np.flatnonzero(angle_matched[cell] & (s_a * s_b != 0))
         # Bob's public flip: physical singlet outcomes anticorrelate at matched
         # angles, so flipped bits agree and test correlations become +cos.
         alice_bits.append(s_a[key] > 0)
         bob_bits.append(s_b[key] < 0)
-        # Rounds whose flipped product is -1, 0 (lost) or +1, per setting cell.
-        tally += np.bincount(3 * cell - s_a * s_b + 1, minlength=27)
-        n_detected += int(np.count_nonzero(detected))
+        # Rounds per setting cell and pair of signs (-1, 0 for no click, +1).
+        tally += np.bincount(9 * cell + 3 * s_a + s_b + 4, minlength=81)
         if log is not None:
-            columns = (log.a_idx, log.b_idx, log.detected, log.s_a, log.s_b)
-            for column, values in zip(columns, (*divmod(cell, 3), detected, s_a, s_b)):
+            columns = (log.a_idx, log.b_idx, log.s_a, log.s_b)
+            for column, values in zip(columns, (*divmod(cell, 3), s_a, s_b)):
                 column[start:start + cell.size] = values
 
     # The worker folds chunk i while this thread samples chunk i + 1; one fold
@@ -448,9 +448,11 @@ def run_session(
     n_key = alice_key.size
     qber = int(np.count_nonzero(alice_key != bob_key)) / n_key if n_key > 0 else None
 
-    minus, lost, plus = tally.reshape(9, 3)[
-        [3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]
-    ].T.tolist()
+    flipped = -np.outer((-1, 0, 1), (-1, 0, 1))  # each sign pair's Bob-flipped product
+    counts = tally.reshape(9, 3, 3)
+    n_detected = int(counts[:, flipped != 0].sum())
+    test = counts[[3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]]
+    minus, lost, plus = (test[:, flipped == v].sum(axis=1).tolist() for v in (-1, 0, 1))
     chsh_cond = _chsh_estimate(config.chsh_pairs, minus, plus, [0] * 4)
     chsh_uncond = _chsh_estimate(config.chsh_pairs, minus, plus, lost)
     n_test = tuple(m + q for m, q in zip(minus, plus))
@@ -484,7 +486,7 @@ def _bit_string(bits: np.ndarray) -> str:
 
 
 def rounds_to_csv(rounds: RoundLog) -> str:
-    """Per-round log: round, a_idx, b_idx, detected, s_a, s_b (blank if lost).
+    """Per-round log: round, a_idx, b_idx, detected, s_a, s_b (blank if no click).
 
     Built without a per-row loop, ``_CSV_BLOCK`` rows at a time: each row is
     the round number's digits followed by one of the few possible
@@ -497,12 +499,10 @@ def rounds_to_csv(rounds: RoundLog) -> str:
     parts = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
     for start in range(0, n, _CSV_BLOCK):
         stop = min(start + _CSV_BLOCK, n)
-        a_idx, b_idx, detected, s_a, s_b = (
-            column[start:stop]
-            for column in (rounds.a_idx, rounds.b_idx, rounds.detected, rounds.s_a, rounds.s_b)
+        a_idx, b_idx, s_a, s_b = (
+            column[start:stop] for column in (rounds.a_idx, rounds.b_idx, rounds.s_a, rounds.s_b)
         )
-        # in intp: the code reaches 161, past what narrow index columns can hold
-        code = (((a_idx.astype(np.intp) * 3 + b_idx) * 2 + detected) * 3 + s_a + 1) * 3 + s_b + 1
+        code = ((a_idx * 3 + b_idx) * 3 + s_a + 1) * 3 + s_b + 1
         cells = np.zeros(stop - start, row)
         # unsigned and no wider than n needs: the divisions by 10 cost the most
         number = np.arange(start, stop, dtype=np.min_scalar_type(n))

@@ -53,9 +53,11 @@ def lhv_config(g: float, n: int = 100_000, seed: int = 2024) -> QkdConfig:
 
 
 def sample_rounds(channel, alpha, beta, n, seed):
-    """(detected, s_a, s_b) from a channel at fixed angles: one pair, n rounds in its cell."""
+    """(detected, s_a, s_b) from a channel at fixed angles: one pair, n rounds in its cell;
+    detected means both wings clicked."""
     pairs = np.array([[alpha, beta]])
-    return channel.sample(pairs, np.zeros(n, dtype=np.intp), *split_generators(seed, 3))
+    s_a, s_b = channel.sample(pairs, np.zeros(n, dtype=np.intp), *split_generators(seed, 3))
+    return (s_a != 0) & (s_b != 0), s_a, s_b
 
 
 def assert_same_csv(text, expected):
@@ -481,11 +483,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
     def test_rounds_csv_narrow_index_columns(self, dtype):
-        # the row code reaches 161, which an int8 or uint8 column cannot hold
+        # the row code mixes the index columns with the int8 signs
         _, rounds = run_session(quantum_config(0.7, n=1_000, seed=29), return_rounds=True)
         narrow = RoundLog(
-            rounds.a_idx.astype(dtype), rounds.b_idx.astype(dtype),
-            rounds.detected, rounds.s_a, rounds.s_b,
+            rounds.a_idx.astype(dtype), rounds.b_idx.astype(dtype), rounds.s_a, rounds.s_b
         )
         assert rounds_to_csv(narrow) == rounds_to_csv(rounds)
 
@@ -497,20 +498,29 @@ class TestSerialization:
         ],
     )
     def test_rounds_csv_matches_plain_formatter(self, n):
-        # row numbers that gain a digit and logs that end at a block edge
+        # row numbers that gain a digit and logs that end at a block edge; one log
+        # loses both wings at once, the other has single clicks (one sign blank)
         rng = make_generator(n)
         detected = rng.random(n) < 0.7
         signs = (2 * rng.integers(0, 2, (2, n)) - 1).astype(np.int8) * detected
-        rounds = RoundLog(
-            rng.integers(0, 3, n), rng.integers(0, 3, n), detected, signs[0], signs[1]
+        a_idx, b_idx = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        single_clicks = signs * (rng.random((2, n)) < 0.7)
+        for s_a, s_b in (signs, single_clicks):
+            lines = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
+            for i, (a, b, x, y) in enumerate(zip(*(v.tolist() for v in (a_idx, b_idx, s_a, s_b)))):
+                lines.append(f"{i},{a},{b},{int(x != 0 and y != 0)},{x or ''},{y or ''}\n")
+            assert_same_csv(rounds_to_csv(RoundLog(a_idx, b_idx, s_a, s_b)), "".join(lines))
+
+    def test_single_click_rows(self):
+        # a wing that did not click leaves its sign blank, and the row is not detected
+        rounds = RoundLog(np.array([0, 1, 2, 2]), np.array([2, 0, 1, 1]),
+                          np.array([1, 0, -1, 0], np.int8), np.array([0, -1, 1, 0], np.int8))
+        assert rounds_to_csv(rounds) == (
+            "round,a_idx,b_idx,detected,s_a,s_b\n0,0,2,0,1,\n1,1,0,0,,-1\n2,2,1,1,-1,1\n3,2,1,0,,\n"
         )
-        lines = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
-        for i, (a, b, d, s_a, s_b) in enumerate(
-            zip(*(getattr(rounds, name).tolist() for name in LOG_COLUMNS))
-        ):
-            outcomes = f"{s_a},{s_b}" if d else ","
-            lines.append(f"{i},{a},{b},{int(d)},{outcomes}\n")
-        assert_same_csv(rounds_to_csv(rounds), "".join(lines))
+        assert rounds.detected.tolist() == [False, False, True, False]
+        assert [r.outcomes for r in rounds] == [None, None, OutcomePair(-1, 1), None]
+        assert not any(r.detected for r in (rounds[0], rounds[1], rounds[3]))
 
     def test_round_log_columns_and_rows(self):
         report, rounds = run_session(quantum_config(0.5, n=2_000, seed=19), return_rounds=True)
@@ -670,7 +680,7 @@ class TestChunkedSessions:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
     def test_logged_session_memory(self, fresh_interpreter):
-        # the five log columns take 19 MB, the CSV text ~20 MB and the copy that
+        # the four log columns take 18 MB, the CSV text ~20 MB and the copy that
         # joins its blocks as much again; the matrix of one block is small
         n_lines, growth_mb = fresh_interpreter(self.LOG_MEMORY_PROBE)
         assert int(n_lines) == 10**6 + 1
@@ -690,7 +700,7 @@ class SpyChannel:
         self.drawn["alice"].append(rng_alice.random((n, 2)).ravel())
         self.drawn["bob"].append(rng_bob.random(n))
         ones = np.ones(n, dtype=np.int8)
-        return np.ones(n, dtype=bool), ones, -ones
+        return ones, -ones
 
 
 class TestSessionStreams:
@@ -711,6 +721,108 @@ class TestSessionStreams:
         np.add.at(counts, (rounds.a_idx, rounds.b_idx), 1)
         sigma = math.sqrt(n * (1 / 9) * (8 / 9))
         assert np.all(np.abs(counts - n / 9) <= 5 * sigma), counts
+
+
+class WingClickChannel:
+    """Test-only singlet channel whose wings click independently: Alice with
+    probability p_a and Bob with p_b, each from a second uniform on its own stream."""
+
+    def __init__(self, p_a=0.9, p_b=0.6):
+        self.p_a, self.p_b = p_a, p_b
+
+    def sample(self, pairs, cell, rng_channel, rng_alice, rng_bob):
+        n = cell.size
+        p_same = (1.0 - np.cos(pairs[:, 0] - pairs[:, 1])) / 2.0
+        alice, bob = rng_alice.random((n, 2)), rng_bob.random((n, 2))
+        s_a = np.where(alice[:, 0] < 0.5, 1, -1).astype(np.int8)
+        s_b = s_a * np.where(bob[:, 0] < p_same[cell], 1, -1).astype(np.int8)
+        return s_a * (alice[:, 1] < self.p_a), s_b * (bob[:, 1] < self.p_b)
+
+
+SIGN_CHANNELS = {
+    "quantum": lambda: QuantumLocalizedChannel(0.6),
+    "cosine-eve": lambda: LhvEveChannel(cosine_model(0.5)),
+    "single-clicks": WingClickChannel,
+}
+
+
+def tally_81(log):
+    """A session log's rounds per setting cell and pair of signs, as a (9, 3, 3) array."""
+    cell = 3 * log.a_idx + log.b_idx
+    s_a, s_b = log.s_a.astype(np.int64), log.s_b.astype(np.int64)
+    return np.bincount(9 * cell + 3 * s_a + s_b + 4, minlength=81).reshape(9, 3, 3)
+
+
+class TestPerWingOutcomes:
+    """A sign of 0 means that wing did not click; a coincidence has both signs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(SIGN_CHANNELS)), st.integers(1, 3001), st.integers(0, 2**64 - 1))
+    @example("single-clicks", 1, 0)
+    def test_81_cells_project_onto_the_report(self, channel, chunk, seed):
+        config = QkdConfig(channel=SIGN_CHANNELS[channel](), n_rounds=3000, seed=seed)
+        with mock.patch.object(qkd, "_CHUNK", chunk):
+            report, log = run_session(config, return_rounds=True)
+        tally = tally_81(log)
+        cell = 3 * log.a_idx + log.b_idx
+        product = log.s_a.astype(np.int64) * log.s_b
+        products = np.bincount(3 * cell - product + 1, minlength=27).reshape(9, 3)
+        projected = np.zeros((9, 3), dtype=np.int64)
+        for i, x in enumerate((-1, 0, 1)):
+            for j, y in enumerate((-1, 0, 1)):
+                projected[:, 1 - x * y] += tally[:, i, j]
+        assert np.array_equal(projected, products)
+        # coincidences: both signs nonzero
+        assert report.n_detected == int(tally[:, ::2, ::2].sum())
+        chsh_cells = [3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]
+        minus, lost, plus = products[chsh_cells].T.tolist()
+        assert report.n_test_rounds == tuple(m + q for m, q in zip(minus, plus))
+        pairs = config.chsh_pairs
+        assert report.chsh_estimate == qkd._chsh_estimate(pairs, minus, plus, [0] * 4)
+        assert report.chsh_unconditioned == qkd._chsh_estimate(pairs, minus, plus, lost)
+
+    def test_independent_wing_clicks(self):
+        n, p_a, p_b = 200_000, 0.9, 0.6
+        config = QkdConfig(channel=WingClickChannel(p_a, p_b), n_rounds=n, seed=31)
+        report, log = run_session(config, return_rounds=True)
+        tally = tally_81(log)
+        angles = [(a, b) for a in config.alice_angles for b in config.bob_angles]
+        for c, (alpha, beta) in enumerate(angles):
+            p_same = (1.0 - math.cos(alpha - beta)) / 2.0
+            for i, u in enumerate((-1, 0, 1)):
+                for j, v in enumerate((-1, 0, 1)):
+                    # Alice's sign x is a fair coin; Bob's y equals it with p_same
+                    p = sum(
+                        (p_same if y == x else 1 - p_same) / 18
+                        * (p_a if u == x else 1 - p_a if u == 0 else 0.0)
+                        * (p_b if v == y else 1 - p_b if v == 0 else 0.0)
+                        for x in (-1, 1) for y in (-1, 1)
+                    )
+                    sigma = math.sqrt(n * p * (1 - p))
+                    assert abs(tally[c, i, j] - n * p) <= 5 * sigma + 1e-9, (c, u, v)
+        clicked_a, clicked_b = log.s_a != 0, log.s_b != 0
+        both = clicked_a & clicked_b
+        single = clicked_a ^ clicked_b
+        # n_detected counts coincidences only, not single clicks
+        assert report.n_detected == int(both.sum())
+        assert abs(report.n_detected - n * p_a * p_b) <= 5 * math.sqrt(n * p_a * p_b * (1 - p_a * p_b))
+        assert np.array_equal(log.detected, both)
+        # key bits come from coincidences at matched angles, never from single clicks
+        matched = np.array([abs(a - b) < 1e-12 for a, b in angles])
+        in_key_cell = matched[3 * log.a_idx + log.b_idx]
+        assert np.any(in_key_cell & single)
+        key = in_key_cell & both
+        assert report.n_key_rounds == int(key.sum())
+        assert report.sifted_key_alice == "".join("1" if s > 0 else "0" for s in log.s_a[key])
+        assert report.sifted_key_bob == "".join("1" if s < 0 else "0" for s in log.s_b[key])
+        # the unconditioned CHSH counts a single click as product 0
+        for key_name, conditioned in (("chsh_estimate", True), ("chsh_unconditioned", False)):
+            assert getattr(report, key_name).s_value == masked_chsh(config, log, conditioned)[0]
+        uncond = report.chsh_unconditioned
+        assert abs(uncond.s_value - p_a * p_b * 2 * SQRT2) <= 5 * uncond.std_error
+        # criterion 7's rows: a single-click row is not detected and has no outcomes
+        row = log[int(np.flatnonzero(single)[0])]
+        assert row.detected is False and row.outcomes is None
 
 
 class TestWorkerThread:
