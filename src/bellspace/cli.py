@@ -293,6 +293,8 @@ def _cmd_gfactor(params: dict) -> tuple[dict, str, int]:
         "gfactor",
     )
     setup = _parse_setup(params)
+    if "t" in params and "times" in params:
+        raise ConfigError("gfactor takes either t or times, not both")
     t = param(params, "t", 0.0)
     if "times" in params:
         curve = g_decay_curve(setup, param(params, "times", []))

@@ -5,16 +5,17 @@ uniform settings from three directions each and measure.  :func:`run_session`
 walks the rounds in fixed chunks: it draws each chunk's setting cells, then
 the channel's ``sample`` method, its one vectorized rule, produces each
 round's two signs, 0 where that wing did not click, from the table of the
-nine setting pairs and each round's cell (row) in it, and only the chunk's
-tally (setting cell x Alice's sign x Bob's sign, 81 cells) and key bits are
-kept.  Cells, channel and each wing's signs have their own spawned stream,
-read in round order, so a session draws the same numbers as if it were
-sampled in one piece and the chunk size never shows in the output.  The
-process's worker thread (:func:`bellspace.config.on_worker`) folds each
-chunk but the last while the next is sampled, and the eavesdropper channel
-runs Alice's wing on it while Bob's runs on the caller; numpy releases the
-interpreter lock in the heavy calls, so two cores share a session, and the
-draws and their order are those of a serial run.  The quantum channel
+nine setting pairs and each round's cell (row) in it.  A round becomes one
+row code 9 * cell + 3 * s_a + s_b + 4 (setting cell x Alice's sign x Bob's
+sign, 81 cells); only the chunk's tally of codes and key bits are kept.
+Cells, channel and each wing's signs have their own spawned stream, read in
+round order, so a session draws the same numbers as if it were sampled in
+one piece and the chunk size never shows in the output.  The process's
+worker thread (:func:`bellspace.config.on_worker`) folds each chunk but the last
+while the next is sampled, and the eavesdropper channel runs Alice's wing
+on it while Bob's runs on the caller; numpy releases the interpreter lock
+in the heavy calls, so two cores share a session, and the draws and their
+order are those of a serial run.  The quantum channel
 clicks on both wings with probability g (the localization factor of the
 detector regions), else on neither, and on a coincidence (both wings
 clicked) produces full singlet statistics.  The eavesdropper channel
@@ -44,10 +45,10 @@ the products -1, 0 and +1, so their standard errors are exact to rounding.
 Whether post-selected statistics certify security when g <= 1/2 is the
 fair-sampling question; the report shows both numbers and takes no side.
 
-``return_rounds=True`` adds the per-round log as numpy columns
-(:class:`RoundLog`), which builds :class:`RoundRecord` rows only on access;
-only this log grows with the session.  :func:`rounds_to_csv` writes it in
-blocks of rows, so besides the columns only the CSV text itself grows.
+``return_rounds=True`` adds the per-round log (:class:`RoundLog`): the row
+codes, one byte a round, decoded to columns and :class:`RoundRecord` rows
+on access; only this log grows with the session.  :func:`rounds_to_csv`
+writes it in blocks of rows, so besides it only the CSV text grows.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ INCONCLUSIVE = "inconclusive"
 MIN_TEST_ROUNDS_PER_PAIR = 50
 #: Largest session.  Without the round log, peak RSS grows ~5 MB at 10^6
 #: rounds and ~19 MB at 10^7 (chunk buffers, then the key bits); the log and
-#: its CSV take ~55 MB per 10^6 rounds (18 MB of columns, the CSV text and its
-#: joined copy), so this cap keeps a logged session under ~0.6 GB (544 MB
+#: its CSV take ~40 MB per 10^6 rounds (1 MB of row codes, the CSV text and
+#: its joined copy), so this cap keeps a logged session under ~0.4 GB (377 MB
 #: measured at 10^7).
 MAX_ROUNDS = 10_000_000
 
@@ -83,16 +84,15 @@ _ANGLE_MATCH_TOL = 1e-12
 _CHUNK = 1 << 16
 #: Rows per block of :func:`rounds_to_csv`; the output does not depend on it.
 _CSV_BLOCK = 1 << 14
-#: Every ``,a,b,d,s_a,s_b`` row tail of the round-log CSV as NUL-padded bytes,
-#: indexed by the row code ((a * 3 + b) * 3 + s_a + 1) * 3 + s_b + 1.
+#: Each round's (a_idx, b_idx, s_a, s_b) by its row code 9 * cell + 3 * s_a +
+#: s_b + 4, where cell = 3 * a_idx + b_idx and a sign of 0 means no click.
+_ROWS = np.array(
+    [(a, b, x, y) for a in range(3) for b in range(3) for x in (-1, 0, 1) for y in (-1, 0, 1)],
+    dtype=np.int8,
+)
+#: Each row code's ``,a,b,d,s_a,s_b`` tail in the round-log CSV, NUL-padded.
 _CSV_TAILS = np.array(
-    [
-        f",{a},{b},{int(bool(s_a and s_b))},{s_a or ''},{s_b or ''}\n"
-        for a in range(3)
-        for b in range(3)
-        for s_a in (-1, 0, 1)
-        for s_b in (-1, 0, 1)
-    ],
+    [f",{a},{b},{int(bool(x and y))},{x or ''},{y or ''}\n" for a, b, x, y in _ROWS.tolist()],
     dtype="S",
 )
 
@@ -281,40 +281,42 @@ class RoundRecord:
 
     alice_setting: int
     bob_setting: int
-    detected: bool
     outcomes: OutcomePair | None
 
-    def __post_init__(self) -> None:
-        if self.detected != (self.outcomes is not None):
-            raise ValueError("outcomes must be present exactly when detected")
+    @property
+    def detected(self) -> bool:
+        return self.outcomes is not None
 
 
 @dataclass(frozen=True, eq=False)
 class RoundLog:
-    """Per-round session log as numpy columns.
+    """Per-round session log: the uint8 row code ``9 * (3 * a_idx + b_idx) +
+    3 * s_a + s_b + 4`` of each round, the session tally's index.
 
-    ``s_a`` and ``s_b`` are the physical (unflipped) int8 outcomes, 0 where
-    that wing did not click; ``detected`` (both clicked) is derived from them.
-    ``len()``, indexing and iteration yield :class:`RoundRecord` rows, built
-    on demand; a single-click row is not detected and has no outcomes.
+    The int8 columns ``a_idx``, ``b_idx`` and the physical (unflipped)
+    outcomes ``s_a`` and ``s_b``, 0 where that wing did not click, are
+    decoded from it on access; ``detected`` (both clicked) comes from the
+    signs.  ``len()``, indexing and iteration yield :class:`RoundRecord`
+    rows; a single-click row is not detected and has no outcomes.
     """
 
-    a_idx: np.ndarray
-    b_idx: np.ndarray
-    s_a: np.ndarray
-    s_b: np.ndarray
+    code: np.ndarray
+
+    a_idx = property(lambda self: _ROWS[self.code, 0])
+    b_idx = property(lambda self: _ROWS[self.code, 1])
+    s_a = property(lambda self: _ROWS[self.code, 2])
+    s_b = property(lambda self: _ROWS[self.code, 3])
 
     @property
     def detected(self) -> np.ndarray:
         return (self.s_a != 0) & (self.s_b != 0)
 
     def __len__(self) -> int:
-        return self.a_idx.size
+        return self.code.size
 
     def __getitem__(self, i: int) -> RoundRecord:
-        detected = bool(self.s_a[i] and self.s_b[i])
-        outcomes = OutcomePair(int(self.s_a[i]), int(self.s_b[i])) if detected else None
-        return RoundRecord(int(self.a_idx[i]), int(self.b_idx[i]), detected, outcomes)
+        a_idx, b_idx, s_a, s_b = _ROWS[self.code[i]].tolist()
+        return RoundRecord(a_idx, b_idx, OutcomePair(s_a, s_b) if s_a and s_b else None)
 
     def __iter__(self) -> Iterator[RoundRecord]:
         return (self[i] for i in range(len(self)))
@@ -400,7 +402,7 @@ def run_session(
     only its integer tally of rounds per setting cell and sign pair, and its
     key bits (coincidences at matched angles), so only the key grows with
     ``n_rounds``.  ``return_rounds=True`` adds the per-round
-    :class:`RoundLog`, whose columns grow too.  The process's worker thread
+    :class:`RoundLog`, whose row codes grow too.  The process's worker thread
     folds each chunk (key bits, tally, log) while this thread samples the
     next; folds run one at a time and in chunk order, and the last chunk is
     folded here, so a one-chunk session hands no fold off.
@@ -413,7 +415,7 @@ def run_session(
     )
     log = None
     if return_rounds:
-        log = RoundLog(*(np.empty(n, dtype) for dtype in (np.int64, np.int64, np.int8, np.int8)))
+        log = RoundLog(np.empty(n, np.uint8))
     tally = np.zeros(81, dtype=np.int64)
     alice_bits, bob_bits = [], []
 
@@ -424,12 +426,11 @@ def run_session(
         # angles, so flipped bits agree and test correlations become +cos.
         alice_bits.append(s_a[key] > 0)
         bob_bits.append(s_b[key] < 0)
-        # Rounds per setting cell and pair of signs (-1, 0 for no click, +1).
-        tally += np.bincount(9 * cell + 3 * s_a + s_b + 4, minlength=81)
+        # Row codes: setting cell and sign pair (-1, 0 for no click, +1) of each round.
+        code = 9 * cell + 3 * s_a + s_b + 4
+        tally += np.bincount(code, minlength=81)
         if log is not None:
-            columns = (log.a_idx, log.b_idx, log.s_a, log.s_b)
-            for column, values in zip(columns, (*divmod(cell, 3), s_a, s_b)):
-                column[start:start + cell.size] = values
+            log.code[start:start + cell.size] = code
 
     # The worker folds chunk i while this thread samples chunk i + 1; one fold
     # at a time, in chunk order, so the tally, key and log are as if serial.
@@ -489,9 +490,9 @@ def rounds_to_csv(rounds: RoundLog) -> str:
     """Per-round log: round, a_idx, b_idx, detected, s_a, s_b (blank if no click).
 
     Built without a per-row loop, ``_CSV_BLOCK`` rows at a time: each row is
-    the round number's digits followed by one of the few possible
-    ``,a,b,d,s_a,s_b`` tails, laid out in NUL-padded fixed-width byte rows
-    whose padding is then dropped.  Only one block's rows exist at a time.
+    the round number's digits followed by its row code's ``,a,b,d,s_a,s_b``
+    tail, laid out in NUL-padded fixed-width byte rows whose padding is then
+    dropped.  Only one block's rows exist at a time.
     """
     n = len(rounds)
     width = len(str(n - 1))
@@ -499,10 +500,6 @@ def rounds_to_csv(rounds: RoundLog) -> str:
     parts = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
     for start in range(0, n, _CSV_BLOCK):
         stop = min(start + _CSV_BLOCK, n)
-        a_idx, b_idx, s_a, s_b = (
-            column[start:stop] for column in (rounds.a_idx, rounds.b_idx, rounds.s_a, rounds.s_b)
-        )
-        code = ((a_idx * 3 + b_idx) * 3 + s_a + 1) * 3 + s_b + 1
         cells = np.zeros(stop - start, row)
         # unsigned and no wider than n needs: the divisions by 10 cost the most
         number = np.arange(start, stop, dtype=np.min_scalar_type(n))
@@ -512,6 +509,6 @@ def rounds_to_csv(rounds: RoundLog) -> str:
             first = max((10**p if p else 0) - start, 0)
             cells["digits"][first:, width - 1 - p] = (number - tens * 10)[first:] + ord("0")
             number = tens
-        cells["tail"] = _CSV_TAILS[code]
+        cells["tail"] = _CSV_TAILS[rounds.code[start:stop]]
         parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)

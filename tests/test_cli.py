@@ -901,6 +901,8 @@ class TestConfigValues:
             ("feasibility", {"target": {"alphas": [0, 1], "betas": [0, 1],
                                         "matrix": [["0.5", 0], [0, True]]}}),
             ("qkd", {"channel": QKD_CHANNEL, "round_log": 5}),
+            ("gfactor", {"setup": {"width_param": 1, "separation": [100, 0, 0]},
+                         "t": 5.0, "times": [0.0, 1.0]}),
         ],
         ids=["tol-string", "tol-zero", "alphas-string", "mc-n-too-small", "mc-n-float",
              "times-string", "times-scalar", "g-bool", "packet-not-object", "g-values-null",
@@ -908,7 +910,7 @@ class TestConfigValues:
              "n-rounds-too-large", "max-scale-string", "chsh-pair-index-bool",
              "chsh-pair-sign-bool", "setup-width-string", "setup-width-bool",
              "channel-g-string", "alarm-sigma-string", "target-matrix-string-bool",
-             "round-log-not-string"],
+             "round-log-not-string", "t-with-times"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, params):
         if command == "feasibility":

@@ -1,6 +1,7 @@
 """Key-distribution session tests: channels, sifting, CHSH audit, verdicts."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -58,6 +59,13 @@ def sample_rounds(channel, alpha, beta, n, seed):
     pairs = np.array([[alpha, beta]])
     s_a, s_b = channel.sample(pairs, np.zeros(n, dtype=np.intp), *split_generators(seed, 3))
     return (s_a != 0) & (s_b != 0), s_a, s_b
+
+
+def log_of(a_idx, b_idx, s_a, s_b):
+    """A RoundLog of the given columns: each round's row code 9 * (3 * a_idx + b_idx)
+    + 3 * s_a + s_b + 4."""
+    a_idx, b_idx, s_a, s_b = (np.asarray(v, dtype=np.int64) for v in (a_idx, b_idx, s_a, s_b))
+    return RoundLog((9 * (3 * a_idx + b_idx) + 3 * s_a + s_b + 4).astype(np.uint8))
 
 
 def assert_same_csv(text, expected):
@@ -407,10 +415,9 @@ class TestConfigValidation:
             QkdConfig(channel=QuantumLocalizedChannel(g=0.5), alarm_sigma=0.0)
 
     def test_round_record_consistency(self):
-        with pytest.raises(ValueError):
-            RoundRecord(0, 0, True, None)
-        with pytest.raises(ValueError):
-            RoundRecord(0, 0, False, OutcomePair(1, 1))
+        # detected is derived: true exactly when outcomes are present
+        assert RoundRecord(0, 0, OutcomePair(1, -1)).detected is True
+        assert RoundRecord(2, 1, None).detected is False
 
 
 def config_dict(channel: dict, n: int = 5_000, seed: int = 21) -> dict:
@@ -481,40 +488,36 @@ class TestSerialization:
             lines.append(f"{i},{r.alice_setting},{r.bob_setting},{int(r.detected)},{s_a},{s_b}\n")
         assert rounds_to_csv(rounds) == "".join(lines)
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
-    def test_rounds_csv_narrow_index_columns(self, dtype):
-        # the row code mixes the index columns with the int8 signs
-        _, rounds = run_session(quantum_config(0.7, n=1_000, seed=29), return_rounds=True)
-        narrow = RoundLog(
-            rounds.a_idx.astype(dtype), rounds.b_idx.astype(dtype), rounds.s_a, rounds.s_b
-        )
-        assert rounds_to_csv(narrow) == rounds_to_csv(rounds)
-
     @pytest.mark.parametrize(
         "n",
         [
-            1, 9, 10, 11, 99_999, 100_000, 100_001,
+            1, 9, 10, 11, 81, 99_999, 100_000, 100_001,
             qkd._CSV_BLOCK - 1, qkd._CSV_BLOCK, qkd._CSV_BLOCK + 1,
         ],
     )
     def test_rounds_csv_matches_plain_formatter(self, n):
         # row numbers that gain a digit and logs that end at a block edge; one log
-        # loses both wings at once, the other has single clicks (one sign blank)
+        # loses both wings at once, one has single clicks (one sign blank), and one
+        # runs through all 81 row codes in turn (each once at n = 81)
         rng = make_generator(n)
         detected = rng.random(n) < 0.7
         signs = (2 * rng.integers(0, 2, (2, n)) - 1).astype(np.int8) * detected
         a_idx, b_idx = rng.integers(0, 3, n), rng.integers(0, 3, n)
         single_clicks = signs * (rng.random((2, n)) < 0.7)
-        for s_a, s_b in (signs, single_clicks):
+        every_code = np.resize(list(itertools.product(
+            range(3), range(3), (-1, 0, 1), (-1, 0, 1))), (n, 4)).T
+        for columns in ((a_idx, b_idx, *signs), (a_idx, b_idx, *single_clicks), every_code):
             lines = ["round,a_idx,b_idx,detected,s_a,s_b\n"]
-            for i, (a, b, x, y) in enumerate(zip(*(v.tolist() for v in (a_idx, b_idx, s_a, s_b)))):
+            for i, (a, b, x, y) in enumerate(zip(*(v.tolist() for v in columns))):
                 lines.append(f"{i},{a},{b},{int(x != 0 and y != 0)},{x or ''},{y or ''}\n")
-            assert_same_csv(rounds_to_csv(RoundLog(a_idx, b_idx, s_a, s_b)), "".join(lines))
+            log = log_of(*columns)
+            assert_same_csv(rounds_to_csv(log), "".join(lines))
+            for name, column in zip(("a_idx", "b_idx", "s_a", "s_b"), columns):
+                assert np.array_equal(getattr(log, name), column), name
 
     def test_single_click_rows(self):
         # a wing that did not click leaves its sign blank, and the row is not detected
-        rounds = RoundLog(np.array([0, 1, 2, 2]), np.array([2, 0, 1, 1]),
-                          np.array([1, 0, -1, 0], np.int8), np.array([0, -1, 1, 0], np.int8))
+        rounds = log_of([0, 1, 2, 2], [2, 0, 1, 1], [1, 0, -1, 0], [0, -1, 1, 0])
         assert rounds_to_csv(rounds) == (
             "round,a_idx,b_idx,detected,s_a,s_b\n0,0,2,0,1,\n1,1,0,0,,-1\n2,2,1,1,-1,1\n3,2,1,0,,\n"
         )
@@ -525,6 +528,7 @@ class TestSerialization:
     def test_round_log_columns_and_rows(self):
         report, rounds = run_session(quantum_config(0.5, n=2_000, seed=19), return_rounds=True)
         assert len(rounds) == 2_000
+        assert rounds.code.dtype == np.uint8 and rounds.code.nbytes == 2_000
         assert int(rounds.detected.sum()) == report.n_detected
         assert np.all((rounds.s_a == 0) == ~rounds.detected)
         rows = list(rounds)
@@ -607,7 +611,7 @@ class TestGoldenOutputs:
         assert self.sha256(text) == digest
 
 
-LOG_COLUMNS = ("a_idx", "b_idx", "detected", "s_a", "s_b")
+LOG_COLUMNS = ("code", "a_idx", "b_idx", "detected", "s_a", "s_b")
 
 
 @st.composite
@@ -680,7 +684,7 @@ class TestChunkedSessions:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
     def test_logged_session_memory(self, fresh_interpreter):
-        # the four log columns take 18 MB, the CSV text ~20 MB and the copy that
+        # the log's row codes take 1 MB, the CSV text ~20 MB and the copy that
         # joins its blocks as much again; the matrix of one block is small
         n_lines, growth_mb = fresh_interpreter(self.LOG_MEMORY_PROBE)
         assert int(n_lines) == 10**6 + 1
