@@ -37,7 +37,7 @@ _EXPORTS = {
         "lhv": "CorrelationEstimate HiddenVariableModel cosine_model model_chsh "
         "model_expectation_exact model_expectation_mc random_bounded_model",
         "qkd": "ChshPair LhvEveChannel QkdConfig QkdSessionReport QuantumLocalizedChannel "
-        "RoundLog RoundRecord decide_verdict run_session",
+        "Behaviour RoundLog RoundRecord decide_verdict run_session",
         "rng": "DEFAULT_SEED make_generator split_generators",
         "spatial": "BoxRegion GaussianPacket LocalizationFactor QuadratureError SpatialSetup "
         "expanded_width g_decay_curve g_factor_quadrature "

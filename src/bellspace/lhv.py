@@ -164,10 +164,16 @@ def model_expectation_exact(
     lambda)), eta = sign(cos(beta - lambda)) the error is up to ~4/N
     (~1e-3 at the default N = 4096).
     """
-    a, b = as_angle(alpha), as_angle(beta)
-    lam = np.arange(nodes) * (TWO_PI / nodes)
-    xi, eta = response_values(model, "xi", a, lam), response_values(model, "eta", b, lam)
+    xi, eta = node_responses(model, as_angle(alpha), as_angle(beta), nodes)
     return float(np.mean(xi * eta))
+
+
+def node_responses(
+    model: HiddenVariableModel, alpha: float, beta: float, nodes: int = _EXACT_NODES
+) -> tuple[np.ndarray, np.ndarray]:
+    """xi at alpha and eta at beta, checked, on the exact expectations' trapezoid nodes."""
+    lam = np.arange(nodes) * (TWO_PI / nodes)
+    return response_values(model, "xi", alpha, lam), response_values(model, "eta", beta, lam)
 
 
 def model_expectation_mc(

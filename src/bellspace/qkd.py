@@ -1,58 +1,52 @@
 """Two-particle entanglement-based key distribution with localized detectors.
 
 Each round the source emits a singlet pair; Alice and Bob draw independent
-uniform settings from three directions each and measure.  :func:`run_session`
-walks the rounds in fixed chunks: it draws each chunk's setting cells, then
-the channel's ``sample`` method, its one vectorized rule, produces each
-round's two signs, 0 where that wing did not click, from the table of the
-nine setting pairs and each round's cell (row) in it.  A round becomes one
-row code 9 * cell + 3 * s_a + s_b + 4 (setting cell x Alice's sign x Bob's
-sign, 81 cells); only the chunk's tally of codes and key bits are kept.
-Cells, channel and each wing's signs have their own spawned stream, read in
-round order, so a session draws the same numbers as if it were sampled in
-one piece and the chunk size never shows in the output.  The process's
-worker thread (:func:`bellspace.config.on_worker`) folds each chunk but the last
-while the next is sampled, and the eavesdropper channel runs Alice's wing
-on it while Bob's runs on the caller; numpy releases the interpreter lock
-in the heavy calls, so two cores share a session, and the draws and their
-order are those of a serial run.  The quantum channel
-clicks on both wings with probability g (the localization factor of the
-detector regions), else on neither, and on a coincidence (both wings
-clicked) produces full singlet statistics.  The eavesdropper channel
-replaces the pair by a local hidden-variable model: lambda plays the role
-of Eve, both wings click on every round, and outcomes come from the model's
-bounded responses, Bob's sign negated so that, like the singlet's, her raw
-correlations are -E[xi * eta].
+uniform settings from three directions each.  A channel's one vectorized
+rule, ``sample``, gives each round's two physical signs, 0 where that wing
+did not click, from the table of the nine setting pairs and each round's
+cell (row) in it; ``behaviour(pairs)`` gives their exact law.  The quantum
+channel clicks on both wings with probability g (the localization factor of
+the detector regions), else on neither: p(s_a, s_b) = g (1 - s_a s_b
+cos(alpha - beta)) / 4 on a coincidence.  The eavesdropper channel replaces
+the pair by a local hidden-variable model (lambda is Eve): both wings always
+click and Bob's sign is the negated eta sign, so p(s_a, s_b) = (1 + s_a E[xi]
+- s_b E[eta] - s_a s_b E[xi eta]) / 4 and, as for the singlet, the raw
+correlation is -E[xi * eta].
 
-After the public announcement of settings, rounds split into key rounds
-(equal angles on both wings), test rounds (the four configured CHSH setting
-pairs) and discarded rounds.  Bob flips all of his announced outcomes: the
-physical singlet anticorrelates at equal angles (E = -cos(alpha - beta) with
-both wings measuring along (cos, 0, sin)), so the flip makes matched-round
-key bits agree and turns the test-round correlations into +cos(alpha -
-beta).  A cosine-model Eve therefore errs on (1 - g)/2 of the key bits, and
-only coincidences give key bits.  Each CHSH pair additionally carries an
-explicit sign with which its correlation enters the statistic; the default
-grids need signs (+,-,+,-) to map Bob's 3*pi/4 setting onto the canonical
--pi/4 slot (cos(x - 3*pi/4) = -cos(x + pi/4)).
+:func:`run_session` walks the rounds in chunks and keeps only the key bits
+and the tally of row codes 9 * cell + 3 * s_a + s_b + 4 (81 cells).  Cells,
+channel and each wing's signs have their own spawned stream, read in round
+order, so the chunk size never shows in the output.  The process's worker
+thread (:func:`bellspace.config.on_worker`) folds each chunk but the last
+while the next is sampled, and runs the eavesdropper's Alice wing; numpy
+releases the interpreter lock in the heavy calls, so two cores share a
+session that draws what a serial run draws.
 
-The session report carries the conditioned CHSH estimate (post-selected on
-coincidences, which restores full singlet statistics and drives the verdict)
-and the unconditioned one (a round without a coincidence counts as outcome
-product 0), whose expectation is g*cos(alpha - beta): the g-scaled
-correlation law made empirical.  Both come from per-pair integer counts of
-the products -1, 0 and +1, so their standard errors are exact to rounding.
-Whether post-selected statistics certify security when g <= 1/2 is the
-fair-sampling question; the report shows both numbers and takes no side.
+A :class:`Behaviour` is the pair table with a (k, 3, 3) array indexed
+[cell, s_a + 1, s_b + 1]: counts for the session's tally, probabilities for
+a channel's law.  Every report number but the key strings and the standard
+errors is its projection (:meth:`Behaviour.project`).  Key rounds have
+equal angles on both wings; test rounds are the four configured CHSH pairs.
+Bob flips his outcomes, so matched-round key bits agree where the singlet
+anticorrelates (an error is a coincidence with s_a == s_b; a cosine-model
+Eve errs on (1 - g)/2 of them) and test correlations become +cos(alpha -
+beta).  Each CHSH pair's sign multiplies its correlation: the default grids
+need (+, -, +, -) to map Bob's 3*pi/4 onto the canonical -pi/4, and a
+config whose signs leave the ideal singlet at S <= 2 is rejected.  The
+conditioned CHSH (post-selected on coincidences) drives the verdict; the
+unconditioned one (no coincidence: product 0) has expectation
+g*cos(alpha - beta).  Their standard errors come from integer counts,
+exact to rounding.  Whether post-selected statistics certify security when
+g <= 1/2 is the fair-sampling question; the report takes no side.
 
-``return_rounds=True`` adds the per-round log (:class:`RoundLog`): the row
-codes, one byte a round, decoded to columns and :class:`RoundRecord` rows
-on access; only this log grows with the session.  :func:`rounds_to_csv`
-writes it in blocks of rows, so besides it only the CSV text grows.
+``return_rounds=True`` adds the :class:`RoundLog` of row codes, one byte a
+round, decoded to columns and :class:`RoundRecord` rows on access;
+:func:`rounds_to_csv` writes it in blocks of rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +55,7 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from .config import on_worker
-from .lhv import HiddenVariableModel, response_values
+from .lhv import HiddenVariableModel, node_responses, response_values
 from .rng import split_generators
 from .spatial import SpatialSetup, setup_g_factor
 from .spin import TWO_PI, OutcomePair, as_angle, chsh_statistic
@@ -130,6 +124,20 @@ def _signs(positive: np.ndarray) -> np.ndarray:
     return (positive.view(np.int8) << 1) - 1
 
 
+#: Each sign pair's product s_a * s_b by [s_a + 1, s_b + 1], 0 where a wing did not click.
+_PRODUCT = np.outer((-1, 0, 1), (-1, 0, 1))
+
+
+def _click_law(g: float, mean_a, mean_b, product) -> np.ndarray:
+    """(k, 3, 3) law: both wings click with probability g, else neither; on a coincidence
+    p(x, y) = g (1 + x mean_a + y mean_b + x y product) / 4, each term (k, 1, 1) or 0."""
+    signs = np.array([-1, 0, 1])
+    law = g / 4 * (1 + mean_a * signs[:, None] + mean_b * signs + product * _PRODUCT)
+    law *= _PRODUCT != 0
+    law[:, 1, 1] = 1 - g
+    return law
+
+
 @dataclass(frozen=True)
 class QuantumLocalizedChannel:
     """Singlet channel with joint-detection probability g."""
@@ -163,6 +171,11 @@ class QuantumLocalizedChannel:
         s_a = _signs(rng_alice.random(n) < 0.5) * clicked
         return s_a, s_a * _signs(rng_bob.random(n) < p_same[cell])
 
+    def behaviour(self, pairs: np.ndarray) -> np.ndarray:
+        """The law of ``sample``, (k, 3, 3) by [cell, s_a + 1, s_b + 1]: g (1 - s_a s_b
+        cos(alpha - beta)) / 4 on a coincidence and 1 - g for no click on either wing."""
+        return _click_law(self.g, 0.0, 0.0, -np.cos(pairs[:, 0] - pairs[:, 1])[:, None, None])
+
 
 @dataclass(frozen=True)
 class LhvEveChannel:
@@ -192,6 +205,13 @@ class LhvEveChannel:
             # awaited first, so a model bad on both wings raises xi's error, as serially
             s_a = alice.result()
         return s_a, s_b
+
+    def behaviour(self, pairs: np.ndarray) -> np.ndarray:
+        """The law of ``sample``, (k, 3, 3) by [cell, s_a + 1, s_b + 1]: (1 + s_a E[xi] - s_b
+        E[eta] - s_a s_b E[xi eta]) / 4, on the nodes of :func:`~.lhv.model_expectation_exact`."""
+        nodes = [node_responses(self.model, alpha, beta) for alpha, beta in pairs]
+        moments = [(np.mean(xi), -np.mean(eta), -np.mean(xi * eta)) for xi, eta in nodes]
+        return _click_law(1.0, *np.array(moments).T[..., None, None])
 
 
 def _wing(
@@ -234,7 +254,8 @@ class QkdConfig:
 
     The default ``chsh_pairs`` are the canonical quadruple (pi/2, 0) x
     (pi/4, -pi/4) inside the default grids; Bob's -pi/4 is his 3*pi/4
-    setting with sign -1.
+    setting with sign -1.  Pairs and signs that leave the ideal singlet's S
+    at or below 2 cannot certify and are rejected.
     """
 
     channel: ChannelModel
@@ -264,13 +285,22 @@ class QkdConfig:
         if len(pairs) != 4 or not all(isinstance(p, ChshPair) for p in pairs):
             raise ValueError("chsh_pairs must be exactly four ChshPair entries")
         for pair in pairs:
-            if _angles_match(
-                self.alice_angles[pair.alice_idx], self.bob_angles[pair.bob_idx]
-            ):
-                raise ValueError(
-                    f"CHSH pair {pair} uses matched angles; those rounds are key rounds"
-                )
+            if _angles_match(self.alice_angles[pair.alice_idx], self.bob_angles[pair.bob_idx]):
+                raise ValueError(f"CHSH pair {pair} uses matched angles; those are key rounds")
         object.__setattr__(self, "chsh_pairs", pairs)
+        grid = np.array([(a, b) for a in self.alice_angles for b in self.bob_angles])
+        singlet = Behaviour(grid, QuantumLocalizedChannel(1.0).behaviour(grid))
+
+        def ideal(signs: tuple[int, ...]) -> float:  # the ideal singlet's S under these signs
+            test = tuple(ChshPair(p.alice_idx, p.bob_idx, s) for p, s in zip(pairs, signs))
+            return singlet.project(test)["chsh_estimate"].s_value
+        signs = tuple(p.sign for p in pairs)
+        if not ideal(signs) > 2.0:
+            best = max(itertools.product((1, -1), repeat=4), key=ideal)
+            raise ValueError(
+                f"chsh_pairs signs {signs} give the ideal singlet S = {ideal(signs):.6g} <= 2, so"
+                f" no session can certify; the best signs {best} give S = {ideal(best):.6g}"
+            )
         if not isinstance(self.channel, ChannelModel):
             raise ValueError(f"unsupported channel {self.channel!r}")
 
@@ -301,6 +331,12 @@ class RoundLog:
     """
 
     code: np.ndarray
+
+    def __post_init__(self) -> None:
+        if getattr(self.code, "dtype", None) != np.uint8 or self.code.ndim != 1:
+            raise ValueError(f"RoundLog code must be a 1-d uint8 array, got {self.code!r:.60}")
+        if self.code.size and self.code.max() >= 81:
+            raise ValueError(f"RoundLog row code {self.code.max()} out of range: codes run 0..80")
 
     a_idx = property(lambda self: _ROWS[self.code, 0])
     b_idx = property(lambda self: _ROWS[self.code, 1])
@@ -380,10 +416,43 @@ def _chsh_estimate(
     """
     stats = [(pos - neg, pos + neg, pos + neg + zero) for neg, pos, zero in zip(minus, plus, lost)]
     p = [pair.sign * (s / n if n else 0.0) for pair, (s, _, n) in zip(pairs, stats)]
+    if isinstance(stats[0][2], float):  # a law's probabilities: exact, no sampling error
+        return ChshEstimate(chsh_statistic(*p), 0.0)
     if min(n for *_, n in stats) < 2:
         return ChshEstimate(chsh_statistic(*p), math.inf)
     var = sum(Fraction(n * c - s * s, n * n * (n - 1)) for s, c, n in stats)
     return ChshEstimate(chsh_statistic(*p), _sqrt_ratio(var.numerator, var.denominator))
+
+
+@dataclass(frozen=True, eq=False)
+class Behaviour:
+    """``table[cell, s_a + 1, s_b + 1]``: each wing's physical sign (-1, 0 for no click,
+    +1) at row ``cell`` of ``pairs``, the (k, 2) (alpha, beta) table ``sample`` gets.  It
+    holds a session's counts or a channel's law; :meth:`project` reads the report off either.
+    """
+
+    pairs: np.ndarray
+    table: np.ndarray
+
+    def project(self, chsh_pairs: tuple[ChshPair, ...]) -> dict:
+        """The report's numbers by :class:`QkdSessionReport` field (masses, for a law).  Key
+        rounds are the coincidences at matched angles, in error where s_a == s_b (unequal
+        bits after Bob's flip); CHSH pair (i, j) reads row 3 * i + j."""
+        t = self.table
+        key = t[np.array([_angles_match(a, b) for a, b in self.pairs.tolist()], bool)]
+        test = t[[3 * p.alice_idx + p.bob_idx for p in chsh_pairs]]
+        # each pair's mass of Bob-flipped products -1, 0 and +1
+        minus, lost, plus = (test[:, _PRODUCT == -v].sum(axis=1).tolist() for v in (-1, 0, 1))
+        n_detected, n_key = t[:, ::2, ::2].sum().item(), key[:, ::2, ::2].sum().item()
+        return dict(
+            n_detected=n_detected,
+            coincidence_rate=n_detected / t.sum().item(),
+            n_key_rounds=n_key,
+            qber=(key[:, 0, 0] + key[:, 2, 2]).sum().item() / n_key if n_key > 0 else None,
+            n_test_rounds=tuple(m + q for m, q in zip(minus, plus)),
+            chsh_estimate=_chsh_estimate(chsh_pairs, minus, plus, [0] * 4),
+            chsh_unconditioned=_chsh_estimate(chsh_pairs, minus, plus, lost),
+        )
 
 
 def run_session(
@@ -391,31 +460,22 @@ def run_session(
 ) -> QkdSessionReport | tuple[QkdSessionReport, RoundLog]:
     """Simulate a full session: rounds, sifting, CHSH audit, verdict.
 
-    Four independent generator streams are spawned from the seed: setting
-    cells, channel, Alice's signs and Bob's signs.  Each round's cell
-    ``3 * a_idx + b_idx`` is uniform on the nine (alpha, beta) setting pairs,
-    which makes both wings' settings independent and uniform on three.
-    Rounds are simulated in chunks of ``_CHUNK``, every stream read in round
-    order, so reports are bit-reproducible for a fixed config and independent
-    of the chunk size.  The channel samples a chunk from the table of the
-    nine setting pairs and each round's cell in it.  A chunk leaves behind
-    only its integer tally of rounds per setting cell and sign pair, and its
-    key bits (coincidences at matched angles), so only the key grows with
-    ``n_rounds``.  ``return_rounds=True`` adds the per-round
-    :class:`RoundLog`, whose row codes grow too.  The process's worker thread
-    folds each chunk (key bits, tally, log) while this thread samples the
-    next; folds run one at a time and in chunk order, and the last chunk is
-    folded here, so a one-chunk session hands no fold off.
+    Four generator streams are spawned from the seed: setting cells, channel,
+    Alice's signs and Bob's signs.  Each round's cell ``3 * a_idx + b_idx`` is
+    uniform on the nine setting pairs, so both wings' settings are independent
+    and uniform.  Rounds go in chunks of ``_CHUNK``, every stream read in round
+    order, so the output does not depend on the chunk size.  A chunk leaves
+    behind only its tally and key bits (coincidences at matched angles); the
+    report is the tally's :meth:`Behaviour.project` with the key strings and
+    the verdict.  ``return_rounds=True`` adds the :class:`RoundLog`.  The
+    worker thread folds each chunk but the last while this thread samples the
+    next, one fold at a time and in chunk order.
     """
     n = config.n_rounds
     rng_cells, rng_channel, rng_alice, rng_bob = split_generators(config.seed, 4)
     pairs = np.array([(a, b) for a in config.alice_angles for b in config.bob_angles])
-    angle_matched = np.array(
-        [_angles_match(a, b) for a in config.alice_angles for b in config.bob_angles]
-    )
-    log = None
-    if return_rounds:
-        log = RoundLog(np.empty(n, np.uint8))
+    angle_matched = np.array([_angles_match(a, b) for a, b in pairs.tolist()])
+    codes = np.empty(n, np.uint8) if return_rounds else None
     tally = np.zeros(81, dtype=np.int64)
     alice_bits, bob_bits = [], []
 
@@ -429,8 +489,8 @@ def run_session(
         # Row codes: setting cell and sign pair (-1, 0 for no click, +1) of each round.
         code = 9 * cell + 3 * s_a + s_b + 4
         tally += np.bincount(code, minlength=81)
-        if log is not None:
-            log.code[start:start + cell.size] = code
+        if codes is not None:
+            codes[start:start + cell.size] = code
 
     # The worker folds chunk i while this thread samples chunk i + 1; one fold
     # at a time, in chunk order, so the tally, key and log are as if serial.
@@ -445,40 +505,18 @@ def run_session(
         else:
             fold(start, cell, *draws)  # the last chunk: nothing is left to sample meanwhile
 
-    alice_key, bob_key = np.concatenate(alice_bits), np.concatenate(bob_bits)
-    n_key = alice_key.size
-    qber = int(np.count_nonzero(alice_key != bob_key)) / n_key if n_key > 0 else None
-
-    flipped = -np.outer((-1, 0, 1), (-1, 0, 1))  # each sign pair's Bob-flipped product
-    counts = tally.reshape(9, 3, 3)
-    n_detected = int(counts[:, flipped != 0].sum())
-    test = counts[[3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]]
-    minus, lost, plus = (test[:, flipped == v].sum(axis=1).tolist() for v in (-1, 0, 1))
-    chsh_cond = _chsh_estimate(config.chsh_pairs, minus, plus, [0] * 4)
-    chsh_uncond = _chsh_estimate(config.chsh_pairs, minus, plus, lost)
-    n_test = tuple(m + q for m, q in zip(minus, plus))
-
-    if min(n_test) < MIN_TEST_ROUNDS_PER_PAIR:
+    numbers = Behaviour(pairs, tally.reshape(9, 3, 3)).project(config.chsh_pairs)
+    chsh = numbers["chsh_estimate"]
+    if min(numbers["n_test_rounds"]) < MIN_TEST_ROUNDS_PER_PAIR:
         verdict = INCONCLUSIVE
     else:
-        verdict = decide_verdict(chsh_cond.s_value, chsh_cond.std_error, config.alarm_sigma)
-
+        verdict = decide_verdict(chsh.s_value, chsh.std_error, config.alarm_sigma)
     report = QkdSessionReport(
-        sifted_key_alice=_bit_string(alice_key),
-        sifted_key_bob=_bit_string(bob_key),
-        qber=qber,
-        chsh_estimate=chsh_cond,
-        chsh_unconditioned=chsh_uncond,
-        verdict=verdict,
-        coincidence_rate=n_detected / n,
-        n_rounds=n,
-        n_detected=n_detected,
-        n_key_rounds=n_key,
-        n_test_rounds=n_test,  # type: ignore[arg-type]
+        sifted_key_alice=_bit_string(np.concatenate(alice_bits)),
+        sifted_key_bob=_bit_string(np.concatenate(bob_bits)),
+        verdict=verdict, n_rounds=n, **numbers,
     )
-    if log is None:
-        return report
-    return report, log
+    return report if codes is None else (report, RoundLog(codes))
 
 
 def _bit_string(bits: np.ndarray) -> str:

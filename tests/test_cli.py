@@ -894,6 +894,7 @@ class TestConfigValues:
                      "chsh_pairs": [[2, 0, 1], [2, 2, -1], [0, 0, 1], [0, True, -1]]}),
             ("qkd", {"channel": QKD_CHANNEL,
                      "chsh_pairs": [[2, 0, True], [2, 2, -1], [0, 0, 1], [0, 2, -1]]}),
+            ("qkd", {"channel": QKD_CHANNEL, "chsh_pairs": [[2, 0], [2, 2], [0, 0], [0, 2]]}),
             ("gfactor", {"setup": {"width_param": "2", "separation": [100, 0, 0]}}),
             ("gfactor", {"setup": {"width_param": True, "separation": [100, 0, 0]}}),
             ("qkd", {"channel": {"variant": "quantum_localized", "g": "0.9"}}),
@@ -908,9 +909,9 @@ class TestConfigValues:
              "times-string", "times-scalar", "g-bool", "packet-not-object", "g-values-null",
              "g-overflows-float", "target-not-object", "mc-n-too-large",
              "n-rounds-too-large", "max-scale-string", "chsh-pair-index-bool",
-             "chsh-pair-sign-bool", "setup-width-string", "setup-width-bool",
-             "channel-g-string", "alarm-sigma-string", "target-matrix-string-bool",
-             "round-log-not-string", "t-with-times"],
+             "chsh-pair-sign-bool", "chsh-signs-cannot-certify", "setup-width-string",
+             "setup-width-bool", "channel-g-string", "alarm-sigma-string",
+             "target-matrix-string-bool", "round-log-not-string", "t-with-times"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, params):
         if command == "feasibility":

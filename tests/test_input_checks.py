@@ -8,7 +8,7 @@ import pytest
 from bellspace.cli import config_from_dict
 from bellspace.config import ConfigError
 from bellspace.feasibility import BellCertificate, CorrelationTarget
-from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel
+from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, RoundLog
 from bellspace.spatial import (
     BoxRegion,
     g_factor_quadrature,
@@ -53,6 +53,14 @@ def channel_config(channel: dict):
                      ValueError, r"seed must be an integer in \[0, 2\^64\)", id="qkd-seed"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, chsh_pairs=(ChshPair(2, 0, 1),)),
                      ValueError, "chsh_pairs must be exactly four", id="qkd-pairs"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, chsh_pairs=tuple(
+                         ChshPair(a, b) for a, b in ((2, 0), (2, 2), (0, 0), (0, 2)))),
+                     ValueError, r"ideal singlet S = \S+ <= 2.*\(1, -1, 1, -1\) give S = 2\.82843",
+                     id="qkd-signs-cannot-certify"),
+        pytest.param(lambda: RoundLog(np.array([0, 80, 81], dtype=np.uint8)),
+                     ValueError, "row code 81 out of range", id="round-log-code"),
+        pytest.param(lambda: RoundLog(np.array([0, 80], dtype=np.int64)),
+                     ValueError, "must be a 1-d uint8 array", id="round-log-dtype"),
         pytest.param(lambda: QkdConfig(channel="quantum_localized"),
                      ValueError, "unsupported channel", id="qkd-channel"),
         pytest.param(lambda: channel_config({"variant": "quantum_localized"}),

@@ -38,6 +38,7 @@ from bellspace.spatial import separated_gaussian_setup
 from bellspace.spin import (
     CHSH_QUANTUM_BOUND,
     OutcomePair,
+    as_angle,
     chsh_statistic,
     detectability_threshold_report,
 )
@@ -84,17 +85,6 @@ class TestQuantumChannelRounds:
         assert detected.all()
         assert set(np.unique(s_a)) <= {-1, 1} and set(np.unique(s_b)) <= {-1, 1}
 
-    def test_coincidence_rate(self):
-        n = 100_000
-        detected, _, _ = sample_rounds(QuantumLocalizedChannel(0.5), 0.0, 0.5, n, 307)
-        assert abs(float(detected.mean()) - 0.5) < 4 * math.sqrt(0.25 / n)
-
-    def test_conditional_anticorrelation_at_matched_settings(self):
-        detected, s_a, s_b = sample_rounds(QuantumLocalizedChannel(0.9), 0.9, 0.9, 20_000, 311)
-        # matched directions: singlet outcomes are exactly anti-equal
-        assert detected.any()
-        assert np.all((s_a * s_b)[detected] == -1)
-
     def test_conditional_correlation_generic_settings(self):
         detected, s_a, s_b = sample_rounds(QuantumLocalizedChannel(0.7), 0.0, 1.0, 60_000, 313)
         expected = -math.cos(1.0)
@@ -105,20 +95,6 @@ class TestQuantumChannelRounds:
     def test_g_validation(self):
         with pytest.raises(ValueError):
             QuantumLocalizedChannel(1.5)
-
-
-class TestLhvChannelRounds:
-    def test_matched_settings_correlation(self):
-        n = 60_000
-        detected, s_a, s_b = sample_rounds(LhvEveChannel(cosine_model(0.5)), 0.7, 0.7, n, 317)
-        assert detected.all()
-        # singlet convention: raw outcomes anticorrelate where the model correlates
-        assert abs(float(np.mean(s_a * s_b)) + 0.5) < 4 * math.sqrt((1 - 0.25) / n)
-
-    def test_null_model_fair_coins(self):
-        n = 20_000
-        _, s_a, s_b = sample_rounds(LhvEveChannel(cosine_model(0.0)), 0.1, 0.9, n, 331)
-        assert abs(float(np.mean(s_a * s_b))) < 4 / math.sqrt(n)
 
 
 #: Angles for setting-pair tables: negative, beyond 2*pi and exact multiples of pi.
@@ -143,10 +119,40 @@ def pair_tables(draw):
     return np.array(rows)
 
 
-CELL_CHANNELS = {
-    "quantum": lambda: QuantumLocalizedChannel(0.8),
-    "cosine-eve": lambda: LhvEveChannel(cosine_model(0.5)),
+class WingClickChannel:
+    """Test-only singlet channel whose wings click independently: Alice with
+    probability p_a and Bob with p_b, each from a second uniform on its own stream."""
+
+    def __init__(self, p_a=0.9, p_b=0.6):
+        self.p_a, self.p_b = p_a, p_b
+
+    def sample(self, pairs, cell, rng_channel, rng_alice, rng_bob):
+        n = cell.size
+        p_same = (1.0 - np.cos(pairs[:, 0] - pairs[:, 1])) / 2.0
+        alice, bob = rng_alice.random((n, 2)), rng_bob.random((n, 2))
+        s_a = np.where(alice[:, 0] < 0.5, 1, -1).astype(np.int8)
+        s_b = s_a * np.where(bob[:, 0] < p_same[cell], 1, -1).astype(np.int8)
+        return s_a * (alice[:, 1] < self.p_a), s_b * (bob[:, 1] < self.p_b)
+
+    def behaviour(self, pairs):
+        """The singlet's coincidence law, each wing's sign then kept with its click
+        probability p and turned into 0 (no click) with 1 - p."""
+        keep = [p * np.eye(3) + np.outer(np.ones(3), [0, 1 - p, 0]) for p in (self.p_a, self.p_b)]
+        return np.einsum("cxy,xu,yv->cuv", QuantumLocalizedChannel(1.0).behaviour(pairs), *keep)
+
+
+#: One channel of each kind, each declaring its exact law ``behaviour(pairs)``.
+CHANNELS = {
+    **{f"quantum-{g}": (lambda g=g: QuantumLocalizedChannel(g)) for g in (0.0, 0.3, 0.8, 1.0)},
+    "cosine-eve-0": lambda: LhvEveChannel(cosine_model(0.0)),
+    "cosine-eve-0.5": lambda: LhvEveChannel(cosine_model(0.5)),
     "random-eve": lambda: LhvEveChannel(random_bounded_model(make_generator(4242))),
+    # responses with nonzero means, which cosine and random-trig models never have
+    "biased-eve": lambda: LhvEveChannel(HiddenVariableModel(
+        xi=lambda a, lam: 0.5 + 0.4 * np.cos(a - lam),
+        eta=lambda b, lam: 0.6 * np.cos(b - 2 * lam) - 0.3,
+    )),
+    "single-clicks": WingClickChannel,
 }
 
 
@@ -155,12 +161,12 @@ class TestCellSampling:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        pair_tables(), st.integers(1, 400), st.sampled_from(sorted(CELL_CHANNELS)),
+        pair_tables(), st.integers(1, 400), st.sampled_from(sorted(CHANNELS)),
         st.integers(0, 2**64 - 1),
     )
     def test_cells_match_per_round_pairs(self, pairs, n, channel, seed):
         cell = make_generator(seed).integers(0, len(pairs), n)
-        sampler = CELL_CHANNELS[channel]()
+        sampler = CHANNELS[channel]()
         by_cell = sampler.sample(pairs, cell, *split_generators(seed, 3))
         per_round = sampler.sample(pairs[cell], np.arange(n), *split_generators(seed, 3))
         for drawn, expected in zip(by_cell, per_round):
@@ -233,27 +239,6 @@ class TestRunSessionQuantum:
             assert report.qber == 0.0
             assert len(report.sifted_key_alice) == report.n_key_rounds
             assert report.n_key_rounds > 0
-
-    def test_unconditioned_correlations_follow_scaled_cosine(self):
-        g = 0.6
-        config = quantum_config(g, n=90_000, seed=5)
-        report, rounds = run_session(config, return_rounds=True)
-        a_idx = np.array([r.alice_setting for r in rounds])
-        b_idx = np.array([r.bob_setting for r in rounds])
-        prod = np.array(
-            [r.outcomes.product if r.outcomes else 0 for r in rounds], dtype=float
-        )
-        # Bob's flip negates the raw product
-        prod = -prod
-        for i in range(3):
-            for j in range(3):
-                mask = (a_idx == i) & (b_idx == j)
-                n = int(mask.sum())
-                expected = g * math.cos(
-                    config.alice_angles[i] - config.bob_angles[j]
-                )
-                std_error = math.sqrt(max(1 - expected**2, 1e-12) / n)
-                assert abs(float(prod[mask].mean()) - expected) < 4 * std_error
 
     def test_channel_from_spatial_setup(self):
         setup = separated_gaussian_setup(1.0, (100.0, 0.0, 0.0))
@@ -413,6 +398,28 @@ class TestConfigValidation:
     def test_alarm_sigma(self):
         with pytest.raises(ValueError):
             QkdConfig(channel=QuantumLocalizedChannel(g=0.5), alarm_sigma=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(PAIR_ANGLES, min_size=6, max_size=6),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([1, -1])),
+                    min_size=4, max_size=4))
+    @example([0.0, math.pi / 4, math.pi / 2, math.pi / 4, math.pi / 2, 3 * math.pi / 4],
+             [(2, 0, 1), (2, 2, -1), (0, 0, 1), (0, 2, -1)])  # the default: accepted
+    @example([0.0, math.pi / 4, math.pi / 2, math.pi / 4, math.pi / 2, 3 * math.pi / 4],
+             [(2, 0, 1), (2, 2, 1), (0, 0, 1), (0, 2, 1)])  # the textbook pairs, no signs
+    def test_accepted_configs_can_certify(self, angles, pairs):
+        # the ideal singlet's flipped correlations are sign * cos(alpha - beta)
+        chsh = tuple(ChshPair(*p) for p in pairs)
+        alice, bob = [as_angle(a) for a in angles[:3]], [as_angle(b) for b in angles[3:]]
+        ideal = chsh_statistic(
+            *(p.sign * math.cos(alice[p.alice_idx] - bob[p.bob_idx]) for p in chsh))
+        try:
+            QkdConfig(channel=QuantumLocalizedChannel(0.5), alice_angles=alice,
+                      bob_angles=bob, chsh_pairs=chsh)
+        except ValueError as exc:
+            assert "matched angles" in str(exc) or ideal <= 2.0 + 1e-12, exc
+        else:
+            assert ideal > 2.0
 
     def test_round_record_consistency(self):
         # detected is derived: true exactly when outcomes are present
@@ -727,92 +734,38 @@ class TestSessionStreams:
         assert np.all(np.abs(counts - n / 9) <= 5 * sigma), counts
 
 
-class WingClickChannel:
-    """Test-only singlet channel whose wings click independently: Alice with
-    probability p_a and Bob with p_b, each from a second uniform on its own stream."""
-
-    def __init__(self, p_a=0.9, p_b=0.6):
-        self.p_a, self.p_b = p_a, p_b
-
-    def sample(self, pairs, cell, rng_channel, rng_alice, rng_bob):
-        n = cell.size
-        p_same = (1.0 - np.cos(pairs[:, 0] - pairs[:, 1])) / 2.0
-        alice, bob = rng_alice.random((n, 2)), rng_bob.random((n, 2))
-        s_a = np.where(alice[:, 0] < 0.5, 1, -1).astype(np.int8)
-        s_b = s_a * np.where(bob[:, 0] < p_same[cell], 1, -1).astype(np.int8)
-        return s_a * (alice[:, 1] < self.p_a), s_b * (bob[:, 1] < self.p_b)
-
-
-SIGN_CHANNELS = {
-    "quantum": lambda: QuantumLocalizedChannel(0.6),
-    "cosine-eve": lambda: LhvEveChannel(cosine_model(0.5)),
-    "single-clicks": WingClickChannel,
-}
-
-
-def tally_81(log):
-    """A session log's rounds per setting cell and pair of signs, as a (9, 3, 3) array."""
-    cell = 3 * log.a_idx + log.b_idx
-    s_a, s_b = log.s_a.astype(np.int64), log.s_b.astype(np.int64)
-    return np.bincount(9 * cell + 3 * s_a + s_b + 4, minlength=81).reshape(9, 3, 3)
-
-
 class TestPerWingOutcomes:
     """A sign of 0 means that wing did not click; a coincidence has both signs."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(sorted(SIGN_CHANNELS)), st.integers(1, 3001), st.integers(0, 2**64 - 1))
+    @given(st.sampled_from(sorted(CHANNELS)), st.integers(1, 3001), st.integers(0, 2**64 - 1))
     @example("single-clicks", 1, 0)
     def test_81_cells_project_onto_the_report(self, channel, chunk, seed):
-        config = QkdConfig(channel=SIGN_CHANNELS[channel](), n_rounds=3000, seed=seed)
+        config = QkdConfig(channel=CHANNELS[channel](), n_rounds=3000, seed=seed)
         with mock.patch.object(qkd, "_CHUNK", chunk):
             report, log = run_session(config, return_rounds=True)
-        tally = tally_81(log)
-        cell = 3 * log.a_idx + log.b_idx
-        product = log.s_a.astype(np.int64) * log.s_b
-        products = np.bincount(3 * cell - product + 1, minlength=27).reshape(9, 3)
-        projected = np.zeros((9, 3), dtype=np.int64)
-        for i, x in enumerate((-1, 0, 1)):
-            for j, y in enumerate((-1, 0, 1)):
-                projected[:, 1 - x * y] += tally[:, i, j]
-        assert np.array_equal(projected, products)
+        # every number but the keys and the verdict projects the tally of the log's codes,
+        # whatever the chunks; masked_chsh is the projection's independent reference
+        tally = np.bincount(log.code, minlength=81).reshape(9, 3, 3)
+        pairs = np.array([(a, b) for a in config.alice_angles for b in config.bob_angles])
+        for name, value in qkd.Behaviour(pairs, tally).project(config.chsh_pairs).items():
+            assert getattr(report, name) == value, name
         # coincidences: both signs nonzero
-        assert report.n_detected == int(tally[:, ::2, ::2].sum())
-        chsh_cells = [3 * p.alice_idx + p.bob_idx for p in config.chsh_pairs]
-        minus, lost, plus = products[chsh_cells].T.tolist()
-        assert report.n_test_rounds == tuple(m + q for m, q in zip(minus, plus))
-        pairs = config.chsh_pairs
-        assert report.chsh_estimate == qkd._chsh_estimate(pairs, minus, plus, [0] * 4)
-        assert report.chsh_unconditioned == qkd._chsh_estimate(pairs, minus, plus, lost)
+        assert report.n_detected == int(log.detected.sum())
 
     def test_independent_wing_clicks(self):
         n, p_a, p_b = 200_000, 0.9, 0.6
         config = QkdConfig(channel=WingClickChannel(p_a, p_b), n_rounds=n, seed=31)
         report, log = run_session(config, return_rounds=True)
-        tally = tally_81(log)
-        angles = [(a, b) for a in config.alice_angles for b in config.bob_angles]
-        for c, (alpha, beta) in enumerate(angles):
-            p_same = (1.0 - math.cos(alpha - beta)) / 2.0
-            for i, u in enumerate((-1, 0, 1)):
-                for j, v in enumerate((-1, 0, 1)):
-                    # Alice's sign x is a fair coin; Bob's y equals it with p_same
-                    p = sum(
-                        (p_same if y == x else 1 - p_same) / 18
-                        * (p_a if u == x else 1 - p_a if u == 0 else 0.0)
-                        * (p_b if v == y else 1 - p_b if v == 0 else 0.0)
-                        for x in (-1, 1) for y in (-1, 1)
-                    )
-                    sigma = math.sqrt(n * p * (1 - p))
-                    assert abs(tally[c, i, j] - n * p) <= 5 * sigma + 1e-9, (c, u, v)
         clicked_a, clicked_b = log.s_a != 0, log.s_b != 0
         both = clicked_a & clicked_b
         single = clicked_a ^ clicked_b
         # n_detected counts coincidences only, not single clicks
         assert report.n_detected == int(both.sum())
-        assert abs(report.n_detected - n * p_a * p_b) <= 5 * math.sqrt(n * p_a * p_b * (1 - p_a * p_b))
         assert np.array_equal(log.detected, both)
         # key bits come from coincidences at matched angles, never from single clicks
-        matched = np.array([abs(a - b) < 1e-12 for a, b in angles])
+        matched = np.array([abs(a - b) < 1e-12 for a in config.alice_angles
+                            for b in config.bob_angles])
         in_key_cell = matched[3 * log.a_idx + log.b_idx]
         assert np.any(in_key_cell & single)
         key = in_key_cell & both
@@ -827,6 +780,35 @@ class TestPerWingOutcomes:
         # criterion 7's rows: a single-click row is not detected and has no outcomes
         row = log[int(np.flatnonzero(single)[0])]
         assert row.detected is False and row.outcomes is None
+
+
+class TestChannelLaws:
+    """Each channel's ``behaviour`` is a no-signalling law, and its sessions follow it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(CHANNELS)), st.lists(PAIR_ANGLES, min_size=6, max_size=6))
+    def test_law_is_a_no_signalling_distribution(self, name, angles):
+        pairs = np.array([(a, b) for a in angles[:3] for b in angles[3:]])
+        law = CHANNELS[name]().behaviour(pairs)
+        assert law.shape == (9, 3, 3) and law.min() >= 0.0
+        assert np.abs(law.sum(axis=(1, 2)) - 1.0).max() <= 1e-12
+        # [a_idx, b_idx, s_a + 1, s_b + 1]: each wing's marginal ignores the other's setting
+        alice, bob = law.reshape(3, 3, 3, 3).sum(axis=3), law.reshape(3, 3, 3, 3).sum(axis=2)
+        assert np.abs(alice - alice[:, :1]).max() <= 1e-12
+        assert np.abs(bob - bob[:1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_seeded_tally_follows_the_law(self, name):
+        # generic angle differences (0.8, 1.6, 2.4) besides two matched cells
+        n = 200_000
+        config = QkdConfig(channel=CHANNELS[name](), n_rounds=n, seed=1607,
+                           alice_angles=(0.0, 0.8, 1.6), bob_angles=(0.8, 1.6, 2.4))
+        _, log = run_session(config, return_rounds=True)
+        tally = np.bincount(log.code, minlength=81)
+        pairs = np.array([(a, b) for a in config.alice_angles for b in config.bob_angles])
+        p = config.channel.behaviour(pairs).ravel() / 9  # the nine cells are equally likely
+        assert not tally[p == 0].any()
+        assert np.all(np.abs(tally - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
 
 
 class TestWorkerThread:
