@@ -18,7 +18,6 @@ from bellspace import (
     canonical_chsh_settings,
     quantum_chsh,
     singlet_correlation,
-    split_generators,
 )
 
 print("=== Singlet correlations ===")
@@ -53,7 +52,7 @@ print()
 print("=== Sampling outcomes ===")
 print("  the QKD singlet channel measures both wings along alice_direction,")
 print("  so its outcomes follow E(a, b) = -cos(alpha - beta)")
-rng_channel, rng_alice, rng_bob = split_generators(2, 3)
+rng_channel, rng_alice, rng_bob = map(np.random.default_rng, np.random.SeedSequence(2).spawn(3))
 n = 200_000
 alpha, beta = 0.0, math.pi / 4
 # one setting pair, every round in its cell

@@ -12,7 +12,6 @@ import numpy as np
 from bellspace import (
     canonical_chsh_settings,
     cosine_model,
-    make_generator,
     model_chsh,
     model_expectation_exact,
     model_expectation_mc,
@@ -44,7 +43,7 @@ except ValueError as exc:
 
 print()
 print("=== Monte Carlo agrees with the exact integral ===")
-rng = make_generator(12)
+rng = np.random.default_rng(12)
 est = model_expectation_mc(model, 0.9, 0.2, 1_000_000, rng)
 exact = model_expectation_exact(model, 0.9, 0.2)
 print(f"  MC mean {est.mean:+.6f} +- {est.std_error:.6f} vs exact {exact:+.6f}")
@@ -55,8 +54,8 @@ settings = canonical_chsh_settings()
 print(f"  cosine(0.5) at the canonical settings: S = "
       f"{model_chsh(half, settings, mode='exact'):.6f}  (= sqrt(2))")
 
-model_rng = make_generator(17)
-setting_rng = make_generator(19)
+model_rng = np.random.default_rng(17)
+setting_rng = np.random.default_rng(19)
 worst = 0.0
 for _ in range(10):
     candidate = random_bounded_model(model_rng)

@@ -38,7 +38,6 @@ _EXPORTS = {
         "model_expectation_exact model_expectation_mc random_bounded_model",
         "qkd": "ChshPair LhvEveChannel QkdConfig QkdSessionReport QuantumLocalizedChannel "
         "Behaviour RoundLog RoundRecord decide_verdict run_session",
-        "rng": "DEFAULT_SEED make_generator split_generators",
         "spatial": "BoxRegion GaussianPacket LocalizationFactor QuadratureError SpatialSetup "
         "expanded_width g_decay_curve g_factor_quadrature "
         "packet_probability_in_box product_density separated_gaussian_setup "
@@ -50,7 +49,7 @@ _EXPORTS = {
     }.items()
     for name in names.split()
 }
-_SUBMODULES = frozenset({"cli", "config", "feasibility", "lhv", "qkd", "rng", "spatial", "spin"})
+_SUBMODULES = frozenset({"cli", "config", "feasibility", "lhv", "qkd", "spatial", "spin"})
 
 __all__ = ["__version__", *_EXPORTS]
 

@@ -14,13 +14,12 @@ click and Bob's sign is the negated eta sign, so p(s_a, s_b) = (1 + s_a E[xi]
 correlation is -E[xi * eta].
 
 :func:`run_session` walks the rounds in chunks and keeps only the key bits
-and the tally of row codes 9 * cell + 3 * s_a + s_b + 4 (81 cells).  Cells,
-channel and each wing's signs have their own spawned stream, read in round
-order, so the chunk size never shows in the output.  The process's worker
-thread (:func:`bellspace.config.on_worker`) folds each chunk but the last
-while the next is sampled, and runs the eavesdropper's Alice wing; numpy
-releases the interpreter lock in the heavy calls, so two cores share a
-session that draws what a serial run draws.
+and the tally of row codes 9 * cell + 3 * s_a + s_b + 4 (81 cells); the
+chunk size never shows in the output.  The process's worker thread
+(:func:`bellspace.config.on_worker`) folds each chunk but the last while the
+next is sampled, and runs the eavesdropper's Alice wing; numpy releases the
+interpreter lock in the heavy calls, so two cores share a session that draws
+what a serial run draws.
 
 A :class:`Behaviour` is the pair table with a (k, 3, 3) array indexed
 [cell, s_a + 1, s_b + 1]: counts for the session's tally, probabilities for
@@ -31,8 +30,9 @@ Bob flips his outcomes, so matched-round key bits agree where the singlet
 anticorrelates (an error is a coincidence with s_a == s_b; a cosine-model
 Eve errs on (1 - g)/2 of them) and test correlations become +cos(alpha -
 beta).  Each CHSH pair's sign multiplies its correlation: the default grids
-need (+, -, +, -) to map Bob's 3*pi/4 onto the canonical -pi/4, and a
-config whose signs leave the ideal singlet at S <= 2 is rejected.  The
+need (+, -, +, -) to map Bob's 3*pi/4 onto the canonical -pi/4.  A config
+is rejected unless the ideal singlet's S exceeds 2 and no deterministic local
+model's does: a CHSH form's local bound is 2 only for the right signs.  The
 conditioned CHSH (post-selected on coincidences) drives the verdict; the
 unconditioned one (no coincidence: product 0) has expectation
 g*cos(alpha - beta).  Their standard errors come from integer counts,
@@ -56,7 +56,6 @@ import numpy as np
 
 from .config import on_worker
 from .lhv import HiddenVariableModel, node_responses, response_values
-from .rng import split_generators
 from .spatial import SpatialSetup, setup_g_factor
 from .spin import TWO_PI, OutcomePair, as_angle, chsh_statistic
 
@@ -74,6 +73,8 @@ MIN_TEST_ROUNDS_PER_PAIR = 50
 MAX_ROUNDS = 10_000_000
 
 _ANGLE_MATCH_TOL = 1e-12
+#: The deterministic local models: Alice's sign (+-1) at each of her settings, then Bob's.
+_STRATEGIES = tuple(itertools.product((1, -1), repeat=6))
 #: Rounds simulated per chunk of a session; the output does not depend on it.
 _CHUNK = 1 << 16
 #: Rows per block of :func:`rounds_to_csv`; the output does not depend on it.
@@ -254,8 +255,8 @@ class QkdConfig:
 
     The default ``chsh_pairs`` are the canonical quadruple (pi/2, 0) x
     (pi/4, -pi/4) inside the default grids; Bob's -pi/4 is his 3*pi/4
-    setting with sign -1.  Pairs and signs that leave the ideal singlet's S
-    at or below 2 cannot certify and are rejected.
+    setting with sign -1.  Pairs and signs are rejected when the ideal
+    singlet's S is at most 2 or a deterministic local model's S exceeds 2.
     """
 
     channel: ChannelModel
@@ -294,13 +295,18 @@ class QkdConfig:
         def ideal(signs: tuple[int, ...]) -> float:  # the ideal singlet's S under these signs
             test = tuple(ChshPair(p.alice_idx, p.bob_idx, s) for p, s in zip(pairs, signs))
             return singlet.project(test)["chsh_estimate"].s_value
+
+        def local(signs: tuple[int, ...]) -> int:  # the best deterministic local model's S
+            return max(chsh_statistic(*(s * xy[p.alice_idx] * xy[3 + p.bob_idx]
+                                        for p, s in zip(pairs, signs))) for xy in _STRATEGIES)
         signs = tuple(p.sign for p in pairs)
-        if not ideal(signs) > 2.0:
-            best = max(itertools.product((1, -1), repeat=4), key=ideal)
-            raise ValueError(
-                f"chsh_pairs signs {signs} give the ideal singlet S = {ideal(signs):.6g} <= 2, so"
-                f" no session can certify; the best signs {best} give S = {ideal(best):.6g}"
-            )
+        if local(signs) > 2 or not ideal(signs) > 2.0:
+            best = max((s for s in itertools.product((1, -1), repeat=4)
+                        if local(s) <= 2 < ideal(s)), key=ideal, default=None)
+            fault = (f"a local model S = {local(signs)} > 2" if local(signs) > 2 else
+                     f"the ideal singlet S = {ideal(signs):.6g} <= 2")
+            hint = f"the best signs {best} give S = {ideal(best):.6g}" if best else "no signs do"
+            raise ValueError(f"chsh_pairs signs {signs} give {fault}, so S cannot certify; {hint}")
         if not isinstance(self.channel, ChannelModel):
             raise ValueError(f"unsupported channel {self.channel!r}")
 
@@ -460,19 +466,21 @@ def run_session(
 ) -> QkdSessionReport | tuple[QkdSessionReport, RoundLog]:
     """Simulate a full session: rounds, sifting, CHSH audit, verdict.
 
-    Four generator streams are spawned from the seed: setting cells, channel,
-    Alice's signs and Bob's signs.  Each round's cell ``3 * a_idx + b_idx`` is
-    uniform on the nine setting pairs, so both wings' settings are independent
-    and uniform.  Rounds go in chunks of ``_CHUNK``, every stream read in round
-    order, so the output does not depend on the chunk size.  A chunk leaves
-    behind only its tally and key bits (coincidences at matched angles); the
-    report is the tally's :meth:`Behaviour.project` with the key strings and
-    the verdict.  ``return_rounds=True`` adds the :class:`RoundLog`.  The
-    worker thread folds each chunk but the last while this thread samples the
-    next, one fold at a time and in chunk order.
+    ``SeedSequence(config.seed).spawn(4)`` seeds the four ``default_rng``
+    streams: setting cells, channel, Alice's signs and Bob's signs.  Each
+    round's cell ``3 * a_idx + b_idx`` is uniform on the nine setting pairs, so
+    both wings' settings are independent and uniform.  Rounds go in chunks of
+    ``_CHUNK``, every stream read in round order, so the output does not depend
+    on the chunk size.  A chunk leaves behind only its tally and key bits
+    (coincidences at matched angles); the report is the tally's
+    :meth:`Behaviour.project` with the key strings and the verdict.
+    ``return_rounds=True`` adds the :class:`RoundLog`.  The worker thread folds
+    each chunk but the last while this thread samples the next, one fold at a
+    time and in chunk order.
     """
     n = config.n_rounds
-    rng_cells, rng_channel, rng_alice, rng_bob = split_generators(config.seed, 4)
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    rng_cells, rng_channel, rng_alice, rng_bob = map(np.random.default_rng, streams)
     pairs = np.array([(a, b) for a in config.alice_angles for b in config.bob_angles])
     angle_matched = np.array([_angles_match(a, b) for a, b in pairs.tolist()])
     codes = np.empty(n, np.uint8) if return_rounds else None

@@ -35,7 +35,6 @@ from bellspace.qkd import (
     QuantumLocalizedChannel,
     run_session,
 )
-from bellspace.rng import make_generator
 from bellspace.spatial import (
     expanded_width,
     g_decay_curve,
@@ -82,8 +81,8 @@ def test_criterion_1_maximal_chsh_violation():
 
 def test_criterion_2_chsh_bound_over_random_models():
     with criterion(2, "20 random bounded models x 1000 quadruples: CHSH <= 2 + 1e-9") as d:
-        model_rng = make_generator(8001)
-        setting_rng = make_generator(8002)
+        model_rng = np.random.default_rng(8001)
+        setting_rng = np.random.default_rng(8002)
         lam = np.arange(4096) * (TWO_PI / 4096)
         worst = 0.0
         for index in range(20):
@@ -112,7 +111,7 @@ def test_criterion_2_chsh_bound_over_random_models():
 
 def test_criterion_3_cosine_identity_exact_and_mc():
     with criterion(3, "cosine-model expectation equals g*cos(alpha-beta); MC agrees") as d:
-        rng = make_generator(8003)
+        rng = np.random.default_rng(8003)
         worst = 0.0
         triples = [
             (rng.uniform(0.0, 0.5), rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
@@ -124,7 +123,7 @@ def test_criterion_3_cosine_identity_exact_and_mc():
             error = abs(exact - g * math.cos(alpha - beta))
             worst = max(worst, error)
             assert error <= 1e-10
-        mc_rng = make_generator(8004)
+        mc_rng = np.random.default_rng(8004)
         for g, alpha, beta in triples[:20]:
             model = cosine_model(g)
             estimate = model_expectation_mc(model, alpha, beta, 1_000_000, mc_rng)

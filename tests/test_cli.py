@@ -675,7 +675,7 @@ class TestPublicNames:
         import bellspace
 
         assert set(dir(bellspace)) >= set(bellspace.__all__)
-        for name in ("cli", "config", "feasibility", "lhv", "qkd", "rng", "spatial", "spin"):
+        for name in ("cli", "config", "feasibility", "lhv", "qkd", "spatial", "spin"):
             module = getattr(bellspace, name)
             assert module.__name__ == f"bellspace.{name}" and name in dir(bellspace)
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -895,6 +895,11 @@ class TestConfigValues:
             ("qkd", {"channel": QKD_CHANNEL,
                      "chsh_pairs": [[2, 0, True], [2, 2, -1], [0, 0, 1], [0, 2, -1]]}),
             ("qkd", {"channel": QKD_CHANNEL, "chsh_pairs": [[2, 0], [2, 2], [0, 0], [0, 2]]}),
+            ("qkd", {"channel": QKD_CHANNEL, "alice_angles": [0.0, 0.01, 1.0],
+                     "bob_angles": [0.02, 0.03, 1.0],
+                     "chsh_pairs": [[0, 0, 1], [0, 1, -1], [1, 0, 1], [1, 1, 1]]}),
+            ("qkd", {"channel": QKD_CHANNEL,
+                     "chsh_pairs": [[2, 0, 1], [2, 0, -1], [2, 0, 1], [2, 0, 1]]}),
             ("gfactor", {"setup": {"width_param": "2", "separation": [100, 0, 0]}}),
             ("gfactor", {"setup": {"width_param": True, "separation": [100, 0, 0]}}),
             ("qkd", {"channel": {"variant": "quantum_localized", "g": "0.9"}}),
@@ -909,7 +914,9 @@ class TestConfigValues:
              "times-string", "times-scalar", "g-bool", "packet-not-object", "g-values-null",
              "g-overflows-float", "target-not-object", "mc-n-too-large",
              "n-rounds-too-large", "max-scale-string", "chsh-pair-index-bool",
-             "chsh-pair-sign-bool", "chsh-signs-cannot-certify", "setup-width-string",
+             "chsh-pair-sign-bool", "chsh-signs-cannot-certify",
+             "chsh-rectangle-local-model-passes", "chsh-one-cell-local-model-passes",
+             "setup-width-string",
              "setup-width-bool", "channel-g-string", "alarm-sigma-string",
              "target-matrix-string-bool", "round-log-not-string", "t-with-times"],
     )
@@ -919,7 +926,7 @@ class TestConfigValues:
         cfg = write_json(tmp_path / "c.json", params)
         code, out, err = run_cli([command, "--config", cfg], capsys)
         assert code == EXIT_CONFIG
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, key, text",

@@ -45,7 +45,6 @@ from bellspace.feasibility import (
     verify_certificate,
 )
 from bellspace.lhv import cosine_model, model_expectation_exact
-from bellspace.rng import make_generator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,7 +172,7 @@ class TestVerifyCertificate:
 class TestWitnessConsistency:
     def test_random_targets_both_ways(self):
         # whatever the verdict, its witness must check out independently
-        rng = make_generator(211)
+        rng = np.random.default_rng(211)
         for _ in range(30):
             matrix = rng.uniform(-1, 1, (3, 3))
             target = CorrelationTarget(tuple(rng.uniform(0, 2 * math.pi, 3)),
@@ -190,7 +189,7 @@ class TestWitnessConsistency:
 
     def test_extreme_random_targets_infeasible_witnessed(self):
         # push random matrices toward the cube corners: mostly outside
-        rng = make_generator(223)
+        rng = np.random.default_rng(223)
         seen_infeasible = 0
         for _ in range(20):
             matrix = np.sign(rng.uniform(-1, 1, (2, 3))) * rng.uniform(0.9, 1.0, (2, 3))
@@ -202,7 +201,7 @@ class TestWitnessConsistency:
         assert seen_infeasible > 0
 
     def test_vertex_targets_one_point_mixture(self):
-        rng = make_generator(227)
+        rng = np.random.default_rng(227)
         for _ in range(20):
             s = rng.choice([-1.0, 1.0], 3)
             t = rng.choice([-1.0, 1.0], 2)
@@ -260,7 +259,7 @@ class TestWitnessConsistency:
 
 class TestInvariances:
     def test_permutations_preserve_membership(self):
-        rng = make_generator(229)
+        rng = np.random.default_rng(229)
         for _ in range(10):
             matrix = rng.uniform(-1, 1, (3, 3))
             target = CorrelationTarget((0.0, 1.0, 2.0), (0.0, 1.0, 2.0), matrix)
@@ -273,7 +272,7 @@ class TestInvariances:
             assert local_polytope_membership(permuted).status == base
 
     def test_row_sign_flip_preserves_membership(self):
-        rng = make_generator(233)
+        rng = np.random.default_rng(233)
         for _ in range(10):
             matrix = rng.uniform(-1, 1, (3, 3))
             target = CorrelationTarget((0.0, 1.0, 2.0), (0.0, 1.0, 2.0), matrix)
@@ -317,7 +316,7 @@ class TestTargetValidation:
 
     def test_largest_square_grid_feasible(self):
         # 12x12 sits at the m + n cap; its 2^23 vertices are never built
-        rng = make_generator(239)
+        rng = np.random.default_rng(239)
         angles = rng.uniform(0, 2 * math.pi, (2, 12))
         target = cosine_target(angles[0], angles[1], 0.4)
         result = local_polytope_membership(target)

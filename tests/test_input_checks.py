@@ -57,6 +57,15 @@ def channel_config(channel: dict):
                          ChshPair(a, b) for a, b in ((2, 0), (2, 2), (0, 0), (0, 2)))),
                      ValueError, r"ideal singlet S = \S+ <= 2.*\(1, -1, 1, -1\) give S = 2\.82843",
                      id="qkd-signs-cannot-certify"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, alice_angles=(0.0, 0.01, 1.0),
+                                       bob_angles=(0.02, 0.03, 1.0), chsh_pairs=tuple(
+                         ChshPair(*p) for p in ((0, 0, 1), (0, 1, -1), (1, 0, 1), (1, 1, 1)))),
+                     ValueError, r"\(1, -1, 1, 1\) give a local model S = 4 > 2.*no signs do",
+                     id="qkd-rectangle-local-model-passes"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, chsh_pairs=tuple(
+                         ChshPair(2, 0, s) for s in (1, -1, 1, 1))),
+                     ValueError, r"\(1, -1, 1, 1\) give a local model S = 4 > 2.*no signs do",
+                     id="qkd-one-cell-local-model-passes"),
         pytest.param(lambda: RoundLog(np.array([0, 80, 81], dtype=np.uint8)),
                      ValueError, "row code 81 out of range", id="round-log-code"),
         pytest.param(lambda: RoundLog(np.array([0, 80], dtype=np.int64)),

@@ -23,7 +23,6 @@ from bellspace.lhv import (
     random_bounded_model,
 )
 from bellspace.qkd import LhvEveChannel, QkdConfig, run_session
-from bellspace.rng import make_generator, split_generators
 from bellspace.spin import ChshSettings, canonical_chsh_settings
 
 TWO_PI = 2 * math.pi
@@ -60,7 +59,7 @@ class TestCosineModel:
             cosine_model(-0.1)
 
     def test_boundedness_amplitude(self):
-        rng = make_generator(61)
+        rng = np.random.default_rng(61)
         for g in (0.1, 0.3, 0.5):
             model = cosine_model(g)
             lam = rng.uniform(0, TWO_PI, 100_000)
@@ -89,12 +88,12 @@ class TestExactExpectation:
     def test_sixty_degrees_mc_cross_check(self):
         model = cosine_model(0.3)
         est = model_expectation_mc(
-            model, 0.8, 0.8 - math.pi / 3, 10_000_000, make_generator(67)
+            model, 0.8, 0.8 - math.pi / 3, 10_000_000, np.random.default_rng(67)
         )
         assert abs(est.mean - 0.15) < 4 * est.std_error
 
     def test_identity_over_random_parameters(self):
-        rng = make_generator(71)
+        rng = np.random.default_rng(71)
         for _ in range(100):
             g = rng.uniform(0, 0.5)
             alpha, beta = rng.uniform(0, TWO_PI, 2)
@@ -110,7 +109,7 @@ class TestExactExpectation:
             return np.sign(np.cos(angle - lam))
 
         model = HiddenVariableModel(xi=square, eta=square, label="square")
-        rng = make_generator(89)
+        rng = np.random.default_rng(89)
         for _ in range(200):
             alpha, beta = rng.uniform(0, TWO_PI, 2)
             delta = math.remainder(alpha - beta, TWO_PI)
@@ -127,37 +126,37 @@ class TestExactExpectation:
         exact = 0.5 * math.cos(0.4 - 1.9) + math.sin(0.4 + 1.9) / math.pi
         # the responses jump at the wrap, so the trapezoid rule is only O(1/N)
         assert model_expectation_exact(model, 0.4, 1.9) == pytest.approx(exact, abs=1e-3)
-        est = model_expectation_mc(model, 0.4, 1.9, 400_000, make_generator(73))
+        est = model_expectation_mc(model, 0.4, 1.9, 400_000, np.random.default_rng(73))
         assert abs(est.mean - exact) < 4 * est.std_error
 
 
 class TestMonteCarlo:
     def test_matches_analytic_over_random_pairs(self):
         model = cosine_model(0.4)
-        rng = make_generator(79)
+        rng = np.random.default_rng(79)
         for _ in range(20):
             alpha, beta = rng.uniform(0, TWO_PI, 2)
             est = model_expectation_mc(model, alpha, beta, 1_000_000, rng)
             assert abs(est.mean - 0.4 * math.cos(alpha - beta)) < 4 * est.std_error
 
     def test_zero_model_exact_zero(self):
-        est = model_expectation_mc(cosine_model(0.0), 0.1, 0.2, 100, make_generator(3))
+        est = model_expectation_mc(cosine_model(0.0), 0.1, 0.2, 100, np.random.default_rng(3))
         assert est.mean == 0.0
 
     def test_deterministic_given_seed(self):
         model = cosine_model(0.25)
-        est1 = model_expectation_mc(model, 0.3, 1.1, 10_000, make_generator(83))
-        est2 = model_expectation_mc(model, 0.3, 1.1, 10_000, make_generator(83))
+        est1 = model_expectation_mc(model, 0.3, 1.1, 10_000, np.random.default_rng(83))
+        est2 = model_expectation_mc(model, 0.3, 1.1, 10_000, np.random.default_rng(83))
         assert est1 == est2
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            model_expectation_mc(cosine_model(0.2), 0.0, 0.0, 99, make_generator(1))
+            model_expectation_mc(cosine_model(0.2), 0.0, 0.0, 99, np.random.default_rng(1))
 
     def test_maximum_samples(self):
         with pytest.raises(ValueError, match="at most"):
             model_expectation_mc(
-                cosine_model(0.2), 0.0, 0.0, MAX_MC_SAMPLES + 1, make_generator(1)
+                cosine_model(0.2), 0.0, 0.0, MAX_MC_SAMPLES + 1, np.random.default_rng(1)
             )
 
     def test_estimate_validation(self):
@@ -174,7 +173,7 @@ class TestChunkedMonteCarlo:
     @staticmethod
     def numpy_estimate(model, alpha, beta, n, seed):
         """Mean and standard error of all n products at once, on the same draws."""
-        lam = make_generator(seed).uniform(0.0, TWO_PI, n)
+        lam = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
         products = model.xi(alpha, lam) * model.eta(beta, lam)
         return float(np.mean(products)), float(np.std(products, ddof=1) / math.sqrt(n))
 
@@ -183,8 +182,8 @@ class TestChunkedMonteCarlo:
     @example(100, 5)
     @example(lhv._MC_CHUNK, 5)
     def test_one_chunk_is_bit_identical_to_numpy(self, n, seed):
-        model = random_bounded_model(make_generator(seed))
-        est = model_expectation_mc(model, 0.3, 1.1, n, make_generator(seed + 1))
+        model = random_bounded_model(np.random.default_rng(seed))
+        est = model_expectation_mc(model, 0.3, 1.1, n, np.random.default_rng(seed + 1))
         assert (est.mean, est.std_error) == self.numpy_estimate(model, 0.3, 1.1, n, seed + 1)
 
     @pytest.mark.parametrize(
@@ -195,7 +194,7 @@ class TestChunkedMonteCarlo:
         # matched angles keep the mean at g, far from 0, so a relative bound means something
         model = cosine_model(0.4)
         with mock.patch.object(lhv, "_MC_CHUNK", chunk):
-            est = model_expectation_mc(model, 0.7, 0.7, n, make_generator(6))
+            est = model_expectation_mc(model, 0.7, 0.7, n, np.random.default_rng(6))
         mean, std_error = self.numpy_estimate(model, 0.7, 0.7, n, 6)
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
@@ -209,9 +208,10 @@ class TestChunkedMonteCarlo:
 
         model = HiddenVariableModel(xi=xi, eta=lambda beta, lam: np.cos(beta - lam))
         with mock.patch.object(lhv, "_MC_CHUNK", 1000):
-            model_expectation_mc(model, 0.0, 0.0, 4321, make_generator(8))
+            model_expectation_mc(model, 0.0, 0.0, 4321, np.random.default_rng(8))
         assert [part.size for part in seen] == [1000, 1000, 1000, 1000, 321]
-        assert np.array_equal(np.concatenate(seen), make_generator(8).uniform(0.0, TWO_PI, 4321))
+        expected = np.random.default_rng(8).uniform(0.0, TWO_PI, 4321)
+        assert np.array_equal(np.concatenate(seen), expected)
 
     MEMORY_PROBE = (
         "import resource\n"
@@ -242,7 +242,7 @@ def sample_eve(model, alpha, beta, n, seed):
     pairs = np.empty((n, 2))
     pairs[:, 0], pairs[:, 1] = alpha, beta
     s_a, s_b = LhvEveChannel(model=model).sample(
-        pairs, np.arange(n), *split_generators(seed, 3)
+        pairs, np.arange(n), *map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
     )
     # both wings click on every round: no sign is 0
     assert np.all(s_a != 0) and np.all(s_b != 0)
@@ -306,8 +306,8 @@ class TestModelChsh:
         assert value == 0.0
 
     def test_classical_bound_over_random_settings(self):
-        model = random_bounded_model(make_generator(107))
-        rng = make_generator(109)
+        model = random_bounded_model(np.random.default_rng(107))
+        rng = np.random.default_rng(109)
         for _ in range(1000):
             settings = ChshSettings(*rng.uniform(0, TWO_PI, 4))
             assert model_chsh(model, settings, mode="exact") <= 2.0 + 1e-9
@@ -318,7 +318,7 @@ class TestModelChsh:
             canonical_chsh_settings(),
             mode="mc",
             n=200_000,
-            rng=make_generator(113),
+            rng=np.random.default_rng(113),
         )
         assert value == pytest.approx(math.sqrt(2.0), abs=0.02)
 
@@ -369,7 +369,7 @@ def assert_rejected_where_used(model, match, uses=("exact", "mc", "chsh", "eve")
     eve = QkdConfig(channel=LhvEveChannel(model=model), n_rounds=1000, seed=1)
     sites = {
         "exact": lambda: model_expectation_exact(model, 0.3, 1.1),
-        "mc": lambda: model_expectation_mc(model, 0.3, 1.1, 1000, make_generator(5)),
+        "mc": lambda: model_expectation_mc(model, 0.3, 1.1, 1000, np.random.default_rng(5)),
         "chsh": lambda: model_chsh(model, canonical_chsh_settings()),
         "eve": lambda: run_session(eve),
     }
@@ -410,8 +410,8 @@ class TestModelConstruction:
         assert xi.evals == eta.evals == 4096
 
     def test_random_models_are_bounded(self):
-        rng = make_generator(127)
-        probe = make_generator(131)
+        rng = np.random.default_rng(127)
+        probe = np.random.default_rng(131)
         for _ in range(10):
             model = random_bounded_model(rng)
             lam = probe.uniform(0, TWO_PI, 50_000)
@@ -426,8 +426,8 @@ class TestProvenBound:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1))
     def test_random_model_stays_within_its_bound(self, seed):
-        model = random_bounded_model(make_generator(seed))
-        probe = make_generator(seed ^ 0x5EED)
+        model = random_bounded_model(np.random.default_rng(seed))
+        probe = np.random.default_rng(seed ^ 0x5EED)
         angles, lam = probe.uniform(0, TWO_PI, (8, 1)), probe.uniform(0, TWO_PI, 20_000)
         assert float(np.max(np.abs(model.xi(angles, lam)))) <= 1.0
         assert float(np.max(np.abs(model.eta(angles, lam)))) <= 1.0
@@ -460,7 +460,7 @@ class TestBroadcastResponses:
         assert model_expectation_exact(model, 0.3, 1.1) == pytest.approx(
             0.5 * math.cos(0.3 - 1.1), abs=1e-12
         )
-        model_expectation_mc(model, 0.3, 1.1, 1000, make_generator(5))
+        model_expectation_mc(model, 0.3, 1.1, 1000, np.random.default_rng(5))
         assert model_chsh(model, canonical_chsh_settings()) == pytest.approx(math.sqrt(2.0))
         assert_rejected_where_used(model, "response xi must give one value per lambda", ["eve"])
 
@@ -468,7 +468,7 @@ class TestBroadcastResponses:
         # one value for every lambda is a valid bounded response
         model = HiddenVariableModel(xi=lambda a, lam: 0.5, eta=lambda b, lam: -1.0)
         assert model_expectation_exact(model, 0.3, 1.1) == -0.5
-        assert model_expectation_mc(model, 0.3, 1.1, 1000, make_generator(5)).mean == -0.5
+        assert model_expectation_mc(model, 0.3, 1.1, 1000, np.random.default_rng(5)).mean == -0.5
         assert model_chsh(model, canonical_chsh_settings()) == 1.0
         run_session(QkdConfig(channel=LhvEveChannel(model=model), n_rounds=1000, seed=1))
 
@@ -488,8 +488,8 @@ class TestBroadcastResponses:
 
 class TestChshBoundProperty:
     def test_random_models_respect_chsh(self):
-        rng = make_generator(137)
-        settings_rng = make_generator(139)
+        rng = np.random.default_rng(137)
+        settings_rng = np.random.default_rng(139)
         for _ in range(20):
             model = random_bounded_model(rng)
             for _ in range(50):

@@ -33,7 +33,6 @@ from bellspace.qkd import (
     rounds_to_csv,
     run_session,
 )
-from bellspace.rng import make_generator, split_generators
 from bellspace.spatial import separated_gaussian_setup
 from bellspace.spin import (
     CHSH_QUANTUM_BOUND,
@@ -58,7 +57,8 @@ def sample_rounds(channel, alpha, beta, n, seed):
     """(detected, s_a, s_b) from a channel at fixed angles: one pair, n rounds in its cell;
     detected means both wings clicked."""
     pairs = np.array([[alpha, beta]])
-    s_a, s_b = channel.sample(pairs, np.zeros(n, dtype=np.intp), *split_generators(seed, 3))
+    streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    s_a, s_b = channel.sample(pairs, np.zeros(n, dtype=np.intp), *streams)
     return (s_a != 0) & (s_b != 0), s_a, s_b
 
 
@@ -146,7 +146,7 @@ CHANNELS = {
     **{f"quantum-{g}": (lambda g=g: QuantumLocalizedChannel(g)) for g in (0.0, 0.3, 0.8, 1.0)},
     "cosine-eve-0": lambda: LhvEveChannel(cosine_model(0.0)),
     "cosine-eve-0.5": lambda: LhvEveChannel(cosine_model(0.5)),
-    "random-eve": lambda: LhvEveChannel(random_bounded_model(make_generator(4242))),
+    "random-eve": lambda: LhvEveChannel(random_bounded_model(np.random.default_rng(4242))),
     # responses with nonzero means, which cosine and random-trig models never have
     "biased-eve": lambda: LhvEveChannel(HiddenVariableModel(
         xi=lambda a, lam: 0.5 + 0.4 * np.cos(a - lam),
@@ -165,10 +165,11 @@ class TestCellSampling:
         st.integers(0, 2**64 - 1),
     )
     def test_cells_match_per_round_pairs(self, pairs, n, channel, seed):
-        cell = make_generator(seed).integers(0, len(pairs), n)
+        cell = np.random.default_rng(seed).integers(0, len(pairs), n)
         sampler = CHANNELS[channel]()
-        by_cell = sampler.sample(pairs, cell, *split_generators(seed, 3))
-        per_round = sampler.sample(pairs[cell], np.arange(n), *split_generators(seed, 3))
+        streams = np.random.SeedSequence(seed).spawn(3)
+        by_cell = sampler.sample(pairs, cell, *map(np.random.default_rng, streams))
+        per_round = sampler.sample(pairs[cell], np.arange(n), *map(np.random.default_rng, streams))
         for drawn, expected in zip(by_cell, per_round):
             assert drawn.dtype == expected.dtype
             assert drawn.tobytes() == expected.tobytes()
@@ -264,7 +265,7 @@ class TestRunSessionLhv:
         assert report.sifted_key_alice != report.sifted_key_bob
 
     def test_any_bounded_model_respects_chsh(self):
-        rng = make_generator(347)
+        rng = np.random.default_rng(347)
         for trial in range(20):
             model = random_bounded_model(rng)
             config = QkdConfig(
@@ -304,7 +305,7 @@ class TestChshAuditProperties:
             # g up to 0.02 leaves some pairs with 0 or 1 clicks at 1000 rounds
             st.builds(QuantumLocalizedChannel, st.floats(0.0, 0.02) | st.floats(0.0, 1.0)),
             st.builds(lambda g: LhvEveChannel(cosine_model(g)), st.floats(0.0, 0.5)),
-            st.builds(lambda s: LhvEveChannel(random_bounded_model(make_generator(s))),
+            st.builds(lambda s: LhvEveChannel(random_bounded_model(np.random.default_rng(s))),
                       st.integers(0, 2**32)),
         ),
         n_rounds=st.integers(1000, 6000),
@@ -407,19 +408,27 @@ class TestConfigValidation:
              [(2, 0, 1), (2, 2, -1), (0, 0, 1), (0, 2, -1)])  # the default: accepted
     @example([0.0, math.pi / 4, math.pi / 2, math.pi / 4, math.pi / 2, 3 * math.pi / 4],
              [(2, 0, 1), (2, 2, 1), (0, 0, 1), (0, 2, 1)])  # the textbook pairs, no signs
+    @example([0.0, 0.01, 1.0, 0.02, 0.03, 1.0],
+             [(0, 0, 1), (0, 1, -1), (1, 0, 1), (1, 1, 1)])  # a rectangle, wrong signs: local 4
+    @example([0.0, math.pi / 4, math.pi / 2, math.pi / 4, math.pi / 2, 3 * math.pi / 4],
+             [(2, 0, 1), (2, 0, -1), (2, 0, 1), (2, 0, 1)])  # one cell four times: local 4
     def test_accepted_configs_can_certify(self, angles, pairs):
-        # the ideal singlet's flipped correlations are sign * cos(alpha - beta)
+        # the ideal singlet's flipped correlations are sign * cos(alpha - beta); a deterministic
+        # local model fixes each setting's sign, so its correlations are sign * x_a * y_b
         chsh = tuple(ChshPair(*p) for p in pairs)
         alice, bob = [as_angle(a) for a in angles[:3]], [as_angle(b) for b in angles[3:]]
         ideal = chsh_statistic(
             *(p.sign * math.cos(alice[p.alice_idx] - bob[p.bob_idx]) for p in chsh))
+        signs = list(itertools.product((1, -1), repeat=3))
+        local = max(chsh_statistic(*(p.sign * x[p.alice_idx] * y[p.bob_idx] for p in chsh))
+                    for x in signs for y in signs)
         try:
             QkdConfig(channel=QuantumLocalizedChannel(0.5), alice_angles=alice,
                       bob_angles=bob, chsh_pairs=chsh)
         except ValueError as exc:
-            assert "matched angles" in str(exc) or ideal <= 2.0 + 1e-12, exc
+            assert "matched angles" in str(exc) or ideal <= 2.0 + 1e-12 or local > 2, exc
         else:
-            assert ideal > 2.0
+            assert ideal > 2.0 and local <= 2
 
     def test_round_record_consistency(self):
         # detected is derived: true exactly when outcomes are present
@@ -506,7 +515,7 @@ class TestSerialization:
         # row numbers that gain a digit and logs that end at a block edge; one log
         # loses both wings at once, one has single clicks (one sign blank), and one
         # runs through all 81 row codes in turn (each once at n = 81)
-        rng = make_generator(n)
+        rng = np.random.default_rng(n)
         detected = rng.random(n) < 0.7
         signs = (2 * rng.integers(0, 2, (2, n)) - 1).astype(np.int8) * detected
         a_idx, b_idx = rng.integers(0, 3, n), rng.integers(0, 3, n)
@@ -606,7 +615,7 @@ class TestGoldenOutputs:
             (lambda: cosine_model(0.2), "6746ad2dc13cfccd4d916e1157c2c12ba4cafabefa9e1e15423c89e72a99e5d5"),
             (lambda: cosine_model(0.5), "16567bcd625db120c6a9f948988840f69a434c239f6734b2b7a029fa6ae6b33d"),
             (
-                lambda: random_bounded_model(make_generator(4242)),
+                lambda: random_bounded_model(np.random.default_rng(4242)),
                 "7d7d3221053c2115a604e55b4fab8f446f09b2df6e0e22f600c14b32d086da29",
             ),
         ],

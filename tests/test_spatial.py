@@ -21,7 +21,6 @@ from scipy import integrate
 
 from bellspace import spatial
 from bellspace.cli import setup_from_dict
-from bellspace.rng import make_generator
 from bellspace.spatial import (
     BoxRegion,
     GaussianPacket,
@@ -120,7 +119,7 @@ class TestPacketProbability:
         assert got == pytest.approx(reference, rel=1e-11, abs=0.0)
 
     def test_random_boxes_vs_quad_oracle(self):
-        rng = make_generator(3)
+        rng = np.random.default_rng(3)
         for _ in range(20):
             m = rng.uniform(0.5, 3.0)
             center = rng.uniform(-2, 2, 3)
@@ -177,7 +176,7 @@ class TestGFactorProduct:
         assert setup_g_factor(SpatialSetup(packet, packet, far, near)).g < 1e-100
 
     def test_translation_invariance(self):
-        rng = make_generator(7)
+        rng = np.random.default_rng(7)
         for _ in range(20):
             shift = rng.uniform(-5, 5, 3)
             m = rng.uniform(0.5, 2.0)
@@ -194,7 +193,7 @@ class TestGFactorProduct:
             assert g1 == pytest.approx(g0, abs=1e-12)
 
     def test_region_growth_never_decreases_g(self):
-        rng = make_generator(13)
+        rng = np.random.default_rng(13)
         packet_a = GaussianPacket((0.0, 0.0, 0.0), 1.0)
         packet_b = GaussianPacket((8.0, 0.0, 0.0), 1.5)
         for _ in range(200):
@@ -210,7 +209,7 @@ class TestGFactorProduct:
             assert g_large >= g_small - 1e-15
 
     def test_bounds_always_hold(self):
-        rng = make_generator(17)
+        rng = np.random.default_rng(17)
         for _ in range(50):
             pa = GaussianPacket(tuple(rng.uniform(-2, 2, 3)), rng.uniform(0.3, 3))
             pb = GaussianPacket(tuple(rng.uniform(-2, 2, 3)), rng.uniform(0.3, 3))
@@ -229,7 +228,7 @@ class TestQuadraturePath:
         assert g_quad.g == pytest.approx(g_prod.g, abs=1e-8)
 
     def test_matches_product_path_random_configs(self):
-        rng = make_generator(19)
+        rng = np.random.default_rng(19)
         for _ in range(50):
             m_a, m_b = rng.uniform(0.6, 2.0, 2)
             c_a = rng.uniform(-1, 1, 3)
@@ -336,15 +335,15 @@ class TestThreadedQuadrature:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_matches_the_serial_loop_bit_for_bit(self, order, components, seed):
-        rng = make_generator(seed)
+        rng = np.random.default_rng(seed)
         density = random_density(rng, components)
         region_a, region_b = random_box(rng), random_box(rng)
         got = spatial._tensor_gl_6d(density, region_a, region_b, order)
         assert got == serial_tensor_gl_6d(density, region_a, region_b, order)
 
     def test_repeated_runs_give_identical_floats(self, fast_thread_switching):
-        density = random_density(make_generator(23), 3)
-        region_a, region_b = random_box(make_generator(24)), random_box(make_generator(25))
+        density = random_density(np.random.default_rng(23), 3)
+        region_a, region_b = (random_box(np.random.default_rng(seed)) for seed in (24, 25))
         runs = [
             (spatial._tensor_gl_6d(density, region_a, region_b, 11),
              g_factor_quadrature(density, region_a, region_b, tol=1e-6, orders=(6, 10)).g)

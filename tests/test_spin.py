@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellspace.qkd import QuantumLocalizedChannel
-from bellspace.rng import make_generator, split_generators
 from bellspace.spin import (
     CHSH_QUANTUM_BOUND,
     ChshSettings,
@@ -72,7 +71,7 @@ class TestDirections:
         assert v.z == pytest.approx(SQRT2 / 2, abs=1e-15)
 
     def test_planar_convention_gives_cosine(self):
-        rng = make_generator(11)
+        rng = np.random.default_rng(11)
         for _ in range(100):
             alpha, beta = rng.uniform(0, 2 * math.pi, 2)
             corr = singlet_correlation(alice_direction(alpha), bob_direction(beta))
@@ -117,7 +116,7 @@ class TestSingletCorrelation:
 
     def test_perfect_anticorrelation_random_directions(self):
         # "exactly" up to one ulp of the squared norm of a float direction
-        rng = make_generator(5)
+        rng = np.random.default_rng(5)
         for _ in range(100):
             a = random_direction(rng)
             assert abs(singlet_correlation(a, a) + 1.0) <= 5e-16
@@ -149,7 +148,7 @@ class TestJointProbability:
         assert matrix_oracle(a, b, s) == pytest.approx(expected, abs=1e-14)
 
     def test_against_matrix_oracle(self):
-        rng = make_generator(23)
+        rng = np.random.default_rng(23)
         for _ in range(50):
             a = random_direction(rng)
             b = random_direction(rng)
@@ -159,7 +158,7 @@ class TestJointProbability:
                 )
 
     def test_oracle_with_planar_constructors(self):
-        rng = make_generator(29)
+        rng = np.random.default_rng(29)
         for _ in range(20):
             alpha, beta = rng.uniform(0, 2 * math.pi, 2)
             a, b = alice_direction(alpha), bob_direction(beta)
@@ -169,7 +168,7 @@ class TestJointProbability:
                 )
 
     def test_normalization_and_marginals(self):
-        rng = make_generator(31)
+        rng = np.random.default_rng(31)
         for _ in range(100):
             a = random_direction(rng)
             b = random_direction(rng)
@@ -184,7 +183,7 @@ class TestJointProbability:
                 assert marginal == pytest.approx(0.5, abs=1e-12)
 
     def test_expectation_consistency(self):
-        rng = make_generator(37)
+        rng = np.random.default_rng(37)
         for _ in range(100):
             a = random_direction(rng)
             b = random_direction(rng)
@@ -202,14 +201,13 @@ def sample_channel(alpha, beta, seed):
     Round i gets its own setting pair: row i of the pair table.
     """
     pairs = np.column_stack((alpha, beta)).astype(float)
-    return QuantumLocalizedChannel(g=1.0).sample(
-        pairs, np.arange(len(pairs)), *split_generators(seed, 3)
-    )
+    streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    return QuantumLocalizedChannel(g=1.0).sample(pairs, np.arange(len(pairs)), *streams)
 
 
 class TestSampling:
     def test_equal_settings_always_anti_equal(self):
-        theta = make_generator(41).uniform(0.0, 2 * math.pi, 1000)
+        theta = np.random.default_rng(41).uniform(0.0, 2 * math.pi, 1000)
         s_a, s_b = sample_channel(theta, theta, 41)
         assert np.all(s_b == -s_a)
 
@@ -226,8 +224,8 @@ class TestSampling:
         assert abs(mean - expected) < 4 * std_err
 
     def test_fixed_seed_reproducible(self):
-        alpha = make_generator(0).uniform(0.0, 2 * math.pi, 200)
-        beta = make_generator(1).uniform(0.0, 2 * math.pi, 200)
+        alpha = np.random.default_rng(0).uniform(0.0, 2 * math.pi, 200)
+        beta = np.random.default_rng(1).uniform(0.0, 2 * math.pi, 200)
         first = sample_channel(alpha, beta, 99)
         second = sample_channel(alpha, beta, 99)
         for x, y in zip(first, second):
@@ -278,7 +276,7 @@ class TestQuantumChsh:
             quantum_chsh(canonical_chsh_settings(), -0.1)
 
     def test_quantum_bound_over_random_settings(self):
-        rng = make_generator(53)
+        rng = np.random.default_rng(53)
         best = 0.0
         for _ in range(10_000):
             settings = ChshSettings(*rng.uniform(0, 2 * math.pi, 4))
