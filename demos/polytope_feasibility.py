@@ -3,7 +3,8 @@
 A correlation matrix is reproducible by bounded responses exactly when it
 lies in the convex hull of sign outer products.  The LP decides membership
 and hands back either an explicit mixture or a separating Bell inequality,
-whose classical bound is then recomputed independently of the solver.
+whose classical bound is derived from its coefficients, never taken from
+the solver.
 """
 
 import math

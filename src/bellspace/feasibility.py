@@ -22,8 +22,9 @@ separating Bell-type inequality.  The LP is solved by column generation
 2^(m+n-1) vertices: a vertex's dual value is priced exactly by
 max_{s,t} s^T C t = max_s ||C^T s||_1 (Brunner et al., Rev. Mod. Phys. 86,
 419 (2014), Sec. II), which enumerates only the smaller wing's
-2^(min(m,n)-1) strategies.  Verification never trusts the solver:
-:func:`verify_certificate` recomputes the classical bound the same way.
+2^(min(m,n)-1) strategies.  Verification never trusts the solver: a
+:class:`BellCertificate` derives its classical bound from its coefficients
+that same way, and :func:`verify_certificate` reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import importlib.util
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +60,14 @@ class FeasibilitySolverError(NumericalFailure):
     """The LP backend failed or returned an inconsistent dual certificate."""
 
 
+def _check_grid(m: int, n: int) -> None:
+    """A target's or a certificate's m x n grid: both wings set, m + n within the cap."""
+    if m < 1 or n < 1:
+        raise ValueError("need at least one setting per wing")
+    if m + n > MAX_GRID_SIZE:
+        raise ValueError(f"grid too large: m + n = {m + n} exceeds the cap {MAX_GRID_SIZE}")
+
+
 @dataclass(frozen=True)
 class CorrelationTarget:
     """Target correlations P_ij on finite Alice/Bob angle grids.
@@ -78,12 +87,7 @@ class CorrelationTarget:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         m, n = len(alphas), len(betas)
-        if m < 1 or n < 1:
-            raise ValueError("need at least one setting per wing")
-        if m + n > MAX_GRID_SIZE:
-            raise ValueError(
-                f"grid too large: m + n = {m + n} exceeds the cap {MAX_GRID_SIZE}"
-            )
+        _check_grid(m, n)
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (m, n):
             raise ValueError(
@@ -126,24 +130,28 @@ def canonical_cosine_target(g: float = 1.0) -> CorrelationTarget:
 
 @dataclass(frozen=True)
 class BellCertificate:
-    """A separating inequality: sum c_ij P_ij <= bound for every local P."""
+    """A Bell-type inequality: sum c_ij P_ij <= bound for every local P.
+
+    The bound is derived from the coefficients, never passed in: their classical
+    maximum max_{s,t} s^T C t.  m + n is capped at :data:`MAX_GRID_SIZE`, as for a target.
+    """
 
     coefficients: np.ndarray
-    bound: float
+    bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         coeff = np.array(self.coefficients, dtype=float)
         if coeff.ndim != 2 or not np.all(np.isfinite(coeff)):
             raise ValueError("coefficients must be a finite 2-d matrix")
+        _check_grid(*coeff.shape)
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "bound", float(np.max(_best_responses(coeff)[2])))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BellCertificate):
             return NotImplemented
-        return self.bound == other.bound and np.array_equal(
-            self.coefficients, other.coefficients
-        )
+        return np.array_equal(self.coefficients, other.coefficients)
 
     def value_at(self, target: CorrelationTarget) -> float:
         return float(np.sum(self.coefficients * target.matrix))
@@ -151,7 +159,7 @@ class BellCertificate:
 
 def chsh_certificate() -> BellCertificate:
     """The CHSH inequality as a 2x2 certificate: c = [[1,-1],[1,1]], bound 2."""
-    return BellCertificate(np.array([[1.0, -1.0], [1.0, 1.0]]), 2.0)
+    return BellCertificate(np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
 @dataclass(frozen=True)
@@ -376,8 +384,8 @@ def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     Feasible verdicts (gauge g* >= 1 - FEASIBILITY_TOL) return a sparse
     representing mixture over sign-strategy pairs; infeasible verdicts return
     a separating Bell certificate read off the gauge LP's dual, scaled to
-    C.P = 1, with its classical bound recomputed exactly.  Solver breakdowns
-    raise :class:`FeasibilitySolverError` with the solver's message.
+    C.P = 1, whose classical bound it derives from those coefficients.  Solver
+    breakdowns raise :class:`FeasibilitySolverError` with the solver's message.
     """
     g, w, s, t, coeff = _gauge_lp(target)
     if g >= 1.0 - FEASIBILITY_TOL:
@@ -393,34 +401,23 @@ def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     value = float(np.sum(coeff * target.matrix))
     if not value > 0.0:
         raise FeasibilitySolverError(f"dual certificate has value {value!r} at the target")
-    coefficients = coeff / value
-    bound = float(np.max(_best_responses(coefficients)[2]))
-    margin = 1.0 - bound
+    certificate = BellCertificate(coeff / value)
+    margin = 1.0 - certificate.bound
     if margin <= FEASIBILITY_TOL:
         raise FeasibilitySolverError(
             f"dual certificate margin {margin!r} inconsistent with gauge {g!r}"
         )
-    return FeasibilityResult(
-        INFEASIBLE, residual=margin, certificate=BellCertificate(coefficients, bound)
-    )
+    return FeasibilityResult(INFEASIBLE, residual=margin, certificate=certificate)
 
 
-def verify_certificate(
-    certificate: BellCertificate,
-    target: CorrelationTarget,
-    margin_tol: float = FEASIBILITY_TOL,
-) -> bool:
-    """Independently confirm that a certificate separates the target.
+def verify_certificate(certificate: BellCertificate, target: CorrelationTarget) -> bool:
+    """Confirm that a certificate separates the target by more than FEASIBILITY_TOL.
 
-    Recomputes the classical bound max over all sign pairs of sum c_ij s_i t_j
-    as the largest best-response value (ignoring the stored ``bound``) and
-    checks that the separation margin exceeds ``margin_tol``.
+    The certificate's bound is the classical maximum of its coefficients, never a solver's.
     """
-    coeff = certificate.coefficients
-    if target.matrix.shape != coeff.shape:
+    if target.matrix.shape != certificate.coefficients.shape:
         raise ValueError("certificate shape does not match the target")
-    best = float(np.max(_best_responses(coeff)[2]))
-    return certificate.value_at(target) - best > margin_tol
+    return certificate.value_at(target) - certificate.bound > FEASIBILITY_TOL
 
 
 def max_feasible_scale(target: CorrelationTarget, tol: float) -> float:

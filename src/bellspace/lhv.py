@@ -41,6 +41,7 @@ from .spin import TWO_PI, UNIT_SLACK, ChshSettings, as_angle, chsh_statistic
 #: mutable state.
 ResponseFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
+#: Trapezoid nodes of :func:`model_expectation_exact`, read at each call.
 _EXACT_NODES = 4096
 #: Lambda draws per chunk of :func:`model_expectation_mc`; up to one chunk its
 #: result is bit-identical to the whole-array mean and standard deviation.
@@ -149,30 +150,23 @@ def random_bounded_model(rng: np.random.Generator) -> HiddenVariableModel:
     return HiddenVariableModel(xi=make_response(), eta=make_response(), label="random-trig")
 
 
-def model_expectation_exact(
-    model: HiddenVariableModel,
-    alpha: float,
-    beta: float,
-    nodes: int = _EXACT_NODES,
-) -> float:
+def model_expectation_exact(model: HiddenVariableModel, alpha: float, beta: float) -> float:
     """Expectation of xi*eta by the periodic trapezoid rule on [0, 2*pi).
 
-    Equal-weight nodes are exact to rounding for trigonometric-polynomial
-    responses like the cosine family (for the cosine model the result is
-    g*cos(alpha - beta)) and converge fast for smooth ones.  Discontinuous
-    responses get only O(1/N) in the node count N: for xi = sign(cos(alpha -
-    lambda)), eta = sign(cos(beta - lambda)) the error is up to ~4/N
-    (~1e-3 at the default N = 4096).
+    The N = 4096 equal-weight nodes are exact to rounding for
+    trigonometric-polynomial responses like the cosine family (for the cosine
+    model the result is g*cos(alpha - beta)) and converge fast for smooth
+    ones.  Discontinuous responses get only O(1/N): for xi = sign(cos(alpha -
+    lambda)), eta = sign(cos(beta - lambda)) the error is up to ~4/N, ~1e-3.
     """
-    xi, eta = node_responses(model, as_angle(alpha), as_angle(beta), nodes)
+    xi, eta = node_responses(model, as_angle(alpha), as_angle(beta))
     return float(np.mean(xi * eta))
 
 
-def node_responses(
-    model: HiddenVariableModel, alpha: float, beta: float, nodes: int = _EXACT_NODES
-) -> tuple[np.ndarray, np.ndarray]:
+def node_responses(model: HiddenVariableModel, alpha: float,
+                   beta: float) -> tuple[np.ndarray, np.ndarray]:
     """xi at alpha and eta at beta, checked, on the exact expectations' trapezoid nodes."""
-    lam = np.arange(nodes) * (TWO_PI / nodes)
+    lam = np.arange(_EXACT_NODES) * (TWO_PI / _EXACT_NODES)
     return response_values(model, "xi", alpha, lam), response_values(model, "eta", beta, lam)
 
 

@@ -22,7 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -158,8 +158,13 @@ class TestVerifyCertificate:
         assert not verify_certificate(chsh_certificate(), canonical_cosine_target(0.5))
 
     def test_zero_certificate_separates_nothing(self):
-        cert = BellCertificate(np.zeros((2, 2)), 0.0)
+        cert = BellCertificate(np.zeros((2, 2)))
         assert not verify_certificate(cert, canonical_cosine_target(1.0))
+
+    def test_bound_is_not_an_argument(self):
+        # the bound is derived from the coefficients, so none can be passed in
+        with pytest.raises(TypeError):
+            BellCertificate(np.array([[1.0, -1.0], [1.0, 1.0]]), 2.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -374,13 +379,14 @@ class TestGaugeLpProperties:
         assert np.max(values) == pytest.approx(classical_bound(coeff), rel=1e-12, abs=1e-12)
         # each value is what its (s, t) pair actually scores
         assert np.allclose(np.einsum("ki,ij,kj->k", s, coeff, t), values, atol=1e-12)
-        # verify_certificate separates by that same bound, whatever the stored one
-        cert = BellCertificate(coeff, 0.0)
+        # a certificate derives that same bound, and verify_certificate separates by it
+        cert = BellCertificate(coeff)
+        assert cert.bound == pytest.approx(classical_bound(coeff), rel=1e-12, abs=1e-12)
         target = CorrelationTarget(tuple(range(coeff.shape[0])), tuple(range(coeff.shape[1])),
                                    np.clip(coeff, -1.0, 1.0))
         margin = cert.value_at(target) - classical_bound(coeff)
-        assert verify_certificate(cert, target, margin_tol=margin - 1e-7)
-        assert not verify_certificate(cert, target, margin_tol=margin + 1e-7)
+        assume(abs(margin - FEASIBILITY_TOL) > 1e-9)
+        assert verify_certificate(cert, target) == (margin > FEASIBILITY_TOL)
 
     @given(correlation_matrices)
     @settings(max_examples=60, deadline=None)

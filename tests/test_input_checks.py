@@ -35,10 +35,14 @@ def channel_config(channel: dict):
     [
         pytest.param(lambda: CorrelationTarget((0.0, 1.0), (0.0,), [[0.5], [math.nan]]),
                      ValueError, "matrix entries must be finite", id="target-nan"),
-        pytest.param(lambda: BellCertificate(np.array([[1.0, math.inf]]), 1.0),
+        pytest.param(lambda: BellCertificate(np.array([[1.0, math.inf]])),
                      ValueError, "coefficients must be a finite 2-d matrix", id="certificate-inf"),
-        pytest.param(lambda: BellCertificate(np.array([1.0, 1.0]), 1.0),
+        pytest.param(lambda: BellCertificate(np.array([1.0, 1.0])),
                      ValueError, "coefficients must be a finite 2-d matrix", id="certificate-1d"),
+        pytest.param(lambda: BellCertificate(np.zeros((0, 3))),
+                     ValueError, "need at least one setting per wing", id="certificate-empty"),
+        pytest.param(lambda: BellCertificate(np.zeros((13, 12))),
+                     ValueError, "m \\+ n = 25 exceeds the cap 24", id="certificate-oversized"),
         pytest.param(lambda: BoxRegion.centered_cube((0.0, 0.0, 0.0), 0.0),
                      ValueError, "half_width must be positive", id="cube-half-width"),
         pytest.param(lambda: quadrature(tol=0.0),
