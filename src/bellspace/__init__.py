@@ -8,9 +8,9 @@ wave function has both a spin part and a spatial part:
 * :mod:`bellspace.spatial` - Gaussian packets, detector regions, the
   localization factor g and wave-packet spreading;
 * :mod:`bellspace.lhv` - local-hidden-variable models with bounded response
-  functions, including the cosine family reproducing g*cos(alpha - beta);
-* :mod:`bellspace.feasibility` - exact local-correlation-polytope membership
-  with Bell-inequality certificates and the maximal feasible scaling;
+  functions, the cosine family among them, and Bell certificates' bounds;
+* :mod:`bellspace.feasibility` - local-correlation-polytope membership by one
+  gauge LP, with separating certificates and the maximal feasible scaling;
 * :mod:`bellspace.qkd` - a two-particle key-distribution simulation with
   CHSH-based eavesdropper detection under localized detectors;
 * :mod:`bellspace.config` - the strict reader every JSON config block goes
@@ -31,11 +31,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "feasibility": "BellCertificate CorrelationTarget FeasibilityResult "
-        "FeasibilitySolverError canonical_cosine_target chsh_certificate cosine_target "
-        "local_polytope_membership max_feasible_scale verify_certificate",
-        "lhv": "CorrelationEstimate HiddenVariableModel cosine_model model_chsh "
-        "model_expectation_exact model_expectation_mc random_bounded_model",
+        "feasibility": "CorrelationTarget FeasibilityResult FeasibilitySolverError cosine_target "
+        "canonical_cosine_target local_polytope_membership max_feasible_scale verify_certificate",
+        "lhv": "BellCertificate CorrelationEstimate HiddenVariableModel chsh_certificate "
+        "cosine_model model_chsh model_expectation_exact model_expectation_mc "
+        "random_bounded_model",
         "qkd": "ChshPair LhvEveChannel QkdConfig QkdSessionReport QuantumLocalizedChannel "
         "Behaviour RoundLog RoundRecord decide_verdict run_session",
         "spatial": "BoxRegion GaussianPacket LocalizationFactor QuadratureError SpatialSetup "

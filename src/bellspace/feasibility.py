@@ -19,35 +19,30 @@ Its optimum g* >= 1 means P is in L (the LP's vertex weights are the
 mixture), g* < 1 is the largest feasible scaling, and its dual is a
 separating Bell-type inequality.  The LP is solved by column generation
 (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) instead of over all
-2^(m+n-1) vertices: a vertex's dual value is priced exactly by
-max_{s,t} s^T C t = max_s ||C^T s||_1 (Brunner et al., Rev. Mod. Phys. 86,
-419 (2014), Sec. II), which enumerates only the smaller wing's
-2^(min(m,n)-1) strategies.  Verification never trusts the solver: a
-:class:`BellCertificate` derives its classical bound from its coefficients
-that same way, and :func:`verify_certificate` reads it.
+2^(m+n-1) vertices, each round priced by :func:`~.lhv.best_responses`.
+Verification never trusts the solver: :func:`verify_certificate` reads the
+bound that a :class:`~.lhv.BellCertificate` derives by that same rule.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .config import NumericalFailure
+from .lhv import BellCertificate, best_responses, check_grid
 from .spin import UNIT_SLACK, as_angle, canonical_chsh_settings
 
 log = logging.getLogger(__name__)
 
-#: Hard cap on m + n; pricing enumerates 2^(min(m,n)-1) strategies.
-MAX_GRID_SIZE = 24
 #: Tolerance on the gauge optimum (feasible iff g* >= 1 - tol), on the
 #: pricing step and on certificate margins.
 FEASIBILITY_TOL = 1e-9
@@ -60,21 +55,13 @@ class FeasibilitySolverError(NumericalFailure):
     """The LP backend failed or returned an inconsistent dual certificate."""
 
 
-def _check_grid(m: int, n: int) -> None:
-    """A target's or a certificate's m x n grid: both wings set, m + n within the cap."""
-    if m < 1 or n < 1:
-        raise ValueError("need at least one setting per wing")
-    if m + n > MAX_GRID_SIZE:
-        raise ValueError(f"grid too large: m + n = {m + n} exceeds the cap {MAX_GRID_SIZE}")
-
-
 @dataclass(frozen=True)
 class CorrelationTarget:
     """Target correlations P_ij on finite Alice/Bob angle grids.
 
     Angles are wrapped into [0, 2*pi); the matrix has shape (len(alphas),
     len(betas)) with entries in [-1, 1], and m + n is capped at
-    :data:`MAX_GRID_SIZE` to keep the pricing enumeration tractable.
+    :data:`~.lhv.MAX_GRID_SIZE`, as for a certificate.
     """
 
     alphas: tuple[float, ...]
@@ -87,7 +74,7 @@ class CorrelationTarget:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         m, n = len(alphas), len(betas)
-        _check_grid(m, n)
+        check_grid(m, n)
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (m, n):
             raise ValueError(
@@ -129,40 +116,6 @@ def canonical_cosine_target(g: float = 1.0) -> CorrelationTarget:
 
 
 @dataclass(frozen=True)
-class BellCertificate:
-    """A Bell-type inequality: sum c_ij P_ij <= bound for every local P.
-
-    The bound is derived from the coefficients, never passed in: their classical
-    maximum max_{s,t} s^T C t.  m + n is capped at :data:`MAX_GRID_SIZE`, as for a target.
-    """
-
-    coefficients: np.ndarray
-    bound: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        coeff = np.array(self.coefficients, dtype=float)
-        if coeff.ndim != 2 or not np.all(np.isfinite(coeff)):
-            raise ValueError("coefficients must be a finite 2-d matrix")
-        _check_grid(*coeff.shape)
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-        object.__setattr__(self, "bound", float(np.max(_best_responses(coeff)[2])))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BellCertificate):
-            return NotImplemented
-        return np.array_equal(self.coefficients, other.coefficients)
-
-    def value_at(self, target: CorrelationTarget) -> float:
-        return float(np.sum(self.coefficients * target.matrix))
-
-
-def chsh_certificate() -> BellCertificate:
-    """The CHSH inequality as a 2x2 certificate: c = [[1,-1],[1,1]], bound 2."""
-    return BellCertificate(np.array([[1.0, -1.0], [1.0, 1.0]]))
-
-
-@dataclass(frozen=True)
 class StrategyWeight:
     """One mixture component: sign vectors for both wings plus its weight."""
 
@@ -201,35 +154,6 @@ class FeasibilityResult:
         if not tol > 0:
             raise ValueError("tol must be positive")
         return 1.0 if self.is_feasible else max(0.0, self.certificate.bound - tol / 2)
-
-
-@functools.lru_cache(maxsize=None)
-def _half_sign_matrix(k: int) -> np.ndarray:
-    """All of {-1,+1}^k (k >= 1) as rows, with the first coordinate pinned to +1.
-
-    The outer products s t^T and (-s)(-t)^T coincide, so pinning one wing's
-    first sign enumerates every polytope vertex exactly once.  Every pricing
-    round asks for the same k, so the array is built once and read-only.
-    """
-    bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    signs = 1.0 - 2.0 * bits
-    signs.setflags(write=False)
-    return signs
-
-
-def _best_responses(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every strategy of the smaller wing, its best reply and the pair's value.
-
-    Against a fixed s the best t is sign(C^T s), worth s^T C t = ||C^T s||_1,
-    so max over all 2^(m+n) sign pairs of s^T C t is the largest of the
-    2^(min(m,n)-1) returned values.  Returns the stacked rows (s, t, value).
-    """
-    flip = coeff.shape[0] > coeff.shape[1]
-    own = _half_sign_matrix(min(coeff.shape))
-    scores = own @ (coeff.T if flip else coeff)
-    reply = np.where(scores < 0.0, -1.0, 1.0)
-    values = np.abs(scores).sum(axis=1)
-    return (reply, own, values) if flip else (own, reply, values)
 
 
 def _vertex_keys(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -312,7 +236,7 @@ def _gauge_lp(
     core = _highs_core()
     start = time.perf_counter()
     m, n = target.matrix.shape
-    s, t, _ = _best_responses(target.matrix)
+    s, t, _ = best_responses(target.matrix)
     s, t = np.vstack([s, s]), np.vstack([t, -t])
     rhs = np.append(np.zeros(m * n), 1.0)
     highs = core._Highs()
@@ -358,7 +282,7 @@ def _gauge_lp(
         if g >= 1.0 - FEASIBILITY_TOL:
             violation = 0.0
             break
-        s_new, t_new, values = _best_responses(coeff)
+        s_new, t_new, values = best_responses(coeff)
         violation = float(values.max()) - level
         # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
         fresh = np.flatnonzero(values > level + FEASIBILITY_TOL)
@@ -384,8 +308,7 @@ def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     Feasible verdicts (gauge g* >= 1 - FEASIBILITY_TOL) return a sparse
     representing mixture over sign-strategy pairs; infeasible verdicts return
     a separating Bell certificate read off the gauge LP's dual, scaled to
-    C.P = 1, whose classical bound it derives from those coefficients.  Solver
-    breakdowns raise :class:`FeasibilitySolverError` with the solver's message.
+    C.P = 1.  Solver breakdowns raise :class:`FeasibilitySolverError`.
     """
     g, w, s, t, coeff = _gauge_lp(target)
     if g >= 1.0 - FEASIBILITY_TOL:
@@ -411,10 +334,7 @@ def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
 
 
 def verify_certificate(certificate: BellCertificate, target: CorrelationTarget) -> bool:
-    """Confirm that a certificate separates the target by more than FEASIBILITY_TOL.
-
-    The certificate's bound is the classical maximum of its coefficients, never a solver's.
-    """
+    """Confirm that a certificate separates the target by more than FEASIBILITY_TOL."""
     if target.matrix.shape != certificate.coefficients.shape:
         raise ValueError("certificate shape does not match the target")
     return certificate.value_at(target) - certificate.bound > FEASIBILITY_TOL

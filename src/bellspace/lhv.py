@@ -6,7 +6,11 @@ lambda), each bounded by 1 in absolute value.  One law for lambda loses
 nothing: any other law on the circle is the uniform one pushed through its
 inverse CDF F^-1, so it goes into the responses as xi(alpha, F^-1(lambda)).
 The predicted correlation at settings (alpha, beta) is the expectation of
-xi * eta over lambda.  Any such model obeys the CHSH bound
+xi * eta over lambda.  On a finite grid its correlations mix those of the
+deterministic models (a fixed sign per setting), the vertices s t^T of the
+local correlation polytope, so a Bell-type inequality holds up to its best
+vertex's value: the classical bound that :func:`best_responses` prices for a
+:class:`BellCertificate`, the gauge LP and the QKD config.  For CHSH
 
     |P11 - P12| + |P21 + P22| <= 2,
 
@@ -26,6 +30,7 @@ The window (1/2, 1/sqrt(2)] is not covered by any construction here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,6 +56,8 @@ _MC_CHUNK = 1 << 19
 #: ``bellspace lhv`` run peaks at 56 MB at 10^7 and at the cap), and the cap
 #: bounds run time instead: ~2 s for one estimate at the cap.
 MAX_MC_SAMPLES = 40_000_000
+#: Hard cap on m + n; pricing enumerates 2^(min(m,n)-1) strategies.
+MAX_GRID_SIZE = 24
 
 
 @dataclass(frozen=True)
@@ -239,3 +246,75 @@ def model_chsh(
             f"tolerance {tolerance!r}; response functions are out of bounds"
         )
     return value
+
+
+def check_grid(m: int, n: int) -> None:
+    """A target's or a certificate's m x n grid: both wings set, m + n within the cap."""
+    if m < 1 or n < 1:
+        raise ValueError("need at least one setting per wing")
+    if m + n > MAX_GRID_SIZE:
+        raise ValueError(f"grid too large: m + n = {m + n} exceeds the cap {MAX_GRID_SIZE}")
+
+
+@functools.lru_cache(maxsize=None)
+def _half_sign_matrix(k: int) -> np.ndarray:
+    """All of {-1,+1}^k (k >= 1) as rows, with the first coordinate pinned to +1.
+
+    The outer products s t^T and (-s)(-t)^T coincide, so pinning one wing's
+    first sign enumerates every polytope vertex exactly once.  Every pricing
+    round asks for the same k, so the array is built once and read-only.
+    """
+    bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
+
+
+def best_responses(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every strategy of the smaller wing, its best reply and the pair's value.
+
+    Against a fixed s the best t is sign(C^T s), worth s^T C t = ||C^T s||_1, so the max over
+    all 2^(m+n) sign pairs is the largest of the 2^(min(m,n)-1) returned values (Brunner et
+    al., Rev. Mod. Phys. 86, 419 (2014), Sec. II).  Returns the stacked rows (s, t, value).
+    """
+    flip = coeff.shape[0] > coeff.shape[1]
+    own = _half_sign_matrix(min(coeff.shape))
+    scores = own @ (coeff.T if flip else coeff)
+    reply = np.where(scores < 0.0, -1.0, 1.0)
+    values = np.abs(scores).sum(axis=1)
+    return (reply, own, values) if flip else (own, reply, values)
+
+
+@dataclass(frozen=True)
+class BellCertificate:
+    """A Bell-type inequality: sum c_ij P_ij <= bound for every local P.
+
+    The bound is derived from the coefficients, never passed in: their classical
+    maximum max_{s,t} s^T C t.  m + n is capped at :data:`MAX_GRID_SIZE`.
+    """
+
+    coefficients: np.ndarray
+    bound: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        coeff = np.array(self.coefficients, dtype=float)
+        if coeff.ndim != 2 or not np.all(np.isfinite(coeff)):
+            raise ValueError("coefficients must be a finite 2-d matrix")
+        check_grid(*coeff.shape)
+        coeff.setflags(write=False)
+        object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "bound", float(np.max(best_responses(coeff)[2])))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BellCertificate):
+            return NotImplemented
+        return np.array_equal(self.coefficients, other.coefficients)
+
+    def value_at(self, target) -> float:
+        """sum c_ij P_ij at a :class:`~.feasibility.CorrelationTarget`."""
+        return float(np.sum(self.coefficients * target.matrix))
+
+
+def chsh_certificate() -> BellCertificate:
+    """The CHSH inequality as a 2x2 certificate: c = [[1,-1],[1,1]], bound 2."""
+    return BellCertificate(np.array([[1.0, -1.0], [1.0, 1.0]]))

@@ -30,14 +30,13 @@ Bob flips his outcomes, so matched-round key bits agree where the singlet
 anticorrelates (an error is a coincidence with s_a == s_b; a cosine-model
 Eve errs on (1 - g)/2 of them) and test correlations become +cos(alpha -
 beta).  Each CHSH pair's sign multiplies its correlation: the default grids
-need (+, -, +, -) to map Bob's 3*pi/4 onto the canonical -pi/4.  A config
-is rejected unless the ideal singlet's S exceeds 2 and no deterministic local
-model's does: a CHSH form's local bound is 2 only for the right signs.  The
-conditioned CHSH (post-selected on coincidences) drives the verdict; the
-unconditioned one (no coincidence: product 0) has expectation
-g*cos(alpha - beta).  Their standard errors come from integer counts,
-exact to rounding.  Whether post-selected statistics certify security when
-g <= 1/2 is the fair-sampling question; the report takes no side.
+need (+, -, +, -) to map Bob's 3*pi/4 onto the canonical -pi/4, and
+:class:`QkdConfig` rejects signs whose S cannot certify.  The conditioned
+CHSH (post-selected on coincidences) drives the verdict; the unconditioned
+one (no coincidence: product 0) has expectation g*cos(alpha - beta).  Their
+standard errors come from integer counts, exact to rounding.  Whether
+post-selected statistics certify security when g <= 1/2 is the
+fair-sampling question; the report takes no side.
 
 ``return_rounds=True`` adds the :class:`RoundLog` of row codes, one byte a
 round, decoded to columns and :class:`RoundRecord` rows on access;
@@ -55,7 +54,7 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from .config import on_worker
-from .lhv import HiddenVariableModel, node_responses, response_values
+from .lhv import BellCertificate, HiddenVariableModel, node_responses, response_values
 from .spatial import SpatialSetup, setup_g_factor
 from .spin import TWO_PI, OutcomePair, as_angle, chsh_statistic
 
@@ -73,8 +72,6 @@ MIN_TEST_ROUNDS_PER_PAIR = 50
 MAX_ROUNDS = 10_000_000
 
 _ANGLE_MATCH_TOL = 1e-12
-#: The deterministic local models: Alice's sign (+-1) at each of her settings, then Bob's.
-_STRATEGIES = tuple(itertools.product((1, -1), repeat=6))
 #: Rounds simulated per chunk of a session; the output does not depend on it.
 _CHUNK = 1 << 16
 #: Rows per block of :func:`rounds_to_csv`; the output does not depend on it.
@@ -238,10 +235,10 @@ class ChshPair:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.alice_idx not in (0, 1, 2) or self.bob_idx not in (0, 1, 2):
-            raise ValueError("setting indices must be 0, 1 or 2")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        if not all(type(i) is int and i in (0, 1, 2) for i in (self.alice_idx, self.bob_idx)):
+            raise ValueError(f"setting indices must be the integers 0, 1 or 2, got {self}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be the integer +1 or -1, got {self}")
 
 
 def _angles_match(a: float, b: float) -> bool:
@@ -256,7 +253,9 @@ class QkdConfig:
     The default ``chsh_pairs`` are the canonical quadruple (pi/2, 0) x
     (pi/4, -pi/4) inside the default grids; Bob's -pi/4 is his 3*pi/4
     setting with sign -1.  Pairs and signs are rejected when the ideal
-    singlet's S is at most 2 or a deterministic local model's S exceeds 2.
+    singlet's S is at most 2 or a local model's exceeds 2: with S = |a - b| +
+    |c + d|, the larger :class:`~.lhv.BellCertificate` bound of (a - b) +-
+    (c + d) on the 3x3 grid, each pair adding sign * weight to its cell.
     """
 
     channel: ChannelModel
@@ -280,7 +279,7 @@ class QkdConfig:
             )
         if not self.alarm_sigma > 0:
             raise ValueError("alarm_sigma must be positive")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2^64)")
         pairs = tuple(self.chsh_pairs)
         if len(pairs) != 4 or not all(isinstance(p, ChshPair) for p in pairs):
@@ -297,8 +296,10 @@ class QkdConfig:
             return singlet.project(test)["chsh_estimate"].s_value
 
         def local(signs: tuple[int, ...]) -> int:  # the best deterministic local model's S
-            return max(chsh_statistic(*(s * xy[p.alice_idx] * xy[3 + p.bob_idx]
-                                        for p, s in zip(pairs, signs))) for xy in _STRATEGIES)
+            forms = np.zeros((2, 3, 3))
+            for p, s, w in zip(pairs, signs, ((1, 1), (-1, -1), (1, -1), (1, -1))):
+                forms[:, p.alice_idx, p.bob_idx] += np.multiply(s, w)
+            return int(max(BellCertificate(form).bound for form in forms))
         signs = tuple(p.sign for p in pairs)
         if local(signs) > 2 or not ideal(signs) > 2.0:
             best = max((s for s in itertools.product((1, -1), repeat=4)

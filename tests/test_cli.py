@@ -621,6 +621,8 @@ for command, params in json.loads(sys.argv[1]):
 for command, params in json.loads(sys.argv[2]):
     run(command, params)
     assert modules("scipy") == [], (command, modules("scipy"))
+    # the QKD config's local bound comes from lhv: feasibility (logging, pathlib) stays unloaded
+    assert "bellspace.feasibility" not in sys.modules, command
 run("feasibility", {"target": json.loads(sys.argv[3])})
 with open(out) as handle:
     status = json.load(handle)["status"]

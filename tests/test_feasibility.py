@@ -27,24 +27,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bellspace.feasibility as feasibility
+import bellspace.lhv as lhv
 from bellspace.cli import target_from_dict
 from bellspace.feasibility import (
     FEASIBILITY_TOL,
     FEASIBLE,
     INFEASIBLE,
-    BellCertificate,
     CorrelationTarget,
     FeasibilitySolverError,
-    _best_responses,
     _gauge_lp,
     canonical_cosine_target,
-    chsh_certificate,
     cosine_target,
     local_polytope_membership,
     max_feasible_scale,
     verify_certificate,
 )
-from bellspace.lhv import cosine_model, model_expectation_exact
+from bellspace.lhv import (
+    BellCertificate,
+    best_responses,
+    chsh_certificate,
+    cosine_model,
+    model_expectation_exact,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -375,7 +379,7 @@ class TestGaugeLpProperties:
                   elements=st.floats(-10.0, 10.0)))
     @settings(max_examples=200, deadline=None)
     def test_pricing_bound_matches_enumeration(self, coeff):
-        s, t, values = _best_responses(coeff)
+        s, t, values = best_responses(coeff)
         assert np.max(values) == pytest.approx(classical_bound(coeff), rel=1e-12, abs=1e-12)
         # each value is what its (s, t) pair actually scores
         assert np.allclose(np.einsum("ki,ij,kj->k", s, coeff, t), values, atol=1e-12)
@@ -466,10 +470,10 @@ class TestGaugeLpProperties:
 
     def test_half_sign_matrix_is_a_cached_read_only_enumeration(self):
         for k in range(1, 9):
-            signs = feasibility._half_sign_matrix(k)
+            signs = lhv._half_sign_matrix(k)
             assert signs.tolist() == [[1.0, *rest]
                                       for rest in itertools.product((1.0, -1.0), repeat=k - 1)]
-            assert feasibility._half_sign_matrix(k) is signs
+            assert lhv._half_sign_matrix(k) is signs
             with pytest.raises(ValueError, match="read-only"):
                 signs[0, 0] = -1.0
 

@@ -7,7 +7,8 @@ import pytest
 
 from bellspace.cli import config_from_dict
 from bellspace.config import ConfigError
-from bellspace.feasibility import BellCertificate, CorrelationTarget
+from bellspace.feasibility import CorrelationTarget
+from bellspace.lhv import BellCertificate
 from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, RoundLog
 from bellspace.spatial import (
     BoxRegion,
@@ -55,6 +56,18 @@ def channel_config(channel: dict):
                      ValueError, "each wing needs exactly three setting angles", id="qkd-angles"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, seed=-1),
                      ValueError, r"seed must be an integer in \[0, 2\^64\)", id="qkd-seed"),
+        pytest.param(lambda: QkdConfig(channel=CHANNEL, seed=True),
+                     ValueError, r"seed must be an integer in \[0, 2\^64\)", id="qkd-seed-bool"),
+        pytest.param(lambda: ChshPair(2.0, 0, 1),
+                     ValueError, "setting indices must be the integers 0, 1 or 2",
+                     id="chsh-pair-float-index"),
+        pytest.param(lambda: ChshPair(2, True, 1),
+                     ValueError, "setting indices must be the integers 0, 1 or 2",
+                     id="chsh-pair-bool-index"),
+        pytest.param(lambda: ChshPair(2, 0, 1.0),
+                     ValueError, r"sign must be the integer \+1 or -1", id="chsh-pair-float-sign"),
+        pytest.param(lambda: ChshPair(2, 0, True),
+                     ValueError, r"sign must be the integer \+1 or -1", id="chsh-pair-bool-sign"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, chsh_pairs=(ChshPair(2, 0, 1),)),
                      ValueError, "chsh_pairs must be exactly four", id="qkd-pairs"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, chsh_pairs=tuple(

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -429,6 +430,27 @@ class TestConfigValidation:
             assert "matched angles" in str(exc) or ideal <= 2.0 + 1e-12 or local > 2, exc
         else:
             assert ideal > 2.0 and local <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([1, -1])),
+                    min_size=4, max_size=4))
+    @example([(0, 0, 1), (0, 1, -1), (1, 0, 1), (1, 1, 1)])  # a rectangle, wrong signs: local 4
+    @example([(2, 0, 1), (2, 0, -1), (2, 0, 1), (2, 0, 1)])  # one cell four times: local 4
+    @example([(2, 0, 1), (2, 2, -1), (0, 0, 1), (0, 2, -1)])  # the default cells: local 2
+    def test_local_bound_is_the_best_deterministic_model(self, pairs):
+        # the oracle: all 64 deterministic models, Alice's three signs then Bob's; no angle is
+        # shared across the wings, so every draw reaches the local check
+        chsh = tuple(ChshPair(*p) for p in pairs)
+        local = max(chsh_statistic(*(p.sign * xy[p.alice_idx] * xy[3 + p.bob_idx] for p in chsh))
+                    for xy in itertools.product((1, -1), repeat=6))
+        try:
+            QkdConfig(channel=QuantumLocalizedChannel(0.5), alice_angles=(0.0, 1.0, 2.0),
+                      bob_angles=(0.5, 1.5, 2.5), chsh_pairs=chsh)
+        except ValueError as exc:
+            found = re.search(r"a local model S = (\S+) > 2", str(exc))
+            assert (found and found.group(1)) == (str(local) if local > 2 else None), exc
+        else:
+            assert local <= 2
 
     def test_round_record_consistency(self):
         # detected is derived: true exactly when outcomes are present
