@@ -19,7 +19,9 @@ Its optimum g* >= 1 means P is in L (the LP's vertex weights are the
 mixture), g* < 1 is the largest feasible scaling, and its dual is a
 separating Bell-type inequality.  The LP is solved by column generation
 (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) instead of over all
-2^(m+n-1) vertices, each round priced by :func:`~.lhv.best_responses`.
+2^(m+n-1) vertices, each round priced by :func:`~.lhv.best_responses`.  Its
+equalities are taken in first differences, which makes vertex columns sparse,
+and a round left inexact is repaired once in the original coordinates.
 Verification never trusts the solver: :func:`verify_certificate` reads the
 bound that a :class:`~.lhv.BellCertificate` derives by that same rule.
 """
@@ -163,13 +165,17 @@ def _vertex_keys(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (pairs < 0.0) @ (1 << np.arange(pairs.shape[1]))
 
 
-def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray) -> None:
-    """Append a weight column w_k >= 0 per vertex s_k t_k^T: its entries, then a 1."""
-    k, rows = s.shape[0], s.shape[1] * t.shape[1] + 1
-    values = np.hstack([np.einsum("ki,kj->kij", s, t).reshape(k, -1), np.ones((k, 1))])
-    highs.addCols(k, np.zeros(k), np.zeros(k), np.full(k, np.inf), values.size,
-                  np.arange(0, values.size, rows, dtype=np.int32),
-                  np.tile(np.arange(rows, dtype=np.int32), k), values.ravel())
+def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray, dm: np.ndarray,
+                        dn: np.ndarray) -> None:
+    """Append a weight column w_k >= 0 per vertex s_k t_k^T, in compressed-column
+    form: the nonzeros of (D_m s_k)(D_n t_k)^T, then a 1."""
+    k = s.shape[0]
+    outer = np.einsum("ki,kj->kij", s @ dm.T, t @ dn.T).reshape(k, -1)
+    values = np.hstack([outer, np.ones((k, 1))])
+    column, row = np.nonzero(values)
+    highs.addCols(k, np.zeros(k), np.zeros(k), np.full(k, np.inf), row.size,
+                  np.searchsorted(column, np.arange(k)).astype(np.int32), row.astype(np.int32),
+                  values[column, row])
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -210,6 +216,23 @@ def _set_option(highs, core, name: str, value) -> None:
                                      f"(scipy {version('scipy')})")
 
 
+def _master(core, target: CorrelationTarget, s: np.ndarray, t: np.ndarray, dm: np.ndarray,
+            dn: np.ndarray):
+    """A HiGHS model of the master: the g column, then the columns (s_k, t_k), under
+    D_m (sum_k w_k s_k t_k^T - g P) D_n^T = 0 and sum w = 1."""
+    highs = core._Highs()
+    _set_option(highs, core, "output_flag", False)
+    rhs = np.append(np.zeros(dm.shape[0] * dn.shape[0]), 1.0)
+    highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
+                  np.zeros(0))
+    # the g column: cost -1, 0 <= g <= 1, entries -D_m P D_n^T
+    p = (dm @ target.matrix @ dn.T).ravel()
+    nonzero = np.flatnonzero(p).astype(np.int32)
+    highs.addCol(-1.0, 0.0, 1.0, nonzero.size, nonzero, -p[nonzero])
+    _add_vertex_columns(highs, s, t, dm, dn)
+    return highs
+
+
 def _gauge_lp(
     target: CorrelationTarget,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -222,13 +245,21 @@ def _gauge_lp(
     none does (or g reaches 1).  The master starts from every strategy's best
     and worst response to P, so g = 0 is always feasible.
 
-    One HiGHS model holds the master from start to finish: its rows are set
-    once and each round appends only the new columns.  Those columns enter
-    nonbasic at zero, so the previous round's optimal basis stays primal
-    feasible and the primal simplex resumes from it.  Each solve logs one
-    DEBUG record (status, rounds, columns, simplex iterations, g, the last
-    round's pricing violation max s^T C t - z, or 0 when that round stopped at
-    g = 1 unpriced, and time) on the ``bellspace.feasibility`` logger.
+    The equalities are taken in first differences, D_m (.) D_n^T, where D_k has
+    rows e_0 and e_i - e_(i-1): the same LP, but a column (D_m s)(D_n t)^T has
+    (1 + sign changes of s)(1 + sign changes of t) nonzeros, not m*n, and the
+    duals map back as C = D_m^T Y D_n.  A difference row sums entries of P, so
+    HiGHS's primal tolerance there is FEASIBILITY_TOL.  Each round appends its
+    new columns to one HiGHS model and resumes the primal simplex from the last
+    basis.  Once per solve, a round that is not optimal, misses a bound by more
+    than FEASIBILITY_TOL, or would end unproven (a mixture off g*P by more than
+    that, or a certificate margin of at most that) is repaired: the master is
+    rebuilt in the original coordinates at HiGHS's default tolerance, solved
+    cold by the dual simplex and continued hot.  Each solve logs one DEBUG
+    record (status, rounds, columns, the master's nonzeros, whether it was
+    repaired, simplex iterations, g, the last round's pricing violation
+    max s^T C t - z, or 0 when that round stopped at g = 1 unpriced, and time)
+    on the ``bellspace.feasibility`` logger.
 
     Returns (g, w, s, t, C) with w over the master columns (s_k, t_k).
     """
@@ -238,68 +269,61 @@ def _gauge_lp(
     m, n = target.matrix.shape
     s, t, _ = best_responses(target.matrix)
     s, t = np.vstack([s, s]), np.vstack([t, -t])
-    rhs = np.append(np.zeros(m * n), 1.0)
-    highs = core._Highs()
-    _set_option(highs, core, "output_flag", False)
+    dm, dn = np.eye(m) - np.eye(m, k=-1), np.eye(n) - np.eye(n, k=-1)
+    highs = _master(core, target, s, t, dm, dn)
+    _set_option(highs, core, "primal_feasibility_tolerance", FEASIBILITY_TOL)
     _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
-    highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
-                  np.zeros(0))
-    # the seed vertices first, then the g column: cost -1, 0 <= g <= 1, entries -P
-    _add_vertex_columns(highs, s, t)
-    g_column, p = s.shape[0], target.matrix.ravel()
-    nonzero = np.flatnonzero(p).astype(np.int32)
-    highs.addCol(-1.0, 0.0, 1.0, nonzero.size, nonzero, -p[nonzero])
     keys = np.sort(_vertex_keys(s, t))  # the master's columns, sorted for searchsorted
-    rounds = iterations = 0
+    rounds, iterations, repaired = 0, 0, False
     while True:
         highs.run()
+        _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
         rounds += 1
-        info = highs.getInfo()
-        if info.max_primal_infeasibility > FEASIBILITY_TOL:
-            # a hot start can stop on a basis that misses a bound by up to HiGHS's
-            # primal tolerance (1e-7); a dual simplex solve from scratch, with
-            # presolve, often lands on a cleaner vertex (a primal one re-solved
-            # [[0, 0, 1], [2.32e-8]*3] to g = 1 + 2.3e-8).  The tests fire it on
-            # [[6e-8, 0], [1, 1]] (still feasible, residual 6e-8) and on a forced
-            # iteration limit.  Over 3400 seeded edge targets, each solved at P and
-            # at its max scale, deleting it raised feasible verdicts with residual
-            # > 1e-9 from 484 to 549 and solver errors from 2 to 14
-            iterations += info.simplex_iteration_count
-            highs.clearSolver()
+        info, status = highs.getInfo(), highs.getModelStatus()
+        iterations += info.simplex_iteration_count
+        fresh, unproven, violation = (), False, 0.0
+        if optimal := status == core.HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            g, dual = -info.objective_function_value, np.array(solution.row_dual)
+            w = np.array(solution.col_value[1:])
+            coeff, level = dm.T @ dual[:-1].reshape(m, n) @ dn, -float(dual[-1])
+        if optimal and g >= 1.0 - FEASIBILITY_TOL:
+            rebuilt = np.einsum("k,ki,kj->ij", w, s, t)
+            unproven = np.max(np.abs(rebuilt - g * target.matrix)) > FEASIBILITY_TOL
+        elif optimal:
+            s_new, t_new, values = best_responses(coeff)
+            violation = float(values.max()) - level
+            # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
+            fresh = np.flatnonzero(values > level + FEASIBILITY_TOL)
+            fresh_keys = _vertex_keys(s_new[fresh], t_new[fresh])
+            new = keys[np.minimum(np.searchsorted(keys, fresh_keys), keys.size - 1)] != fresh_keys
+            fresh = fresh[new]
+            # priced out, with a certificate margin 1 - max s^T C t / C.P <= FEASIBILITY_TOL
+            unproven = not fresh.size and values.max() >= (1.0 - FEASIBILITY_TOL) * np.sum(
+                coeff * target.matrix)
+        if not repaired and (not optimal or unproven
+                             or info.max_primal_infeasibility > FEASIBILITY_TOL):
+            repaired, dm, dn = True, np.eye(m), np.eye(n)
+            highs = _master(core, target, s, t, dm, dn)
             _set_option(highs, core, "simplex_strategy", _DUAL_SIMPLEX)
-            highs.run()
-            _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
-            info = highs.getInfo()
-        status = highs.getModelStatus()
-        if status != core.HighsModelStatus.kOptimal:
+            continue
+        if not optimal:
             raise FeasibilitySolverError(
                 f"LP solver failed: HiGHS model status {highs.modelStatusToString(status)!r}"
             )
-        solution = highs.getSolution()
-        iterations += info.simplex_iteration_count
-        g, dual = -info.objective_function_value, np.array(solution.row_dual)
-        coeff, level = dual[:-1].reshape(m, n), -float(dual[-1])
-        if g >= 1.0 - FEASIBILITY_TOL:
-            violation = 0.0
+        if not len(fresh):
             break
-        s_new, t_new, values = best_responses(coeff)
-        violation = float(values.max()) - level
-        # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
-        fresh = np.flatnonzero(values > level + FEASIBILITY_TOL)
-        fresh_keys = _vertex_keys(s_new[fresh], t_new[fresh])
-        new = keys[np.minimum(np.searchsorted(keys, fresh_keys), keys.size - 1)] != fresh_keys
-        fresh = fresh[new]
-        if not fresh.size:
-            break
-        _add_vertex_columns(highs, s_new[fresh], t_new[fresh])
+        _add_vertex_columns(highs, s_new[fresh], t_new[fresh], dm, dn)
         s, t = np.vstack([s, s_new[fresh]]), np.vstack([t, t_new[fresh]])
         keys = np.sort(np.append(keys, fresh_keys[new]))
-    log.debug(
-        "gauge LP %dx%d: status %s, %d master rounds, %d columns, %d simplex iterations, "
-        "g = %r, pricing violation %.3g, %.6f s", m, n, highs.modelStatusToString(status),
-        rounds, s.shape[0], iterations, g, violation, time.perf_counter() - start,
-    )
-    return g, np.delete(np.array(solution.col_value), g_column), s, t, coeff
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "gauge LP %dx%d: status %s, %d master rounds, %d columns, %d nonzeros, repaired %s, "
+            "%d simplex iterations, g = %r, pricing violation %.3g, %.6f s", m, n,
+            highs.modelStatusToString(status), rounds, s.shape[0], highs.getNumNz(), repaired,
+            iterations, g, violation, time.perf_counter() - start,
+        )
+    return g, w, s, t, coeff
 
 
 def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:

@@ -527,7 +527,7 @@ class TestGoldenOutputs:
             ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
             ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
             ("feasibility", "json",
-             "a18ee01f488a8c7f05bc7f3c0199c8082bf26d1d526c070552d12f73b898f92e"),
+             "f08a040d9f904dc337c0ea82b5b53f248b6bec76641ed5b34031773508f79ef4"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
             ("qkd", "json", "5819009a51136c7665d4124a75b9544dad216cdc3c2b4c2a8de328c3c1391dca"),
@@ -538,9 +538,9 @@ class TestGoldenOutputs:
              "cb2b247d7ecc506a53209168080e12a6574642e788c308cd0d33bd806699d688"),
             ("gfactor", "csv", "ebd24d2061c29e1dd7130623d97a7cf33168985c72f31dc39cde575c67abede7"),
             ("feasible", "json",
-             "ae8f9da5adfcda0a82836a83e2c5cebdf08093a90e22a142d1091885b0dc01e4"),
+             "38624183988c1fc30076cd3b4f0c1866ad17c042b8dc80653cb0b1d992085d75"),
             ("feasible", "csv",
-             "e350b473d69b97c4c57f697cf33ea47a27ac4ffd5817638a13fc180552c54928"),
+             "68f9d260824f386b3733ea00941af65b7c6c3954aa0ed857b4da407009ac9416"),
             ("gfactor_single_t", "json",
              "479a23a91952c993a6db60c67f813b2d6e8d3cf00189c181abfdfd392cccaf8c"),
             ("gfactor_single_t", "csv",

@@ -222,30 +222,34 @@ class TestWitnessConsistency:
             for w in result.weights:
                 assert np.array_equal(np.outer(w.s, w.t), matrix)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
     def test_no_feasible_verdict_beyond_the_tolerance(self):
-        # row 2 = (1, 1) forces row 1 to be constant, so P lies outside L; the
-        # master LP meets its equalities only to HiGHS's primal tolerance (1e-7)
+        # row 2 = (1, 1) forces row 1 to be constant, so P lies outside L; at
+        # HiGHS's default primal tolerance (1e-7) the master came back feasible
         target = CorrelationTarget((0.0, 1.0), (0.0, 1.0), np.array([[6e-8, 0.0], [1.0, 1.0]]))
         result = local_polytope_membership(target)
         assert not (result.is_feasible and result.residual > FEASIBILITY_TOL)
 
-    @pytest.mark.xfail(strict=True, raises=FeasibilitySolverError, reason="ROADMAP item 6")
     def test_membership_at_the_max_scale_solves(self):
-        # the max scale 0.79995 is feasible by construction; round 4 of the master
-        # ends 2e-9 off its equalities and the cold re-solve stops at 'Not Set'
+        # the max scale 0.79995 is feasible by construction; a master solved in the
+        # original coordinates ended 2e-9 off its equalities, then at 'Not Set'
         matrix = np.array([[0.0, 0.5], [0.0, 1.0], [0.5, 1.0], [1e-8, 0.5]])
         target = CorrelationTarget((0.0, 1.0, 2.0, 3.0), (0.0, 1.0), matrix)
         scale = max_feasible_scale(target, 1e-4)
         assert scale == pytest.approx(0.79995, abs=1e-12)
         assert local_polytope_membership(target.scaled(scale)).is_feasible
 
-    @pytest.mark.xfail(strict=True, raises=FeasibilitySolverError, reason="ROADMAP item 6")
     def test_membership_next_to_a_vertex_solves(self):
-        # a point of the 1x3 polytope, the cube [-1, 1]^3; round 2 ends at g = -4e-8
-        # and the cold re-solve stops at 'Not Set'
+        # a point of the 1x3 polytope, the cube [-1, 1]^3; a master solved in the
+        # original coordinates ended round 2 at g = -4e-8, then at 'Not Set'
         target = CorrelationTarget((0.0,), (0.0, 1.0, 2.0), np.array([[0.0, 1.0, -1.3e-9]]))
         assert local_polytope_membership(target).is_feasible
+
+    def test_feasible_verdict_within_the_tolerance_next_to_a_facet(self):
+        # once came back feasible with residual 1.16e-8, above FEASIBILITY_TOL
+        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0, 2.0),
+                                   np.array([[0.0, 0.0, 1.0], [2.32e-8] * 3]))
+        result = local_polytope_membership(target)
+        assert result.is_feasible and result.residual <= FEASIBILITY_TOL
 
     def test_boundary_target_gets_a_verified_infeasible_verdict(self):
         # once exited 3 ("dual certificate margin -5.8e-09"); the integer CHSH
@@ -451,12 +455,16 @@ class TestGaugeLpProperties:
                        [0.0, 2.053525026457146e-07]]))
     @settings(max_examples=100, deadline=None)
     def test_no_vertex_enters_the_master_twice(self, matrix):
-        # every column handed to HiGHS, read back as its entries s t^T and its 1
+        # every column handed to HiGHS, read back from its compressed-column arrays
+        # as one tuple of (row, entry) pairs
         core, columns = feasibility._highs_core(), []
 
         class Recording(core._Highs):
             def addCols(self, count, *args):
-                columns.extend(map(tuple, args[-1].reshape(count, -1)))
+                starts, index, values = args[-3:]
+                ends = np.append(starts[1:], index.size)
+                columns.extend(tuple(zip(index[a:b].tolist(), values[a:b].tolist()))
+                               for a, b in zip(starts, ends))
                 return super().addCols(count, *args)
 
         m, n = matrix.shape
@@ -481,56 +489,100 @@ class TestGaugeLpProperties:
 class TestSimplexStrategy:
     @staticmethod
     def recorded_runs(monkeypatch, target):
-        """``_gauge_lp``'s HiGHS calls: the simplex_strategy at each run, "clear" at each reset."""
-        core, events = feasibility._highs_core(), []
+        """``_gauge_lp``'s HiGHS models, each as the simplex_strategy at each of its runs."""
+        core, models = feasibility._highs_core(), []
 
         class Recording(core._Highs):
-            def clearSolver(self):
-                events.append("clear")
-                return super().clearSolver()
+            def __init__(self):
+                super().__init__()
+                models.append([])
 
             def run(self):
-                events.append(self.getOptionValue("simplex_strategy")[1])
+                models[-1].append(self.getOptionValue("simplex_strategy")[1])
                 return super().run()
 
         monkeypatch.setattr(core, "_Highs", Recording)
         _gauge_lp(target)
-        return events
+        return models
 
     def test_primal_simplex_on_every_hot_round(self, monkeypatch):
-        events = self.recorded_runs(monkeypatch, canonical_cosine_target(1.0))
-        assert len(events) >= 2 and set(events) == {feasibility._PRIMAL_SIMPLEX}
+        (runs,) = self.recorded_runs(monkeypatch, canonical_cosine_target(1.0))
+        assert len(runs) >= 2 and set(runs) == {feasibility._PRIMAL_SIMPLEX}
 
     def test_dual_simplex_on_the_cold_re_solve(self, monkeypatch):
-        # the hot start misses a bound by 6e-8 here, above FEASIBILITY_TOL
-        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0), np.array([[6e-8, 0.0], [1.0, 1.0]]))
-        events = self.recorded_runs(monkeypatch, target)
-        cold = [i + 1 for i, event in enumerate(events) if event == "clear"]
-        assert cold and all(events[i] == feasibility._DUAL_SIMPLEX for i in cold)
-        hot = [event for i, event in enumerate(events) if event != "clear" and i not in cold]
-        assert hot and set(hot) == {feasibility._PRIMAL_SIMPLEX}
+        # pricing finds nothing new, yet the difference-coordinate dual separates P
+        # by no more than FEASIBILITY_TOL: the master is rebuilt and solved cold
+        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0, 2.0),
+                                   np.array([[0.0, 1.0, -1.8380811373505444e-07],
+                                             [-1.0, 0.0, -1.0]]))
+        hot, repair = self.recorded_runs(monkeypatch, target)
+        assert repair[0] == feasibility._DUAL_SIMPLEX
+        assert set(hot + repair[1:]) == {feasibility._PRIMAL_SIMPLEX}
 
 
 class TestGaugeLpTelemetry:
     def test_one_debug_record_per_solve(self, caplog):
         target = canonical_cosine_target(1.0)
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            g, w, s, _, _ = _gauge_lp(target)
+            g, w, s, t, _ = _gauge_lp(target)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         assert record.levelno == logging.DEBUG
-        m, n, status, rounds, columns, iterations, logged_g, violation, seconds = record.args
+        (m, n, status, rounds, columns, nonzeros, repaired, iterations, logged_g, violation,
+         seconds) = record.args
         assert (m, n) == (2, 2) and status == "Optimal"
         assert rounds >= 1 and columns == s.shape[0] == w.size
         assert iterations > 0 and seconds > 0.0
         assert logged_g == g == pytest.approx(1 / SQRT2, abs=1e-9)
         # the loop stopped because no best response beats the level z
         assert isinstance(violation, float) and violation <= FEASIBILITY_TOL
+        # no repair: every column is (D s)(D t)^T in first differences, plus its 1
+        assert repaired is False
+        d = np.eye(2) - np.eye(2, k=-1)
+        expected = np.count_nonzero(d @ target.matrix @ d.T) + sum(
+            np.count_nonzero(np.outer(d @ sk, d @ tk)) + 1 for sk, tk in zip(s, t))
+        assert nonzeros == expected
+
+    def test_repair_is_logged(self, caplog):
+        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0, 2.0),
+                                   np.array([[0.0, 1.0, -1.8380811373505444e-07],
+                                             [-1.0, 0.0, -1.0]]))
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            _, _, s, _, _ = _gauge_lp(target)
+        (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
+        nonzeros, repaired = record.args[5:7]
+        # the repaired master holds its columns in the original coordinates: all dense
+        assert repaired is True and nonzeros >= s.shape[0] * (2 * 3 + 1)
+
+    def test_nothing_is_counted_with_debug_off(self, monkeypatch, caplog):
+        core, counted = feasibility._highs_core(), []
+
+        class Recording(core._Highs):
+            def getNumNz(self):
+                counted.append(True)
+                return super().getNumNz()
+
+        monkeypatch.setattr(core, "_Highs", Recording)
+        with caplog.at_level(logging.INFO, logger="bellspace.feasibility"):
+            _gauge_lp(canonical_cosine_target(1.0))
+        assert not counted and not caplog.records
+
+    def test_sparse_columns_on_a_jittered_8x8_grid(self, caplog):
+        # the polytope_lp benchmark's grid rule: regular angles with seeded jitter
+        rng, k = np.random.default_rng(8), 8
+        alphas = (np.arange(k) + rng.uniform(-0.25, 0.25, k)) * math.pi / k
+        betas = (np.arange(k) + 0.5 + rng.uniform(-0.25, 0.25, k)) * math.pi / k
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            _gauge_lp(cosine_target(alphas, betas, 0.95))
+        (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
+        columns, nonzeros, repaired = record.args[4:7]
+        # a dense master column has m*n + 1 nonzeros
+        assert not repaired and nonzeros / (columns + 1) < (k * k + 1) / 2
 
     def test_pricing_violation_on_a_feasible_target(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
             assert local_polytope_membership(canonical_cosine_target(0.5)).is_feasible
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
-        rounds, violation = record.args[3], record.args[7]
+        rounds, violation = record.args[3], record.args[9]
         # an earlier round priced and added columns; the last one reached g = 1 unpriced
         assert rounds >= 2 and violation == 0.0
 
