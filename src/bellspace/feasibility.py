@@ -21,7 +21,8 @@ separating Bell-type inequality.  The LP is solved by column generation
 (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) instead of over all
 2^(m+n-1) vertices, each round priced by :func:`~.lhv.best_responses`.  Its
 equalities are taken in first differences, which makes vertex columns sparse,
-and a round left inexact is repaired once in the original coordinates.
+and a round whose verdict, judged exactly as it is reported, is unproven is
+repaired once in the original coordinates.
 Verification never trusts the solver: :func:`verify_certificate` reads the
 bound that a :class:`~.lhv.BellCertificate` derives by that same rule.
 """
@@ -233,12 +234,11 @@ def _master(core, target: CorrelationTarget, s: np.ndarray, t: np.ndarray, dm: n
     return highs
 
 
-def _gauge_lp(
-    target: CorrelationTarget,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve max g s.t. g*P in L by column generation over polytope vertices.
+def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
+    """Decide membership of the target in the local correlation polytope.
 
-    The master LP has weights w >= 0 on a subset of vertices s t^T and
+    Solves the gauge LP max g s.t. g*P in L by column generation over polytope
+    vertices.  The master LP has weights w >= 0 on a subset of vertices s t^T and
     0 <= g <= 1, with sum_k w_k s_k t_k^T - g P = 0 and sum w = 1.  Its
     equality duals (C, z) bound every master column by s^T C t <= z; each round
     adds all best responses to C that beat z by more than FEASIBILITY_TOL, until
@@ -251,17 +251,22 @@ def _gauge_lp(
     duals map back as C = D_m^T Y D_n.  A difference row sums entries of P, so
     HiGHS's primal tolerance there is FEASIBILITY_TOL.  Each round appends its
     new columns to one HiGHS model and resumes the primal simplex from the last
-    basis.  Once per solve, a round that is not optimal, misses a bound by more
-    than FEASIBILITY_TOL, or would end unproven (a mixture off g*P by more than
-    that, or a certificate margin of at most that) is repaired: the master is
-    rebuilt in the original coordinates at HiGHS's default tolerance, solved
-    cold by the dual simplex and continued hot.  Each solve logs one DEBUG
-    record (status, rounds, columns, the master's nonzeros, whether it was
-    repaired, simplex iterations, g, the last round's pricing violation
-    max s^T C t - z, or 0 when that round stopped at g = 1 unpriced, and time)
-    on the ``bellspace.feasibility`` logger.
+    basis.
 
-    Returns (g, w, s, t, C) with w over the master columns (s_k, t_k).
+    The last round's verdict is returned.  At g >= 1 - FEASIBILITY_TOL it is
+    feasible: the mixture of the weights > 1e-12, and as residual its largest
+    error against P, proven if at most FEASIBILITY_TOL.  Otherwise it is
+    infeasible: the certificate C scaled to C.P = 1, and as residual its margin
+    1 - bound, proven if above FEASIBILITY_TOL.  Once per solve, a round that is
+    not optimal or ends with an unproven verdict is repaired: the master is
+    rebuilt in the original coordinates at HiGHS's default tolerance, solved cold
+    by the dual simplex and continued hot.  After that, a failed round or an
+    unproven infeasible verdict raises :class:`FeasibilitySolverError`, and an
+    unproven feasible verdict is returned with its residual.  Each
+    solve logs one DEBUG record (status, rounds, columns, the master's nonzeros,
+    whether it was repaired, simplex iterations, g, the last round's pricing
+    violation max s^T C t - z, or 0 when that round stopped at g = 1 unpriced,
+    and time) on the ``bellspace.feasibility`` logger.
     """
     # read off the module at each call, so a patched core._Highs takes effect
     core = _highs_core()
@@ -281,15 +286,19 @@ def _gauge_lp(
         rounds += 1
         info, status = highs.getInfo(), highs.getModelStatus()
         iterations += info.simplex_iteration_count
-        fresh, unproven, violation = (), False, 0.0
+        result, fresh, violation = None, (), 0.0
         if optimal := status == core.HighsModelStatus.kOptimal:
             solution = highs.getSolution()
             g, dual = -info.objective_function_value, np.array(solution.row_dual)
             w = np.array(solution.col_value[1:])
             coeff, level = dm.T @ dual[:-1].reshape(m, n) @ dn, -float(dual[-1])
         if optimal and g >= 1.0 - FEASIBILITY_TOL:
-            rebuilt = np.einsum("k,ki,kj->ij", w, s, t)
-            unproven = np.max(np.abs(rebuilt - g * target.matrix)) > FEASIBILITY_TOL
+            keep = np.flatnonzero(w > 1e-12)
+            rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
+            result = FeasibilityResult(
+                FEASIBLE, float(np.max(np.abs(rebuilt - target.matrix))), tuple(
+                    StrategyWeight(tuple(map(int, s[k])), tuple(map(int, t[k])), float(w[k]))
+                    for k in keep))
         elif optimal:
             s_new, t_new, values = best_responses(coeff)
             violation = float(values.max()) - level
@@ -298,11 +307,14 @@ def _gauge_lp(
             fresh_keys = _vertex_keys(s_new[fresh], t_new[fresh])
             new = keys[np.minimum(np.searchsorted(keys, fresh_keys), keys.size - 1)] != fresh_keys
             fresh = fresh[new]
-            # priced out, with a certificate margin 1 - max s^T C t / C.P <= FEASIBILITY_TOL
-            unproven = not fresh.size and values.max() >= (1.0 - FEASIBILITY_TOL) * np.sum(
-                coeff * target.matrix)
-        if not repaired and (not optimal or unproven
-                             or info.max_primal_infeasibility > FEASIBILITY_TOL):
+            value = float(np.sum(coeff * target.matrix))
+            if not fresh.size and value > 0.0:
+                certificate = BellCertificate(coeff / value)
+                result = FeasibilityResult(INFEASIBLE, 1.0 - certificate.bound,
+                                           certificate=certificate)
+        proven = result is not None and (result.residual <= FEASIBILITY_TOL if result.is_feasible
+                                         else result.residual > FEASIBILITY_TOL)
+        if not repaired and not (len(fresh) or proven):
             repaired, dm, dn = True, np.eye(m), np.eye(n)
             highs = _master(core, target, s, t, dm, dn)
             _set_option(highs, core, "simplex_strategy", _DUAL_SIMPLEX)
@@ -323,38 +335,12 @@ def _gauge_lp(
             highs.modelStatusToString(status), rounds, s.shape[0], highs.getNumNz(), repaired,
             iterations, g, violation, time.perf_counter() - start,
         )
-    return g, w, s, t, coeff
-
-
-def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
-    """Decide membership of the target in the local correlation polytope.
-
-    Feasible verdicts (gauge g* >= 1 - FEASIBILITY_TOL) return a sparse
-    representing mixture over sign-strategy pairs; infeasible verdicts return
-    a separating Bell certificate read off the gauge LP's dual, scaled to
-    C.P = 1.  Solver breakdowns raise :class:`FeasibilitySolverError`.
-    """
-    g, w, s, t, coeff = _gauge_lp(target)
-    if g >= 1.0 - FEASIBILITY_TOL:
-        keep = np.flatnonzero(w > 1e-12)
-        rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
-        weights = tuple(
-            StrategyWeight(tuple(map(int, s[k])), tuple(map(int, t[k])), float(w[k]))
-            for k in keep
-        )
-        residual = float(np.max(np.abs(rebuilt - target.matrix)))
-        return FeasibilityResult(FEASIBLE, residual=residual, weights=weights)
-
-    value = float(np.sum(coeff * target.matrix))
-    if not value > 0.0:
-        raise FeasibilitySolverError(f"dual certificate has value {value!r} at the target")
-    certificate = BellCertificate(coeff / value)
-    margin = 1.0 - certificate.bound
-    if margin <= FEASIBILITY_TOL:
+    if not (proven or result and result.is_feasible):
         raise FeasibilitySolverError(
-            f"dual certificate margin {margin!r} inconsistent with gauge {g!r}"
+            f"dual certificate with value {value!r} at the target and margin "
+            f"{result and result.residual!r} is inconsistent with gauge {g!r}"
         )
-    return FeasibilityResult(INFEASIBLE, residual=margin, certificate=certificate)
+    return result
 
 
 def verify_certificate(certificate: BellCertificate, target: CorrelationTarget) -> bool:

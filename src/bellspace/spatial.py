@@ -86,9 +86,9 @@ def expanded_width(epsilon: float, mass: float, t: float, hbar: float) -> float:
     every intermediate of hbar * t / M / epsilon is a normal float, the
     result is bit-identical to that expression.
     """
-    if epsilon <= 0 or mass <= 0 or hbar <= 0:
+    if not (epsilon > 0 and mass > 0 and hbar > 0):
         raise ValueError("epsilon, mass and hbar must be positive")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     (h, eh), (u, et), (m, em), (e, ee) = map(math.frexp, (hbar, t, mass, epsilon))
     try:
@@ -114,7 +114,7 @@ class GaussianPacket:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", _as_vector3(self.center, "center"))
-        if self.width_param <= 0 or self.mass <= 0 or self.hbar <= 0:
+        if not (self.width_param > 0 and self.mass > 0 and self.hbar > 0):
             raise ValueError("width_param, mass and hbar must be positive")
 
     def sigma_at(self, t: float) -> float:
@@ -152,7 +152,7 @@ class BoxRegion:
     @classmethod
     def centered_cube(cls, center: Sequence[float], half_width: float) -> "BoxRegion":
         c = _as_vector3(center, "center")
-        if half_width <= 0:
+        if not half_width > 0:
             raise ValueError("half_width must be positive")
         return cls(
             tuple(ci - half_width for ci in c),  # type: ignore[arg-type]
@@ -330,7 +330,7 @@ def separated_gaussian_setup(
     region is the cube |r_i - c_i| < 1/m around its packet.  Requires the
     separation length to be at least 10/m so the regions are well separated.
     """
-    if width_param <= 0:
+    if not width_param > 0:
         raise ValueError("width_param must be positive")
     sep = _as_vector3(separation, "separation")
     length = math.sqrt(sum(s * s for s in sep))

@@ -6,6 +6,7 @@ exhaustive sign-pair enumeration (:func:`classical_bound`, the oracle).
 """
 
 import ast
+import contextlib
 import importlib.machinery
 import importlib.util
 import itertools
@@ -35,7 +36,6 @@ from bellspace.feasibility import (
     INFEASIBLE,
     CorrelationTarget,
     FeasibilitySolverError,
-    _gauge_lp,
     canonical_cosine_target,
     cosine_target,
     local_polytope_membership,
@@ -79,6 +79,22 @@ def dense_gauge(matrix: np.ndarray, tol: float | None = None) -> float:
                                                      "dual_feasibility_tolerance": tol})
     assert result.status == 0, result.message
     return -float(result.fun)
+
+
+@contextlib.contextmanager
+def debug_records():
+    """The records ``bellspace.feasibility`` logs at DEBUG inside the block, without caplog
+    (a function-scoped fixture, which hypothesis tests cannot take)."""
+    records, logger = [], logging.getLogger("bellspace.feasibility")
+    handler, level = logging.Handler(logging.DEBUG), logger.level
+    handler.emit = records.append
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def reconstruct(result) -> np.ndarray:
@@ -433,7 +449,10 @@ class TestGaugeLpProperties:
         # the warm-started master against a cold LP that holds every vertex
         m, n = matrix.shape
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
-        g, dense = _gauge_lp(target)[0], dense_gauge(matrix)
+        with debug_records() as records:
+            result = local_polytope_membership(target)
+        (record,) = records
+        g, dense = record.args[8], dense_gauge(matrix)
         if abs(g - dense) > 1e-9:
             # entries near HiGHS's primal tolerance can leave the cold LP's g off
             # by ~1e-8 (2^-24 in [[2^-24, 1, 0], [1, 1, 1]] gives 2/3 + 1.3e-8,
@@ -443,8 +462,7 @@ class TestGaugeLpProperties:
         assert g == pytest.approx(dense, abs=1e-9)
         # within 1e-9 of the threshold either verdict is within solver tolerance
         if abs(dense - (1.0 - FEASIBILITY_TOL)) > 1e-9:
-            feasible = local_polytope_membership(target).is_feasible
-            assert feasible == (dense >= 1.0 - FEASIBILITY_TOL)
+            assert result.is_feasible == (dense >= 1.0 - FEASIBILITY_TOL)
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                   elements=edge_entries))
@@ -471,7 +489,7 @@ class TestGaugeLpProperties:
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
         with mock.patch.object(core, "_Highs", Recording):
             try:
-                _gauge_lp(target)
+                local_polytope_membership(target)
             except FeasibilitySolverError:
                 pass  # 'Not Set' at the boundary, pinned below; its columns count all the same
         assert len(columns) >= 2 and len(set(columns)) == len(columns)
@@ -489,7 +507,7 @@ class TestGaugeLpProperties:
 class TestSimplexStrategy:
     @staticmethod
     def recorded_runs(monkeypatch, target):
-        """``_gauge_lp``'s HiGHS models, each as the simplex_strategy at each of its runs."""
+        """The membership solve's HiGHS models, each as the simplex_strategy at each of its runs."""
         core, models = feasibility._highs_core(), []
 
         class Recording(core._Highs):
@@ -502,7 +520,7 @@ class TestSimplexStrategy:
                 return super().run()
 
         monkeypatch.setattr(core, "_Highs", Recording)
-        _gauge_lp(target)
+        local_polytope_membership(target)
         return models
 
     def test_primal_simplex_on_every_hot_round(self, monkeypatch):
@@ -521,25 +539,46 @@ class TestSimplexStrategy:
 
 
 class TestGaugeLpTelemetry:
-    def test_one_debug_record_per_solve(self, caplog):
+    def test_one_debug_record_per_solve(self, monkeypatch, caplog):
+        # every vertex column handed to HiGHS, as its dense (row, entry) vector
+        core, added = feasibility._highs_core(), []
+
+        class Recording(core._Highs):
+            def addCols(self, count, *args):
+                starts, index, values = args[-3:]
+                dense = np.zeros((count, 2 * 2 + 1))
+                dense[np.searchsorted(starts, np.arange(index.size), side="right") - 1,
+                      index] = values
+                added.extend(dense)
+                return super().addCols(count, *args)
+
+        monkeypatch.setattr(core, "_Highs", Recording)
         target = canonical_cosine_target(1.0)
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            g, w, s, t, _ = _gauge_lp(target)
+            result = local_polytope_membership(target)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         assert record.levelno == logging.DEBUG
         (m, n, status, rounds, columns, nonzeros, repaired, iterations, logged_g, violation,
          seconds) = record.args
         assert (m, n) == (2, 2) and status == "Optimal"
-        assert rounds >= 1 and columns == s.shape[0] == w.size
+        assert rounds >= 1 and columns == len(added)
         assert iterations > 0 and seconds > 0.0
-        assert logged_g == g == pytest.approx(1 / SQRT2, abs=1e-9)
+        # duality: the certificate scaled to C.P = 1 has the gauge optimum as its bound
+        assert logged_g == pytest.approx(result.certificate.bound, abs=1e-12)
+        assert logged_g == pytest.approx(1 / SQRT2, abs=1e-9)
         # the loop stopped because no best response beats the level z
         assert isinstance(violation, float) and violation <= FEASIBILITY_TOL
         # no repair: every column is (D s)(D t)^T in first differences, plus its 1
         assert repaired is False
         d = np.eye(2) - np.eye(2, k=-1)
-        expected = np.count_nonzero(d @ target.matrix @ d.T) + sum(
-            np.count_nonzero(np.outer(d @ sk, d @ tk)) + 1 for sk, tk in zip(s, t))
+        expected = np.count_nonzero(d @ target.matrix @ d.T)
+        for column in added:
+            # D^-1 is a running sum, so summing both axes gives back s t^T
+            vertex = np.cumsum(np.cumsum(column[:-1].reshape(2, 2), axis=0), axis=1)
+            s, t = vertex[:, 0] * vertex[0, 0], vertex[0]
+            assert column[-1] == 1.0 and np.array_equal(vertex, np.outer(s, t))
+            assert set(np.abs(vertex).flat) == {1.0}
+            expected += np.count_nonzero(np.outer(d @ s, d @ t)) + 1
         assert nonzeros == expected
 
     def test_repair_is_logged(self, caplog):
@@ -547,11 +586,11 @@ class TestGaugeLpTelemetry:
                                    np.array([[0.0, 1.0, -1.8380811373505444e-07],
                                              [-1.0, 0.0, -1.0]]))
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            _, _, s, _, _ = _gauge_lp(target)
+            local_polytope_membership(target)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
-        nonzeros, repaired = record.args[5:7]
+        columns, nonzeros, repaired = record.args[4:7]
         # the repaired master holds its columns in the original coordinates: all dense
-        assert repaired is True and nonzeros >= s.shape[0] * (2 * 3 + 1)
+        assert repaired is True and nonzeros >= columns * (2 * 3 + 1)
 
     def test_nothing_is_counted_with_debug_off(self, monkeypatch, caplog):
         core, counted = feasibility._highs_core(), []
@@ -563,7 +602,7 @@ class TestGaugeLpTelemetry:
 
         monkeypatch.setattr(core, "_Highs", Recording)
         with caplog.at_level(logging.INFO, logger="bellspace.feasibility"):
-            _gauge_lp(canonical_cosine_target(1.0))
+            local_polytope_membership(canonical_cosine_target(1.0))
         assert not counted and not caplog.records
 
     def test_sparse_columns_on_a_jittered_8x8_grid(self, caplog):
@@ -572,11 +611,26 @@ class TestGaugeLpTelemetry:
         alphas = (np.arange(k) + rng.uniform(-0.25, 0.25, k)) * math.pi / k
         betas = (np.arange(k) + 0.5 + rng.uniform(-0.25, 0.25, k)) * math.pi / k
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            _gauge_lp(cosine_target(alphas, betas, 0.95))
+            local_polytope_membership(cosine_target(alphas, betas, 0.95))
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         columns, nonzeros, repaired = record.args[4:7]
         # a dense master column has m*n + 1 nonzeros
         assert not repaired and nonzeros / (columns + 1) < (k * k + 1) / 2
+
+    @given(arrays(np.float64, st.tuples(st.integers(2, 3), st.integers(2, 3)),
+                  elements=edge_entries))
+    # within FEASIBILITY_TOL of g*P over every column, negative HiGHS weights included,
+    # yet its reported mixture, over the weights > 1e-12, is 1.47e-9 off P
+    @example(np.array([[1.0, 0.0], [-1.0, 3.911648569516641e-09], [1.0, 0.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_an_unproven_verdict_has_been_repaired(self, matrix):
+        m, n = matrix.shape
+        target = CorrelationTarget(tuple(range(m)), tuple(np.arange(n) + 0.5), matrix)
+        with debug_records() as records:
+            result = local_polytope_membership(target)
+        (record,) = records
+        if result.is_feasible and result.residual > FEASIBILITY_TOL:
+            assert record.args[6] is True
 
     def test_pricing_violation_on_a_feasible_target(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):

@@ -12,7 +12,10 @@ from bellspace.lhv import BellCertificate
 from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, RoundLog
 from bellspace.spatial import (
     BoxRegion,
+    GaussianPacket,
+    expanded_width,
     g_factor_quadrature,
+    packet_probability_in_box,
     product_density,
     separated_gaussian_setup,
 )
@@ -46,12 +49,33 @@ def channel_config(channel: dict):
                      ValueError, "m \\+ n = 25 exceeds the cap 24", id="certificate-oversized"),
         pytest.param(lambda: BoxRegion.centered_cube((0.0, 0.0, 0.0), 0.0),
                      ValueError, "half_width must be positive", id="cube-half-width"),
+        pytest.param(lambda: BoxRegion.centered_cube((0.0, 0.0, 0.0), math.nan),
+                     ValueError, "half_width must be positive", id="cube-half-width-nan"),
+        pytest.param(lambda: expanded_width(math.nan, 1.0, 1.0, 1.0),
+                     ValueError, "epsilon, mass and hbar must be positive", id="width-epsilon-nan"),
+        pytest.param(lambda: expanded_width(1.0, math.nan, 1.0, 1.0),
+                     ValueError, "epsilon, mass and hbar must be positive", id="width-mass-nan"),
+        pytest.param(lambda: expanded_width(1.0, 1.0, 1.0, math.nan),
+                     ValueError, "epsilon, mass and hbar must be positive", id="width-hbar-nan"),
+        pytest.param(lambda: expanded_width(1.0, 1.0, math.nan, 1.0),
+                     ValueError, "time must be nonnegative, got nan", id="width-time-nan"),
+        pytest.param(lambda: packet_probability_in_box(SETUP.packet_a, SETUP.region_a, math.nan),
+                     ValueError, "time must be nonnegative, got nan", id="box-probability-time-nan"),
+        pytest.param(lambda: GaussianPacket((0.0, 0.0, 0.0), math.nan),
+                     ValueError, "width_param, mass and hbar must be positive",
+                     id="packet-width-nan"),
+        pytest.param(lambda: GaussianPacket((0.0, 0.0, 0.0), 1.0, mass=math.nan),
+                     ValueError, "width_param, mass and hbar must be positive", id="packet-mass-nan"),
+        pytest.param(lambda: GaussianPacket((0.0, 0.0, 0.0), 1.0, hbar=math.nan),
+                     ValueError, "width_param, mass and hbar must be positive", id="packet-hbar-nan"),
         pytest.param(lambda: quadrature(tol=0.0),
                      ValueError, "tol must be positive", id="quadrature-tol"),
         pytest.param(lambda: quadrature(orders=(6,)),
                      ValueError, "need at least two quadrature orders", id="quadrature-orders"),
         pytest.param(lambda: separated_gaussian_setup(0.0, (20.0, 0.0, 0.0)),
                      ValueError, "width_param must be positive", id="setup-width"),
+        pytest.param(lambda: separated_gaussian_setup(math.nan, (20.0, 0.0, 0.0)),
+                     ValueError, "width_param must be positive", id="setup-width-nan"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, alice_angles=(0.0, 1.0)),
                      ValueError, "each wing needs exactly three setting angles", id="qkd-angles"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, seed=-1),
