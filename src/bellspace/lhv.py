@@ -69,7 +69,7 @@ class CorrelationEstimate:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if self.std_error < 0:
+        if not self.std_error >= 0:
             raise ValueError("std_error must be nonnegative")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -283,6 +283,14 @@ def best_responses(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     reply = np.where(scores < 0.0, -1.0, 1.0)
     values = np.abs(scores).sum(axis=1)
     return (reply, own, values) if flip else (own, reply, values)
+
+
+def every_vertex(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^(m+n-1) vertices s t^T of the m x n local polytope, each once, as stacked rows
+    (s, t): every s with s[0] = +1 against every t."""
+    s, half = _half_sign_matrix(m), _half_sign_matrix(n)
+    t = np.vstack([half, -half])
+    return np.repeat(s, t.shape[0], axis=0), np.tile(t, (s.shape[0], 1))
 
 
 @dataclass(frozen=True)

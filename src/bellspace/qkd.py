@@ -396,8 +396,10 @@ def decide_verdict(s_value: float, std_error: float, k: float) -> str:
     Secure when the k-sigma interval lies entirely above 2; Eve detected when
     it lies entirely below 2; inconclusive when it straddles the bound.
     """
-    if std_error < 0:
+    if not std_error >= 0:
         raise ValueError("std_error must be nonnegative")
+    if math.isnan(s_value):
+        raise ValueError("s_value must be a number, got nan")
     if s_value - k * std_error > 2.0:
         return SECURE
     if s_value + k * std_error < 2.0:

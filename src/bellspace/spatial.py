@@ -288,7 +288,7 @@ def g_factor_quadrature(
     Raises :class:`QuadratureError` (carrying the best estimate and the last
     delta) if the order ladder is exhausted without convergence.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if len(orders) < 2:
         raise ValueError("need at least two quadrature orders to compare")

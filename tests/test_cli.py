@@ -526,8 +526,9 @@ class TestGoldenOutputs:
              "df219b04f70e5368294c10e9c6d1231d9fad9f64ccb09bb91219d1077102fa02"),
             ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
             ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
-            ("feasibility", "json",
-             "f08a040d9f904dc337c0ea82b5b53f248b6bec76641ed5b34031773508f79ef4"),
+            pytest.param("feasibility", "json",
+                         "1e3bdb5a96915e532a0e098be6ee4a2eb287e3cee5317d762d6e0fef297adf76",
+                         id="feasibility-json"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
             ("qkd", "json", "5819009a51136c7665d4124a75b9544dad216cdc3c2b4c2a8de328c3c1391dca"),
@@ -537,10 +538,12 @@ class TestGoldenOutputs:
             ("gfactor", "json",
              "cb2b247d7ecc506a53209168080e12a6574642e788c308cd0d33bd806699d688"),
             ("gfactor", "csv", "ebd24d2061c29e1dd7130623d97a7cf33168985c72f31dc39cde575c67abede7"),
-            ("feasible", "json",
-             "38624183988c1fc30076cd3b4f0c1866ad17c042b8dc80653cb0b1d992085d75"),
-            ("feasible", "csv",
-             "68f9d260824f386b3733ea00941af65b7c6c3954aa0ed857b4da407009ac9416"),
+            pytest.param("feasible", "json",
+                         "385a7e8f5487082778dad92f309871bf72be44b7a64b2dfb9660be4e457159d1",
+                         id="feasible-json"),
+            pytest.param("feasible", "csv",
+                         "733ed11a5418d3d5d62acbe1ae9999ca0b618ab2d48cc67d98f520972d88f4d5",
+                         id="feasible-csv"),
             ("gfactor_single_t", "json",
              "479a23a91952c993a6db60c67f813b2d6e8d3cf00189c181abfdfd392cccaf8c"),
             ("gfactor_single_t", "csv",

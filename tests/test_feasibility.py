@@ -97,6 +97,22 @@ def debug_records():
         logger.setLevel(level)
 
 
+def jittered_cosine_target(seed: int, k: int, g: float) -> CorrelationTarget:
+    """The polytope_lp benchmark's grid rule: a k x k cosine target on regular angles with
+    seeded jitter."""
+    rng = np.random.default_rng(seed)
+    alphas = (np.arange(k) + rng.uniform(-0.25, 0.25, k)) * math.pi / k
+    betas = (np.arange(k) + 0.5 + rng.uniform(-0.25, 0.25, k)) * math.pi / k
+    return cosine_target(alphas, betas, g)
+
+
+# a 2x3 target whose one cold solve leaves its mixture 1.02e-9 off P, above FEASIBILITY_TOL,
+# so the master is rebuilt in the original coordinates, where the mixture is exact
+REPAIRED_TARGET = CorrelationTarget((0.0, 1.0), (0.5, 1.5, 2.5), np.array(
+    [[1.937845554408063e-09, 1.0155496127462719e-09, -1.0],
+     [0.6147433864420502, 0.11132680752389246, 6.215483484517826e-07]]))
+
+
 def reconstruct(result) -> np.ndarray:
     total = None
     for w in result.weights:
@@ -385,6 +401,10 @@ class TestJsonRoundTrip:
 correlation_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
 )
+# shapes past FULL_SEED_MAX_GRID, whose master grows by column generation
+priced_matrices = st.sampled_from([(4, 5), (5, 4), (5, 5)]).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+)
 # entries at the polytope's edges: vertices, zeros and magnitudes near HiGHS's tolerances
 edge_entries = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0]),
@@ -441,12 +461,13 @@ class TestGaugeLpProperties:
             # the certificate the scale came from separates (scale + tol)*P too
             assert verify_certificate(membership.certificate, outside)
 
-    @given(correlation_matrices)
+    @given(st.one_of(correlation_matrices, priced_matrices))
     @example(np.array([[0.0, 0.0, 1.0], [2.32001641e-08] * 3]))  # a hot start stops at g > 1
     @example(np.array([[2.0**-24, 1.0, 0.0], [1.0, 1.0, 1.0]]))  # the cold LP is 1.3e-8 off
     @settings(max_examples=100, deadline=None)
     def test_column_generation_matches_the_dense_lp(self, matrix):
-        # the warm-started master against a cold LP that holds every vertex
+        # the engine's master (every vertex up to m + n = FULL_SEED_MAX_GRID, grown by
+        # column generation past it) against a cold LP that holds every vertex
         m, n = matrix.shape
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
         with debug_records() as records:
@@ -524,16 +545,13 @@ class TestSimplexStrategy:
         return models
 
     def test_primal_simplex_on_every_hot_round(self, monkeypatch):
-        (runs,) = self.recorded_runs(monkeypatch, canonical_cosine_target(1.0))
+        # m + n = 10 > FULL_SEED_MAX_GRID: the master grows over hot rounds
+        (runs,) = self.recorded_runs(monkeypatch, jittered_cosine_target(5, 5, 0.95))
         assert len(runs) >= 2 and set(runs) == {feasibility._PRIMAL_SIMPLEX}
 
     def test_dual_simplex_on_the_cold_re_solve(self, monkeypatch):
-        # pricing finds nothing new, yet the difference-coordinate dual separates P
-        # by no more than FEASIBILITY_TOL: the master is rebuilt and solved cold
-        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0, 2.0),
-                                   np.array([[0.0, 1.0, -1.8380811373505444e-07],
-                                             [-1.0, 0.0, -1.0]]))
-        hot, repair = self.recorded_runs(monkeypatch, target)
+        # the mixture of the first solve is unproven: the master is rebuilt and solved cold
+        hot, repair = self.recorded_runs(monkeypatch, REPAIRED_TARGET)
         assert repair[0] == feasibility._DUAL_SIMPLEX
         assert set(hot + repair[1:]) == {feasibility._PRIMAL_SIMPLEX}
 
@@ -582,15 +600,24 @@ class TestGaugeLpTelemetry:
         assert nonzeros == expected
 
     def test_repair_is_logged(self, caplog):
-        target = CorrelationTarget((0.0, 1.0), (0.0, 1.0, 2.0),
-                                   np.array([[0.0, 1.0, -1.8380811373505444e-07],
-                                             [-1.0, 0.0, -1.0]]))
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            local_polytope_membership(target)
+            local_polytope_membership(REPAIRED_TARGET)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         columns, nonzeros, repaired = record.args[4:7]
         # the repaired master holds its columns in the original coordinates: all dense
         assert repaired is True and nonzeros >= columns * (2 * 3 + 1)
+
+    @pytest.mark.parametrize("target", [canonical_cosine_target(1.0), canonical_cosine_target(0.5),
+                                        jittered_cosine_target(4, 4, 0.95)],
+                             ids=["canonical-infeasible", "canonical-feasible", "jittered-4x4"])
+    def test_a_small_grid_is_one_cold_solve(self, target, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            local_polytope_membership(target)
+        (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
+        m, n, _, rounds, columns, _, repaired = record.args[:7]
+        # m + n <= FULL_SEED_MAX_GRID: the master holds every vertex, so pricing finds nothing
+        assert m + n <= feasibility.FULL_SEED_MAX_GRID
+        assert rounds == 1 and columns == 2 ** (m + n - 1) and repaired is False
 
     def test_nothing_is_counted_with_debug_off(self, monkeypatch, caplog):
         core, counted = feasibility._highs_core(), []
@@ -606,12 +633,9 @@ class TestGaugeLpTelemetry:
         assert not counted and not caplog.records
 
     def test_sparse_columns_on_a_jittered_8x8_grid(self, caplog):
-        # the polytope_lp benchmark's grid rule: regular angles with seeded jitter
-        rng, k = np.random.default_rng(8), 8
-        alphas = (np.arange(k) + rng.uniform(-0.25, 0.25, k)) * math.pi / k
-        betas = (np.arange(k) + 0.5 + rng.uniform(-0.25, 0.25, k)) * math.pi / k
+        k = 8
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            local_polytope_membership(cosine_target(alphas, betas, 0.95))
+            local_polytope_membership(jittered_cosine_target(8, k, 0.95))
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         columns, nonzeros, repaired = record.args[4:7]
         # a dense master column has m*n + 1 nonzeros
@@ -634,7 +658,7 @@ class TestGaugeLpTelemetry:
 
     def test_pricing_violation_on_a_feasible_target(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            assert local_polytope_membership(canonical_cosine_target(0.5)).is_feasible
+            assert local_polytope_membership(jittered_cosine_target(5, 5, 0.4)).is_feasible
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         rounds, violation = record.args[3], record.args[9]
         # an earlier round priced and added columns; the last one reached g = 1 unpriced
@@ -671,20 +695,29 @@ class TestHighsBinding:
                              "which the gauge LP calls")
 
     def test_binding_accepts_every_option_the_engine_sets(self):
+        # every (name, value) pair the engine sets, read from the last two arguments of each
+        # call; a value is a literal or a module constant
         tree = ast.parse(Path(feasibility.__file__).read_text())
-        names = {arg.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+        pairs = {(name.value, getattr(feasibility, value.id) if isinstance(value, ast.Name)
+                  else ast.literal_eval(value))
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and getattr(node.func, "id", getattr(node.func, "attr", None))
                  in ("_set_option", "setOptionValue")
-                 for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
-        assert {"output_flag", "simplex_strategy"} <= names
+                 for name, value in [node.args[-2:]] if isinstance(name, ast.Constant)}
+        names = {name for name, _ in pairs}
+        assert {"output_flag", "presolve", "simplex_strategy"} <= names
+        assert {("presolve", "off"), ("simplex_strategy", feasibility._DUAL_SIMPLEX),
+                ("simplex_strategy", feasibility._PRIMAL_SIMPLEX)} <= pairs
         core = feasibility._highs_core()
         highs = core._Highs()
         rejected = sorted(name for name in names
                           if highs.getOptionValue(name)[0] != core.HighsStatus.kOk)
         assert not rejected, (f"scipy {scipy.__version__}'s HiGHS binding lacks the options "
                               f"{rejected}, which the gauge LP sets")
-        for strategy in (feasibility._DUAL_SIMPLEX, feasibility._PRIMAL_SIMPLEX):
-            assert highs.setOptionValue("simplex_strategy", strategy) == core.HighsStatus.kOk
+        rejected = sorted(pair for pair in pairs
+                          if highs.setOptionValue(*pair) != core.HighsStatus.kOk)
+        assert not rejected, (f"scipy {scipy.__version__}'s HiGHS binding rejects {rejected}, "
+                              "which the gauge LP sets")
 
     def test_rejected_option_is_a_solver_error(self, monkeypatch):
         core = feasibility._highs_core()

@@ -8,8 +8,8 @@ import pytest
 from bellspace.cli import config_from_dict
 from bellspace.config import ConfigError
 from bellspace.feasibility import CorrelationTarget
-from bellspace.lhv import BellCertificate
-from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, RoundLog
+from bellspace.lhv import BellCertificate, CorrelationEstimate
+from bellspace.qkd import ChshPair, QkdConfig, QuantumLocalizedChannel, RoundLog, decide_verdict
 from bellspace.spatial import (
     BoxRegion,
     GaussianPacket,
@@ -70,12 +70,20 @@ def channel_config(channel: dict):
                      ValueError, "width_param, mass and hbar must be positive", id="packet-hbar-nan"),
         pytest.param(lambda: quadrature(tol=0.0),
                      ValueError, "tol must be positive", id="quadrature-tol"),
+        pytest.param(lambda: quadrature(tol=math.nan),
+                     ValueError, "tol must be positive", id="quadrature-tol-nan"),
         pytest.param(lambda: quadrature(orders=(6,)),
                      ValueError, "need at least two quadrature orders", id="quadrature-orders"),
         pytest.param(lambda: separated_gaussian_setup(0.0, (20.0, 0.0, 0.0)),
                      ValueError, "width_param must be positive", id="setup-width"),
         pytest.param(lambda: separated_gaussian_setup(math.nan, (20.0, 0.0, 0.0)),
                      ValueError, "width_param must be positive", id="setup-width-nan"),
+        pytest.param(lambda: CorrelationEstimate(0.5, math.nan, 10),
+                     ValueError, "std_error must be nonnegative", id="estimate-std-error-nan"),
+        pytest.param(lambda: decide_verdict(2.5, math.nan, 3.0),
+                     ValueError, "std_error must be nonnegative", id="verdict-std-error-nan"),
+        pytest.param(lambda: decide_verdict(math.nan, 0.01, 3.0),
+                     ValueError, "s_value must be a number, got nan", id="verdict-s-value-nan"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, alice_angles=(0.0, 1.0)),
                      ValueError, "each wing needs exactly three setting angles", id="qkd-angles"),
         pytest.param(lambda: QkdConfig(channel=CHANNEL, seed=-1),
