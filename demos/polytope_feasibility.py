@@ -1,10 +1,11 @@
 """Deciding hidden-variable representability by polytope membership.
 
 A correlation matrix is reproducible by bounded responses exactly when it
-lies in the convex hull of sign outer products.  The LP decides membership
-and hands back either an explicit mixture or a separating Bell inequality,
-whose classical bound is derived from its coefficients, never taken from
-the solver.
+lies in the convex hull of sign outer products.  A violated CHSH facet on a
+2x2 sub-grid decides a target outside it; otherwise the LP decides
+membership.  Either way the answer is an explicit mixture or a separating
+Bell inequality, whose classical bound is derived from its coefficients,
+never taken from the solver.
 """
 
 import math
@@ -27,7 +28,7 @@ print(np.array2string(target.matrix, precision=6, suppress_small=True))
 result = local_polytope_membership(target)
 print(f"\n  membership at full strength: {result.status}")
 cert = result.certificate
-print("  separating inequality from the LP dual:")
+print("  separating inequality (the most violated CHSH facet, checked before any LP):")
 print(np.array2string(cert.coefficients, precision=6))
 print(f"  classical bound {cert.bound:.6f}, value at target {cert.value_at(target):.6f}")
 print(f"  margin = {cert.value_at(target) - cert.bound:.6f}  (= 1 - 1/sqrt(2); scaled so C.P = 1)")

@@ -362,7 +362,7 @@ def _cmd_lhv(params: dict) -> tuple[dict, str, int]:
 
 
 def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
-    from .feasibility import local_polytope_membership
+    from .feasibility import local_polytope_membership, max_feasible_scale
 
     reject_unknown(params, {"target", "max_scale", "tol", "seed"}, "feasibility")
     if "target" not in params:
@@ -372,7 +372,7 @@ def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
     result = local_polytope_membership(target)
     payload = result_to_dict(result)
     if max_scale:
-        payload["max_scale"] = result.max_scale(tol)
+        payload["max_scale"] = max_feasible_scale(target, tol)
     return payload, _csv_from_payload(payload), EXIT_OK
 
 

@@ -14,9 +14,12 @@ vertices; bilinearity then writes xi eta^T as a convex combination of sign
 outer products, so the lambda-average P stays in L.  Conversely any weight
 vector on sign pairs *is* a discrete hidden-variable model.
 
-One linear program decides everything: the gauge LP max g s.t. g*P in L.
-Its optimum g* >= 1 means P is in L (the LP's vertex weights are the
-mixture), g* < 1 is the largest feasible scaling, and its dual is a
+A cheap screen comes first: the most violated CHSH functional on any 2x2
+sub-grid, scaled to C.P = 1, decides P infeasible when it passes the gauge
+LP's own proof rule (margin 1 - bound above FEASIBILITY_TOL).  Every other
+target goes to one linear program, the gauge LP max g s.t. g*P in L.  Its
+optimum g* >= 1 means P is in L (the LP's vertex weights are the mixture),
+g* < 1 is the largest feasible scaling, and its dual is a
 separating Bell-type inequality.  On a small grid (m + n <=
 :data:`FULL_SEED_MAX_GRID`) the LP holds every vertex and one cold solve
 decides it; a larger one is solved by column generation (Gilmore & Gomory,
@@ -31,6 +34,7 @@ bound that a :class:`~.lhv.BellCertificate` derives by that same rule.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -140,8 +144,9 @@ class FeasibilityResult:
     """Outcome of a membership test: a representing mixture or a certificate.
 
     ``residual`` is the largest reconstruction error of the mixture when
-    feasible, and the certificate margin C.P - bound (with C scaled so that
-    C.P = 1) when infeasible.
+    feasible, and when infeasible the margin C.P - bound of whichever
+    certificate decided (a CHSH facet or the gauge LP's dual), with C scaled
+    so that C.P = 1.
     """
 
     status: str
@@ -152,19 +157,6 @@ class FeasibilityResult:
     @property
     def is_feasible(self) -> bool:
         return self.status == FEASIBLE
-
-    def max_scale(self, tol: float) -> float:
-        """Largest scaling g in [0, 1] keeping g*P inside the local polytope.
-
-        1 when P itself is feasible.  Otherwise the certificate, scaled to
-        C.P = 1, bounds every feasible g by its classical bound, which the
-        gauge LP's duality makes the threshold g*; the answer bound - tol/2
-        lies within ``tol`` below it, and the certificate separates
-        (answer + tol)*P by tol/2.
-        """
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        return 1.0 if self.is_feasible else max(0.0, self.certificate.bound - tol / 2)
 
 
 def _vertex_keys(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -245,11 +237,75 @@ def _master(core, target: CorrelationTarget, s: np.ndarray, t: np.ndarray, dm: n
     return highs
 
 
+@functools.lru_cache(maxsize=None)
+def _sub_grids(m: int, n: int) -> np.ndarray:
+    """Every 2x2 sub-grid of an m x n matrix (rows i < k, columns j < l) as a column of
+    flat indices (ij, il, kj, kl).  Every screen of one shape reads the same array, so it
+    is built once and read-only."""
+    (i, k), (j, l) = np.triu_indices(m, 1), np.triu_indices(n, 1)
+    i, k, j, l = np.repeat(i, j.size), np.repeat(k, j.size), np.tile(j, i.size), np.tile(l, i.size)
+    corners = np.stack([i * n + j, i * n + l, k * n + j, k * n + l])
+    corners.setflags(write=False)
+    return corners
+
+
+# the two CHSH forms on corners (a, b, c, d), each as its two halves:
+# |a + b| + |c - d| and |a - b| + |c + d|; their signs give all eight CHSH functionals
+_CHSH_HALVES = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0],
+                         [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+
+
+def _chsh_screen(target: CorrelationTarget) -> FeasibilityResult | None:
+    """The infeasible verdict of the most violated CHSH functional on a 2x2 sub-grid.
+
+    Its certificate is that functional scaled to C.P = 1, and it is returned only if
+    its margin 1 - bound is above FEASIBILITY_TOL, the gauge LP's proof rule; otherwise
+    None.
+    """
+    m, n = target.matrix.shape
+    corners = _sub_grids(m, n)
+    if not corners.shape[1]:
+        return None
+    halves = _CHSH_HALVES @ target.matrix.ravel()[corners]
+    forms = np.abs(halves).reshape(2, 2, -1).sum(axis=1)
+    form, index = divmod(int(np.argmax(forms)), forms.shape[1])
+    if not forms[form, index] > 2.0:
+        return None
+    signs = np.where(halves[2 * form:2 * form + 2, index] < 0.0, -1.0, 1.0)
+    coeff = np.zeros(m * n)
+    coeff[corners[:, index]] = signs @ _CHSH_HALVES[2 * form:2 * form + 2]
+    coeff = coeff.reshape(m, n)
+    value = float(np.sum(coeff * target.matrix))
+    certificate = BellCertificate(coeff / value)
+    margin = 1.0 - certificate.bound
+    if not margin > FEASIBILITY_TOL:
+        return None
+    (i, j), (k, l) = divmod(int(corners[0, index]), n), divmod(int(corners[3, index]), n)
+    log.debug("CHSH screen %dx%d: rows (%d, %d), columns (%d, %d), S = %r, margin %.3g",
+              m, n, i, k, j, l, value, margin)
+    return FeasibilityResult(INFEASIBLE, margin, certificate=certificate)
+
+
 def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     """Decide membership of the target in the local correlation polytope.
 
-    Solves the gauge LP max g s.t. g*P in L by column generation over polytope
-    vertices.  The master LP has weights w >= 0 on a subset of vertices s t^T and
+    First every 2x2 sub-grid's CHSH functionals are evaluated at P.  The most
+    violated one, scaled to C.P = 1, decides the target infeasible if its margin
+    1 - bound is above FEASIBILITY_TOL, as a certificate of the gauge LP must be;
+    such a verdict logs one DEBUG record (the sub-grid, S = C.P before scaling and
+    the margin).  On a 2x2 grid CHSH and the trivial bounds are all the facets
+    (Fine, PRL 48, 291 (1982)), so there only targets within the tolerance of the
+    polytope go on.  Every other target is decided by :func:`_gauge_lp`.
+    """
+    screened = _chsh_screen(target)
+    return screened if screened is not None else _gauge_lp(target)
+
+
+def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
+    """Decide membership by the gauge LP max g s.t. g*P in L.
+
+    Solves it by column generation over polytope vertices.  The master LP has
+    weights w >= 0 on a subset of vertices s t^T and
     0 <= g <= 1, with sum_k w_k s_k t_k^T - g P = 0 and sum w = 1.  Its
     equality duals (C, z) bound every master column by s^T C t <= z; each round
     adds all best responses to C that beat z by more than FEASIBILITY_TOL, until
@@ -367,5 +423,15 @@ def verify_certificate(certificate: BellCertificate, target: CorrelationTarget) 
 
 
 def max_feasible_scale(target: CorrelationTarget, tol: float) -> float:
-    """:meth:`FeasibilityResult.max_scale` of the target's membership result."""
-    return local_polytope_membership(target).max_scale(tol)
+    """Largest scaling g in [0, 1] keeping g*P inside the local polytope, from one gauge LP.
+
+    1 when P itself is feasible.  Otherwise the LP's certificate, scaled to
+    C.P = 1, bounds every feasible g by its classical bound, which duality makes
+    the threshold g*; the answer bound - tol/2 lies within ``tol`` below it, and
+    the certificate separates (answer + tol)*P by tol/2.  It always runs
+    :func:`_gauge_lp`, never the CHSH screen, whose facet bounds g* only from above.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    result = _gauge_lp(target)
+    return 1.0 if result.is_feasible else max(0.0, result.certificate.bound - tol / 2)

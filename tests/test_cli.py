@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -24,13 +25,14 @@ from bellspace.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     main,
+    target_from_dict,
 )
 from bellspace.config import NumericalFailure
 from bellspace.feasibility import (
     FeasibilitySolverError,
+    _gauge_lp,
     _highs_core,
     canonical_cosine_target,
-    local_polytope_membership,
 )
 from bellspace.qkd import QkdSessionReport
 from bellspace.spatial import QuadratureError
@@ -291,6 +293,21 @@ class TestFeasibilityCommand:
         payload = json.loads(out)
         assert payload["max_scale"] == pytest.approx(1 / math.sqrt(2), abs=1e-4)
 
+    def test_max_scale_is_the_gauge_lps(self, tmp_path, capsys, caplog):
+        tol = 1e-4
+        block = self.canonical_target(1.0)
+        cfg = write_json(tmp_path / "t.json", {"target": block, "max_scale": True, "tol": tol})
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            code, out, _ = run_cli(["feasibility", "--config", cfg], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        # a CHSH facet decides the membership test, and one gauge LP gives the scale
+        logged = [r.getMessage().split(" ")[:2] for r in caplog.records
+                  if r.name == "bellspace.feasibility"]
+        assert logged == [["CHSH", "screen"], ["gauge", "LP"]]
+        lp = _gauge_lp(target_from_dict(block))
+        assert payload["max_scale"] == max(0.0, lp.certificate.bound - tol / 2)
+
     def test_debug_log_leaves_stdout_unchanged(self, tmp_path):
         cfg = write_json(tmp_path / "t.json",
                          {"target": self.canonical_target(1.0), "max_scale": True})
@@ -301,7 +318,7 @@ class TestFeasibilityCommand:
         assert quiet.returncode == debug.returncode == EXIT_OK
         assert debug.stdout == quiet.stdout
         assert json.loads(quiet.stdout)["status"] == "infeasible"
-        # one gauge LP: the max scale is read off the membership test's certificate
+        # one gauge LP, for the max scale: a CHSH facet decides the membership test
         assert b"gauge LP" not in quiet.stderr
         assert debug.stderr.count(b"DEBUG:bellspace.feasibility:gauge LP 2x2: status Optimal") == 1
         assert debug.stderr.count(b"pricing violation ") == 1
@@ -527,7 +544,7 @@ class TestGoldenOutputs:
             ("lhv_mc", "json", "a3debc5e610f2b26563ef23d8fe32cab02f34ab8b7de8a9a20bf51b74e12f1e9"),
             ("lhv_mc", "csv", "db9bd4b98c7d5f6111cddb8c29828ef452cb5a7c3b5b25c530d8006cebcf91cc"),
             pytest.param("feasibility", "json",
-                         "1e3bdb5a96915e532a0e098be6ee4a2eb287e3cee5317d762d6e0fef297adf76",
+                         "7df535b10dad5582746f2e5e4f2d5a9155703945abfc84254f251dbb2208cbcf",
                          id="feasibility-json"),
             ("feasibility", "csv",
              "0998a025f2c95d2f64ccd6811e9f0115024e6f7b40e21d6b353134081d1a005a"),
@@ -626,7 +643,8 @@ for command, params in json.loads(sys.argv[2]):
     assert modules("scipy") == [], (command, modules("scipy"))
     # the QKD config's local bound comes from lhv: feasibility (logging, pathlib) stays unloaded
     assert "bellspace.feasibility" not in sys.modules, command
-run("feasibility", {"target": json.loads(sys.argv[3])})
+# max_scale runs the gauge LP, which a target that the CHSH screen decides would skip
+run("feasibility", {"target": json.loads(sys.argv[3]), "max_scale": True})
 with open(out) as handle:
     status = json.load(handle)["status"]
 print(json.dumps({"status": status, "numpy": modules("numpy"), "scipy": modules("scipy")}))
@@ -797,7 +815,7 @@ class TestNumericalFailure:
         monkeypatch.setattr(_core, "_Highs", NoIterations)
         message = "LP solver failed: HiGHS model status 'Iteration limit reached'"
         with pytest.raises(FeasibilitySolverError) as excinfo:
-            local_polytope_membership(canonical_cosine_target(1.0))
+            _gauge_lp(canonical_cosine_target(1.0))
         assert str(excinfo.value) == message
         cfg = write_json(tmp_path / "c.json", {"target": CANONICAL_TARGET, "max_scale": True})
         code, out, err = run_cli(["feasibility", "--config", cfg], capsys)

@@ -145,6 +145,14 @@ class TestCanonicalTarget:
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(reconstruct(result) - target.matrix)) < 1e-9
 
+    def test_full_strength_certificate_is_the_scaled_chsh_facet(self):
+        # a CHSH facet decides it: C = CHSH / (2 sqrt 2), four equal magnitudes
+        result = local_polytope_membership(canonical_cosine_target(1.0))
+        magnitudes = np.abs(result.certificate.coefficients)
+        assert len(set(magnitudes.flat)) == 1
+        assert magnitudes[0, 0] == pytest.approx(1 / (2 * SQRT2), rel=1e-15)
+        assert result.certificate.bound == pytest.approx(1 / SQRT2, rel=1e-15)
+
     def test_three_quarters_infeasible(self):
         result = local_polytope_membership(canonical_cosine_target(0.75))
         assert result.status == INFEASIBLE
@@ -173,11 +181,10 @@ class TestMaxFeasibleScale:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             max_feasible_scale(canonical_cosine_target(1.0), tol=0.0)
-        for g in (0.5, 1.0):  # a feasible and an infeasible result
-            result = local_polytope_membership(canonical_cosine_target(g))
+        for g in (0.5, 1.0):  # a feasible and an infeasible target
             for tol in (0.0, -1e-4, math.nan):
                 with pytest.raises(ValueError, match="tol must be positive"):
-                    result.max_scale(tol)
+                    max_feasible_scale(canonical_cosine_target(g), tol)
 
 
 class TestVerifyCertificate:
@@ -438,8 +445,7 @@ class TestGaugeLpProperties:
         m, n = matrix.shape
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
         scale = max_feasible_scale(target, 1e-4)
-        membership = local_polytope_membership(target)
-        assert scale == membership.max_scale(1e-4)
+        membership = feasibility._gauge_lp(target)
         assert 0.0 <= scale <= 1.0
         inside = local_polytope_membership(target.scaled(scale))
         assert inside.is_feasible
@@ -471,7 +477,7 @@ class TestGaugeLpProperties:
         m, n = matrix.shape
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
         with debug_records() as records:
-            result = local_polytope_membership(target)
+            result = feasibility._gauge_lp(target)
         (record,) = records
         g, dense = record.args[8], dense_gauge(matrix)
         if abs(g - dense) > 1e-9:
@@ -510,10 +516,22 @@ class TestGaugeLpProperties:
         target = CorrelationTarget(tuple(range(m)), tuple(range(n)), matrix)
         with mock.patch.object(core, "_Highs", Recording):
             try:
-                local_polytope_membership(target)
+                feasibility._gauge_lp(target)
             except FeasibilitySolverError:
                 pass  # 'Not Set' at the boundary, pinned below; its columns count all the same
         assert len(columns) >= 2 and len(set(columns)) == len(columns)
+
+    def test_sub_grids_are_a_cached_read_only_enumeration(self):
+        for m, n in itertools.product(range(1, 6), repeat=2):
+            corners = feasibility._sub_grids(m, n)
+            assert corners.T.tolist() == [
+                [i * n + j, i * n + l, k * n + j, k * n + l]
+                for (i, k), (j, l) in itertools.product(itertools.combinations(range(m), 2),
+                                                        itertools.combinations(range(n), 2))]
+            assert feasibility._sub_grids(m, n) is corners
+            if corners.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    corners[0, 0] = 1
 
     def test_half_sign_matrix_is_a_cached_read_only_enumeration(self):
         for k in range(1, 9):
@@ -525,10 +543,70 @@ class TestGaugeLpProperties:
                 signs[0, 0] = -1.0
 
 
+class TestChshScreen:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=edge_entries))
+    # the gauge LP proved it feasible (residual <= FEASIBILITY_TOL), yet CHSH exceeds 2 by 3.9e-9
+    @example(np.array([[1.0, 0.0], [-1.0, 3.911648569516641e-09], [1.0, 0.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_screened_verdict_is_a_violated_chsh_functional(self, matrix):
+        m, n = matrix.shape
+        target = CorrelationTarget(tuple(range(m)), tuple(np.arange(n) + 0.5), matrix)
+        screened = feasibility._chsh_screen(target)
+        if screened is None:
+            return
+        assert local_polytope_membership(target) == screened
+        assert screened.status == INFEASIBLE and screened.weights is None
+        coeff = screened.certificate.coefficients
+        assert np.count_nonzero(coeff) == 4
+        rows, columns = (sorted(set(axis)) for axis in np.nonzero(coeff))
+        assert len(rows) == len(columns) == 2
+        corners = np.ix_(rows, columns)
+        signs = np.sign(coeff[corners]).astype(int)
+        # a scaled sign pattern on one 2x2 sub-grid with one sign against the other three
+        assert len(set(np.abs(coeff[corners]).flat)) == 1 and np.prod(signs) == -1
+        exact = sum(int(c) * Fraction(p) for c, p in zip(signs.flat, matrix[corners].flat))
+        assert exact > 2
+        assert verify_certificate(screened.certificate, target)
+        dense = dense_gauge(matrix)
+        if dense >= 1.0:
+            # HiGHS's default primal tolerance (1e-7) hides a violation this small
+            dense = dense_gauge(matrix, tol=1e-10)
+        assert dense < 1.0
+
+    @given(arrays(np.float64, (2, 2), elements=edge_entries))
+    @settings(max_examples=200, deadline=None)
+    def test_every_2x2_target_outside_the_polytope_is_screened(self, matrix):
+        # Fine's theorem: on 2x2, CHSH and the trivial bounds are all the facets
+        target = CorrelationTarget((0.0, 1.0), (0.5, 1.5), matrix)
+        if dense_gauge(matrix) < 1.0 - 1e-6:
+            screened = feasibility._chsh_screen(target)
+            assert screened is not None
+            with mock.patch.object(feasibility, "_gauge_lp", side_effect=AssertionError):
+                assert local_polytope_membership(target) == screened
+
+    def test_a_screened_verdict_is_logged(self, caplog):
+        target = CorrelationTarget((0.0, 1.0, 2.0), (0.5, 1.5, 2.5),
+                                   np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]]))
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            result = local_polytope_membership(target)
+        (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
+        # CHSH 1 + 1 + 1 - (-1) = 4 on rows (0, 2), columns (1, 2): margin 1 - 2/4
+        assert record.getMessage() == ("CHSH screen 3x3: rows (0, 2), columns (1, 2), S = 4.0, "
+                                       "margin 0.5")
+        assert result.residual == 0.5 and result.certificate.bound == 0.5
+
+    def test_a_target_within_the_tolerance_goes_to_the_gauge_lp(self):
+        # CHSH exceeds 2 by 1e-9, so its margin 1 - 2/S, ~5e-10, is not a proof
+        target = CorrelationTarget((0.0, 1.0), (0.5, 1.5), np.array([[1.0, 1.0], [1e-9, 0.0]]))
+        assert feasibility._chsh_screen(target) is None
+        assert local_polytope_membership(target) == feasibility._gauge_lp(target)
+
+
 class TestSimplexStrategy:
     @staticmethod
     def recorded_runs(monkeypatch, target):
-        """The membership solve's HiGHS models, each as the simplex_strategy at each of its runs."""
+        """The gauge LP's HiGHS models, each as the simplex_strategy at each of its runs."""
         core, models = feasibility._highs_core(), []
 
         class Recording(core._Highs):
@@ -541,7 +619,7 @@ class TestSimplexStrategy:
                 return super().run()
 
         monkeypatch.setattr(core, "_Highs", Recording)
-        local_polytope_membership(target)
+        feasibility._gauge_lp(target)
         return models
 
     def test_primal_simplex_on_every_hot_round(self, monkeypatch):
@@ -573,7 +651,7 @@ class TestGaugeLpTelemetry:
         monkeypatch.setattr(core, "_Highs", Recording)
         target = canonical_cosine_target(1.0)
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            result = local_polytope_membership(target)
+            result = feasibility._gauge_lp(target)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         assert record.levelno == logging.DEBUG
         (m, n, status, rounds, columns, nonzeros, repaired, iterations, logged_g, violation,
@@ -612,7 +690,7 @@ class TestGaugeLpTelemetry:
                              ids=["canonical-infeasible", "canonical-feasible", "jittered-4x4"])
     def test_a_small_grid_is_one_cold_solve(self, target, caplog):
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            local_polytope_membership(target)
+            feasibility._gauge_lp(target)
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         m, n, _, rounds, columns, _, repaired = record.args[:7]
         # m + n <= FULL_SEED_MAX_GRID: the master holds every vertex, so pricing finds nothing
@@ -629,13 +707,13 @@ class TestGaugeLpTelemetry:
 
         monkeypatch.setattr(core, "_Highs", Recording)
         with caplog.at_level(logging.INFO, logger="bellspace.feasibility"):
-            local_polytope_membership(canonical_cosine_target(1.0))
+            feasibility._gauge_lp(canonical_cosine_target(1.0))
         assert not counted and not caplog.records
 
     def test_sparse_columns_on_a_jittered_8x8_grid(self, caplog):
         k = 8
         with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
-            local_polytope_membership(jittered_cosine_target(8, k, 0.95))
+            feasibility._gauge_lp(jittered_cosine_target(8, k, 0.95))
         (record,) = [r for r in caplog.records if r.name == "bellspace.feasibility"]
         columns, nonzeros, repaired = record.args[4:7]
         # a dense master column has m*n + 1 nonzeros
@@ -651,7 +729,7 @@ class TestGaugeLpTelemetry:
         m, n = matrix.shape
         target = CorrelationTarget(tuple(range(m)), tuple(np.arange(n) + 0.5), matrix)
         with debug_records() as records:
-            result = local_polytope_membership(target)
+            result = feasibility._gauge_lp(target)
         (record,) = records
         if result.is_feasible and result.residual > FEASIBILITY_TOL:
             assert record.args[6] is True
@@ -732,7 +810,7 @@ class TestHighsBinding:
 
         monkeypatch.setattr(core, "_Highs", Misspelled)
         with pytest.raises(FeasibilitySolverError, match="rejected option simplex_strategy = 4"):
-            local_polytope_membership(canonical_cosine_target(1.0))
+            feasibility._gauge_lp(canonical_cosine_target(1.0))
 
     def test_missing_binding_is_a_clear_import_error(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, feasibility._HIGHS_CORE, raising=False)
