@@ -369,10 +369,13 @@ def _cmd_feasibility(params: dict) -> tuple[dict, str, int]:
         raise ConfigError("feasibility needs a 'target' block (alphas, betas, matrix)")
     target = target_from_dict(params["target"])
     max_scale, tol = param(params, "max_scale", False, bool), param(params, "tol", 1e-4)
+    if max_scale and not tol > 0:
+        raise ConfigError("tol must be positive")
     result = local_polytope_membership(target)
     payload = result_to_dict(result)
     if max_scale:
-        payload["max_scale"] = max_feasible_scale(target, tol)
+        # a feasible verdict is the gauge LP's own proof of g* >= 1: no second solve
+        payload["max_scale"] = 1.0 if result.is_feasible else max_feasible_scale(target, tol)
     return payload, _csv_from_payload(payload), EXIT_OK
 
 

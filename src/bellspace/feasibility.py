@@ -24,10 +24,12 @@ separating Bell-type inequality.  On a small grid (m + n <=
 :data:`FULL_SEED_MAX_GRID`) the LP holds every vertex and one cold solve
 decides it; a larger one is solved by column generation (Gilmore & Gomory,
 Oper. Res. 9, 849 (1961)) instead of over all 2^(m+n-1) vertices, each round
-priced by :func:`~.lhv.best_responses`.  HiGHS runs without presolve.  The LP's
-equalities are taken in first differences, which makes vertex columns sparse,
-and a round whose verdict, judged exactly as it is reported, is unproven is
-repaired once in the original coordinates.
+priced by :func:`~.lhv.best_responses`, its cold first round by the dual simplex
+and every hot round by the primal.  HiGHS runs without presolve, on one instance
+per thread whose model each solve clears.  The LP's equalities are taken in first
+differences, which makes vertex columns sparse, and a round whose verdict, judged
+exactly as it is reported, is unproven is repaired once in the original
+coordinates, on a fresh instance.
 Verification never trusts the solver: :func:`verify_certificate` reads the
 bound that a :class:`~.lhv.BellCertificate` derives by that same rule.
 """
@@ -39,6 +41,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,17 +169,44 @@ def _vertex_keys(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (pairs < 0.0) @ (1 << np.arange(pairs.shape[1]))
 
 
-def _add_vertex_columns(highs, s: np.ndarray, t: np.ndarray, dm: np.ndarray,
-                        dn: np.ndarray) -> None:
-    """Append a weight column w_k >= 0 per vertex s_k t_k^T, in compressed-column
-    form: the nonzeros of (D_m s_k)(D_n t_k)^T, then a 1."""
+def _vertex_columns(s: np.ndarray, t: np.ndarray, dm: np.ndarray,
+                    dn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A weight column w_k >= 0 per vertex s_k t_k^T in compressed-column form (starts,
+    row index, values): the nonzeros of (D_m s_k)(D_n t_k)^T, then a 1."""
     k = s.shape[0]
     outer = np.einsum("ki,kj->kij", s @ dm.T, t @ dn.T).reshape(k, -1)
     values = np.hstack([outer, np.ones((k, 1))])
     column, row = np.nonzero(values)
-    highs.addCols(k, np.zeros(k), np.zeros(k), np.full(k, np.inf), row.size,
-                  np.searchsorted(column, np.arange(k)).astype(np.int32), row.astype(np.int32),
-                  values[column, row])
+    return (np.searchsorted(column, np.arange(k)).astype(np.int32), row.astype(np.int32),
+            values[column, row])
+
+
+def _add_columns(highs, columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    starts, index, values = columns
+    k = starts.size
+    highs.addCols(k, np.zeros(k), np.zeros(k), np.full(k, np.inf), index.size, starts, index,
+                  values)
+
+
+@functools.lru_cache(maxsize=None)
+def _difference(k: int) -> np.ndarray:
+    """D_k, with rows e_0 and e_i - e_(i-1); built once per k and read-only."""
+    d = np.eye(k) - np.eye(k, k=-1)
+    d.setflags(write=False)
+    return d
+
+
+@functools.lru_cache(maxsize=None)
+def _full_seed(m: int, n: int):
+    """The small-grid master's seed: every vertex as rows (s, t), their sorted keys and
+    their columns in first differences.  Every solve of one shape starts from the same
+    seed, so it is built once and read-only."""
+    s, t = every_vertex(m, n)
+    keys = np.sort(_vertex_keys(s, t))
+    columns = _vertex_columns(s, t, _difference(m), _difference(n))
+    for array in (s, t, keys, *columns):
+        array.setflags(write=False)
+    return s, t, keys, columns
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -217,15 +247,40 @@ def _set_option(highs, core, name: str, value) -> None:
                                      f"(scipy {version('scipy')})")
 
 
-def _master(core, target: CorrelationTarget, s: np.ndarray, t: np.ndarray, dm: np.ndarray,
-            dn: np.ndarray):
-    """A HiGHS model of the master: the g column, then the columns (s_k, t_k), under
-    D_m (sum_k w_k s_k t_k^T - g P) D_n^T = 0 and sum w = 1."""
+def _new_highs(core):
+    """A new HiGHS instance, silent and without presolve, at HiGHS's default tolerances."""
     highs = core._Highs()
     _set_option(highs, core, "output_flag", False)
     # HiGHS skips presolve on hot re-solves anyway, and on the cold solves of the
     # polytope_lp benchmark's ladder it cost more than it saved
     _set_option(highs, core, "presolve", "off")
+    return highs
+
+
+_THREAD = threading.local()
+
+
+def _thread_highs(core):
+    """This thread's HiGHS instance, emptied, at the primal tolerance FEASIBILITY_TOL.
+
+    Creating an instance costs 60-100 us and its first solve's allocations more, so each
+    thread keeps one and clears its model.  It is reused only while its class is
+    ``core._Highs``, so a patched class gets a fresh instance, and its options are never
+    reset, so options such a class sets in ``__init__`` hold.
+    """
+    highs = getattr(_THREAD, "highs", None)
+    if type(highs) is core._Highs:
+        highs.clearModel()
+        return highs
+    highs = _new_highs(core)
+    _set_option(highs, core, "primal_feasibility_tolerance", FEASIBILITY_TOL)
+    _THREAD.highs = highs
+    return highs
+
+
+def _master(highs, target: CorrelationTarget, columns, dm: np.ndarray, dn: np.ndarray):
+    """Fill the empty model ``highs`` with the master: the g column, then the vertex
+    ``columns``, under D_m (sum_k w_k s_k t_k^T - g P) D_n^T = 0 and sum w = 1."""
     rhs = np.append(np.zeros(dm.shape[0] * dn.shape[0]), 1.0)
     highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
                   np.zeros(0))
@@ -233,7 +288,7 @@ def _master(core, target: CorrelationTarget, s: np.ndarray, t: np.ndarray, dm: n
     p = (dm @ target.matrix @ dn.T).ravel()
     nonzero = np.flatnonzero(p).astype(np.int32)
     highs.addCol(-1.0, 0.0, 1.0, nonzero.size, nonzero, -p[nonzero])
-    _add_vertex_columns(highs, s, t, dm, dn)
+    _add_columns(highs, columns)
     return highs
 
 
@@ -311,16 +366,19 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
     adds all best responses to C that beat z by more than FEASIBILITY_TOL, until
     none does (or g reaches 1).  With m + n <= FULL_SEED_MAX_GRID the master
     starts from every vertex, so the first round is the whole LP, solved cold,
-    and its pricing finds nothing.  A larger grid's master starts from every
-    strategy's best and worst response to P.  Either way g = 0 is feasible.
+    and its pricing finds nothing; its seed (columns and keys) is cached per shape.
+    A larger grid's master starts from every strategy's best and worst response to
+    P.  Either way g = 0 is feasible.
 
     The equalities are taken in first differences, D_m (.) D_n^T, where D_k has
     rows e_0 and e_i - e_(i-1): the same LP, but a column (D_m s)(D_n t)^T has
     (1 + sign changes of s)(1 + sign changes of t) nonzeros, not m*n, and the
     duals map back as C = D_m^T Y D_n.  A difference row sums entries of P, so
-    HiGHS's primal tolerance there is FEASIBILITY_TOL.  Each round appends its
-    new columns to one HiGHS model and resumes the primal simplex from the last
-    basis.
+    HiGHS's primal tolerance there is FEASIBILITY_TOL.  The master lives on this
+    thread's HiGHS instance (:func:`_thread_highs`), cleared of the last solve's
+    model.  A small grid's one round runs the primal simplex.  Column generation
+    solves its cold first round by the dual simplex; each later round appends its
+    new columns to the model and resumes the primal simplex from the last basis.
 
     The last round's verdict is returned.  At g >= 1 - FEASIBILITY_TOL it is
     feasible: the mixture of the weights > 1e-12, and as residual its largest
@@ -328,10 +386,11 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
     infeasible: the certificate C scaled to C.P = 1, and as residual its margin
     1 - bound, proven if above FEASIBILITY_TOL.  Once per solve, a round that is
     not optimal or ends with an unproven verdict is repaired: the master is
-    rebuilt in the original coordinates at HiGHS's default tolerance, solved cold
-    by the dual simplex and continued hot.  After that, a failed round or an
-    unproven infeasible verdict raises :class:`FeasibilitySolverError`, and an
-    unproven feasible verdict is returned with its residual.  Each
+    rebuilt in the original coordinates on a fresh instance at HiGHS's default
+    tolerance, solved cold by the dual simplex and continued hot.  After that, a
+    failed round or an unproven infeasible verdict raises
+    :class:`FeasibilitySolverError`, and an unproven feasible verdict is returned
+    with its residual.  Each
     solve logs one DEBUG record (status, rounds, columns, the master's nonzeros,
     whether it was repaired, simplex iterations, g, the last round's pricing
     violation max s^T C t - z, or 0 when that round stopped at g = 1 unpriced,
@@ -341,16 +400,18 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
     core = _highs_core()
     start = time.perf_counter()
     m, n = target.matrix.shape
+    dm, dn = _difference(m), _difference(n)
+    highs = _thread_highs(core)
     if m + n <= FULL_SEED_MAX_GRID:
-        s, t = every_vertex(m, n)
+        s, t, keys, columns = _full_seed(m, n)
+        _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
     else:
         s, t, _ = best_responses(target.matrix)
         s, t = np.vstack([s, s]), np.vstack([t, -t])
-    dm, dn = np.eye(m) - np.eye(m, k=-1), np.eye(n) - np.eye(n, k=-1)
-    highs = _master(core, target, s, t, dm, dn)
-    _set_option(highs, core, "primal_feasibility_tolerance", FEASIBILITY_TOL)
-    _set_option(highs, core, "simplex_strategy", _PRIMAL_SIMPLEX)
-    keys = np.sort(_vertex_keys(s, t))  # the master's columns, sorted for searchsorted
+        # keys: the master's columns, sorted for searchsorted
+        keys, columns = np.sort(_vertex_keys(s, t)), _vertex_columns(s, t, dm, dn)
+        _set_option(highs, core, "simplex_strategy", _DUAL_SIMPLEX)
+    _master(highs, target, columns, dm, dn)
     rounds, iterations, repaired = 0, 0, False
     while True:
         highs.run()
@@ -367,10 +428,11 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
         if optimal and g >= 1.0 - FEASIBILITY_TOL:
             keep = np.flatnonzero(w > 1e-12)
             rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
+            rows = zip(s[keep].astype(int).tolist(), t[keep].astype(int).tolist(),
+                       w[keep].tolist())
             result = FeasibilityResult(
-                FEASIBLE, float(np.max(np.abs(rebuilt - target.matrix))), tuple(
-                    StrategyWeight(tuple(map(int, s[k])), tuple(map(int, t[k])), float(w[k]))
-                    for k in keep))
+                FEASIBLE, float(np.max(np.abs(rebuilt - target.matrix))),
+                tuple(StrategyWeight(tuple(a), tuple(b), weight) for a, b, weight in rows))
         elif optimal:
             s_new, t_new, values = best_responses(coeff)
             violation = float(values.max()) - level
@@ -388,7 +450,7 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
                                          else result.residual > FEASIBILITY_TOL)
         if not repaired and not (len(fresh) or proven):
             repaired, dm, dn = True, np.eye(m), np.eye(n)
-            highs = _master(core, target, s, t, dm, dn)
+            highs = _master(_new_highs(core), target, _vertex_columns(s, t, dm, dn), dm, dn)
             _set_option(highs, core, "simplex_strategy", _DUAL_SIMPLEX)
             continue
         if not optimal:
@@ -397,7 +459,7 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
             )
         if not len(fresh):
             break
-        _add_vertex_columns(highs, s_new[fresh], t_new[fresh], dm, dn)
+        _add_columns(highs, _vertex_columns(s_new[fresh], t_new[fresh], dm, dn))
         s, t = np.vstack([s, s_new[fresh]]), np.vstack([t, t_new[fresh]])
         keys = np.sort(np.append(keys, fresh_keys[new]))
     if log.isEnabledFor(logging.DEBUG):

@@ -33,6 +33,7 @@ from bellspace.feasibility import (
     _gauge_lp,
     _highs_core,
     canonical_cosine_target,
+    max_feasible_scale,
 )
 from bellspace.qkd import QkdSessionReport
 from bellspace.spatial import QuadratureError
@@ -307,6 +308,27 @@ class TestFeasibilityCommand:
         assert logged == [["CHSH", "screen"], ["gauge", "LP"]]
         lp = _gauge_lp(target_from_dict(block))
         assert payload["max_scale"] == max(0.0, lp.certificate.bound - tol / 2)
+
+    def test_feasible_max_scale_is_one_lp(self, tmp_path, capsys, caplog):
+        block = self.canonical_target(0.5)
+        cfg = write_json(tmp_path / "t.json", {"target": block, "max_scale": True})
+        with caplog.at_level(logging.DEBUG, logger="bellspace.feasibility"):
+            code, out, _ = run_cli(["feasibility", "--config", cfg], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        # the membership LP proves g* >= 1, so the scale needs no second solve
+        logged = [r.getMessage().split(" ")[:2] for r in caplog.records
+                  if r.name == "bellspace.feasibility"]
+        assert logged == [["gauge", "LP"]]
+        assert payload["status"] == "feasible"
+        assert payload["max_scale"] == max_feasible_scale(target_from_dict(block), 1e-4) == 1.0
+
+    def test_max_scale_tol_is_checked_on_a_feasible_target(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "t.json",
+                         {"target": self.canonical_target(0.5), "max_scale": True, "tol": -1.0})
+        code, out, err = run_cli(["feasibility", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and "error: tol must be positive" in err.splitlines()
 
     def test_debug_log_leaves_stdout_unchanged(self, tmp_path):
         cfg = write_json(tmp_path / "t.json",

@@ -623,9 +623,16 @@ class TestSimplexStrategy:
         return models
 
     def test_primal_simplex_on_every_hot_round(self, monkeypatch):
-        # m + n = 10 > FULL_SEED_MAX_GRID: the master grows over hot rounds
+        # m + n = 10 > FULL_SEED_MAX_GRID: the master grows over hot rounds, after a cold
+        # first round by the dual simplex
         (runs,) = self.recorded_runs(monkeypatch, jittered_cosine_target(5, 5, 0.95))
-        assert len(runs) >= 2 and set(runs) == {feasibility._PRIMAL_SIMPLEX}
+        assert len(runs) >= 2 and runs[0] == feasibility._DUAL_SIMPLEX
+        assert set(runs[1:]) == {feasibility._PRIMAL_SIMPLEX}
+
+    def test_primal_simplex_on_a_small_grid(self, monkeypatch):
+        # m + n <= FULL_SEED_MAX_GRID: one cold solve, by the primal simplex
+        (runs,) = self.recorded_runs(monkeypatch, jittered_cosine_target(4, 4, 0.95))
+        assert runs == [feasibility._PRIMAL_SIMPLEX]
 
     def test_dual_simplex_on_the_cold_re_solve(self, monkeypatch):
         # the mixture of the first solve is unproven: the master is rebuilt and solved cold
@@ -741,6 +748,70 @@ class TestGaugeLpTelemetry:
         rounds, violation = record.args[3], record.args[9]
         # an earlier round priced and added columns; the last one reached g = 1 unpriced
         assert rounds >= 2 and violation == 0.0
+
+
+class TestReusedSolver:
+    """Each thread keeps one HiGHS instance and clears its model per solve, so no solve may
+    depend on what that instance solved before."""
+
+    TARGETS = [jittered_cosine_target(3, 3, 0.8), jittered_cosine_target(5, 5, 0.95),
+               canonical_cosine_target(0.5), REPAIRED_TARGET]
+
+    @staticmethod
+    def outputs(result):
+        """Everything a verdict reports, bit for bit."""
+        if result.is_feasible:
+            return result.status, result.residual.hex(), result.weights
+        return (result.status, result.residual.hex(),
+                result.certificate.coefficients.tobytes())
+
+    def test_a_reused_instance_solves_as_a_fresh_one(self):
+        core = feasibility._highs_core()
+        fresh = []
+        for target in self.TARGETS:
+            # a class of its own, so the solve gets a new instance
+            with mock.patch.object(core, "_Highs", type("Fresh", (core._Highs,), {})):
+                fresh.append(self.outputs(feasibility._gauge_lp(target)))
+        # on the thread's instance: other shapes, a repair and a solver error first
+        for target in (jittered_cosine_target(6, 6, 0.95), jittered_cosine_target(2, 2, 0.3),
+                       REPAIRED_TARGET):
+            feasibility._gauge_lp(target)
+        highs = feasibility._THREAD.highs
+        with mock.patch.object(core._Highs, "getModelStatus",
+                               lambda self: core.HighsModelStatus.kNotset):
+            with pytest.raises(FeasibilitySolverError, match="'Not Set'"):
+                feasibility._gauge_lp(jittered_cosine_target(4, 4, 0.95))
+        assert [self.outputs(feasibility._gauge_lp(target)) for target in self.TARGETS] == fresh
+        assert feasibility._THREAD.highs is highs
+
+    def test_threads_solve_as_one(self, fast_thread_switching):
+        from concurrent.futures import ThreadPoolExecutor
+
+        ladder = [jittered_cosine_target(k, k, g) for k in range(2, 7) for g in (0.4, 0.95)]
+        ladder.append(REPAIRED_TARGET)
+        serial = [self.outputs(feasibility._gauge_lp(target)) for target in ladder]
+
+        def solve(targets):
+            return [self.outputs(feasibility._gauge_lp(target)) for target in targets]
+
+        # more threads than the CI runner's two cores, each on its own instance
+        with ThreadPoolExecutor(3) as pool:
+            forward, backward, again = pool.map(solve, [ladder, ladder[::-1], ladder],
+                                                timeout=120)
+        assert forward == again == serial and backward[::-1] == serial
+
+
+class TestEdgeSweep:
+    def test_every_edge_verdict_is_proven(self):
+        # tests/edge_sweep.py, gated; "feasible, contradicted by a CHSH functional" stays
+        # report only (ROADMAP item 22)
+        import edge_sweep
+
+        counts = edge_sweep.sweep()
+        assert counts["unproven feasible"] == counts["unverified infeasible"] == 0
+        assert counts["solver errors"] == 0
+        assert counts["verified feasible"] + counts["verified infeasible"] == (
+            len(edge_sweep.SEEDS) * edge_sweep.TARGETS_PER_SEED) == 3400
 
 
 class TestHighsBinding:
