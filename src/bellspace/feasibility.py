@@ -14,24 +14,22 @@ vertices; bilinearity then writes xi eta^T as a convex combination of sign
 outer products, so the lambda-average P stays in L.  Conversely any weight
 vector on sign pairs *is* a discrete hidden-variable model.
 
-A cheap screen comes first: the most violated CHSH functional on any 2x2
-sub-grid, scaled to C.P = 1, decides P infeasible when it passes the gauge
-LP's own proof rule (margin 1 - bound above FEASIBILITY_TOL).  Every other
-target goes to one linear program, the gauge LP max g s.t. g*P in L.  Its
-optimum g* >= 1 means P is in L (the LP's vertex weights are the mixture),
-g* < 1 is the largest feasible scaling, and its dual is a
-separating Bell-type inequality.  On a small grid (m + n <=
-:data:`FULL_SEED_MAX_GRID`) the LP holds every vertex and one cold solve
-decides it; a larger one is solved by column generation (Gilmore & Gomory,
-Oper. Res. 9, 849 (1961)) instead of over all 2^(m+n-1) vertices, each round
-priced by :func:`~.lhv.best_responses`, its cold first round by the dual simplex
-and every hot round by the primal.  HiGHS runs without presolve, on one instance
-per thread whose model each solve clears.  The LP's equalities are taken in first
-differences, which makes vertex columns sparse, and a round whose verdict, judged
-exactly as it is reported, is unproven is repaired once in the original
-coordinates, on a fresh instance.
-Verification never trusts the solver: :func:`verify_certificate` reads the
-bound that a :class:`~.lhv.BellCertificate` derives by that same rule.
+A cheap screen comes first: the most violated CHSH functional on any 2x2 sub-grid
+decides P infeasible when it proves so.  Every other target goes to one linear
+program, the gauge LP max g s.t. g*P in L.  Its optimum g* >= 1 means P is in L (the
+LP's vertex weights are the mixture), g* < 1 is the largest feasible scaling, and
+its dual is a separating Bell-type inequality.  On a small grid (m + n <=
+:data:`FULL_SEED_MAX_GRID`) the LP holds every vertex and one cold solve decides it;
+a larger one is solved by column generation (Gilmore & Gomory, Oper. Res. 9, 849
+(1961)) instead of over all 2^(m+n-1) vertices, each round priced by
+:func:`~.lhv.best_responses`, its cold first round by the dual simplex and every hot
+round by the primal.  HiGHS runs without presolve, on one instance per thread whose
+model each solve clears.  The LP's equalities are taken in first differences, which
+makes vertex columns sparse, and a round whose verdict is unproven is repaired once
+in the original coordinates, on a fresh instance.  Screen and LP hand their
+candidates to :func:`_prove`, the one place that builds and judges verdicts, and
+:func:`verify_certificate` reads the bound that a :class:`~.lhv.BellCertificate`
+derives by that same pricing rule, never the solver's.
 """
 
 from __future__ import annotations
@@ -144,13 +142,8 @@ class StrategyWeight:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of a membership test: a representing mixture or a certificate.
-
-    ``residual`` is the largest reconstruction error of the mixture when
-    feasible, and when infeasible the margin C.P - bound of whichever
-    certificate decided (a CHSH facet or the gauge LP's dual), with C scaled
-    so that C.P = 1.
-    """
+    """Outcome of a membership test, built by :func:`_prove`: a representing mixture or
+    a certificate, and as ``residual`` the mixture's error or the certificate's margin."""
 
     status: str
     residual: float
@@ -310,13 +303,39 @@ _CHSH_HALVES = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0],
                          [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
 
 
-def _chsh_screen(target: CorrelationTarget) -> FeasibilityResult | None:
-    """The infeasible verdict of the most violated CHSH functional on a 2x2 sub-grid.
+def _prove(target: CorrelationTarget, *, functional: np.ndarray | None = None,
+           mixture: tuple | None = None) -> tuple[FeasibilityResult | None, bool]:
+    """The verdict a candidate gives on the target, and whether it proves it.
 
-    Its certificate is that functional scaled to C.P = 1, and it is returned only if
-    its margin 1 - bound is above FEASIBILITY_TOL, the gauge LP's proof rule; otherwise
-    None.
+    The module's one proof rule: nothing else builds a :class:`FeasibilityResult`.  A
+    ``functional`` C (m x n) is scaled to C.P = 1, giving the infeasible verdict with
+    certificate C / C.P and as residual its margin 1 - bound, proven if above
+    FEASIBILITY_TOL; with C.P <= 0 it gives nothing, (None, False).  A ``mixture``
+    (w, s, t), weights w on the vertices s_k t_k^T of the rows of s and t, gives the
+    feasible verdict on the support w > 1e-12 and as residual its largest error
+    against P, proven if at most FEASIBILITY_TOL.
     """
+    certificate, weights = None, None
+    if functional is not None:
+        value = float(np.sum(functional * target.matrix))
+        if not value > 0.0:
+            return None, False
+        certificate = BellCertificate(functional / value)
+        status, residual = INFEASIBLE, 1.0 - certificate.bound
+    else:
+        w, s, t = mixture
+        keep = np.flatnonzero(w > 1e-12)
+        rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
+        status, residual = FEASIBLE, float(np.max(np.abs(rebuilt - target.matrix)))
+        weights = tuple(StrategyWeight(tuple(a), tuple(b), weight) for a, b, weight in zip(
+            s[keep].astype(int).tolist(), t[keep].astype(int).tolist(), w[keep].tolist()))
+    return (FeasibilityResult(status, residual, weights, certificate),
+            residual <= FEASIBILITY_TOL if status == FEASIBLE else residual > FEASIBILITY_TOL)
+
+
+def _chsh_screen(target: CorrelationTarget) -> FeasibilityResult | None:
+    """The infeasible verdict of the most violated CHSH functional on a 2x2 sub-grid, if
+    :func:`_prove` finds it proven; otherwise None."""
     m, n = target.matrix.shape
     corners = _sub_grids(m, n)
     if not corners.shape[1]:
@@ -327,30 +346,26 @@ def _chsh_screen(target: CorrelationTarget) -> FeasibilityResult | None:
     if not forms[form, index] > 2.0:
         return None
     signs = np.where(halves[2 * form:2 * form + 2, index] < 0.0, -1.0, 1.0)
-    coeff = np.zeros(m * n)
-    coeff[corners[:, index]] = signs @ _CHSH_HALVES[2 * form:2 * form + 2]
-    coeff = coeff.reshape(m, n)
-    value = float(np.sum(coeff * target.matrix))
-    certificate = BellCertificate(coeff / value)
-    margin = 1.0 - certificate.bound
-    if not margin > FEASIBILITY_TOL:
+    coeff = np.zeros((m, n))
+    coeff.flat[corners[:, index]] = signs @ _CHSH_HALVES[2 * form:2 * form + 2]
+    result, proven = _prove(target, functional=coeff)
+    if not proven:
         return None
     (i, j), (k, l) = divmod(int(corners[0, index]), n), divmod(int(corners[3, index]), n)
     log.debug("CHSH screen %dx%d: rows (%d, %d), columns (%d, %d), S = %r, margin %.3g",
-              m, n, i, k, j, l, value, margin)
-    return FeasibilityResult(INFEASIBLE, margin, certificate=certificate)
+              m, n, i, k, j, l, float(np.sum(coeff * target.matrix)), result.residual)
+    return result
 
 
 def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
     """Decide membership of the target in the local correlation polytope.
 
-    First every 2x2 sub-grid's CHSH functionals are evaluated at P.  The most
-    violated one, scaled to C.P = 1, decides the target infeasible if its margin
-    1 - bound is above FEASIBILITY_TOL, as a certificate of the gauge LP must be;
-    such a verdict logs one DEBUG record (the sub-grid, S = C.P before scaling and
-    the margin).  On a 2x2 grid CHSH and the trivial bounds are all the facets
-    (Fine, PRL 48, 291 (1982)), so there only targets within the tolerance of the
-    polytope go on.  Every other target is decided by :func:`_gauge_lp`.
+    First every 2x2 sub-grid's CHSH functionals are evaluated at P.  The most violated
+    one decides the target infeasible if it proves so (:func:`_prove`); such a verdict
+    logs one DEBUG record (the sub-grid, S = C.P before scaling and the margin).  On a
+    2x2 grid CHSH and the trivial bounds are all the facets (Fine, PRL 48, 291 (1982)),
+    so there only targets within the tolerance of the polytope go on.  Every other
+    target is decided by :func:`_gauge_lp`.
     """
     screened = _chsh_screen(target)
     return screened if screened is not None else _gauge_lp(target)
@@ -359,41 +374,36 @@ def local_polytope_membership(target: CorrelationTarget) -> FeasibilityResult:
 def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
     """Decide membership by the gauge LP max g s.t. g*P in L.
 
-    Solves it by column generation over polytope vertices.  The master LP has
-    weights w >= 0 on a subset of vertices s t^T and
-    0 <= g <= 1, with sum_k w_k s_k t_k^T - g P = 0 and sum w = 1.  Its
-    equality duals (C, z) bound every master column by s^T C t <= z; each round
-    adds all best responses to C that beat z by more than FEASIBILITY_TOL, until
-    none does (or g reaches 1).  With m + n <= FULL_SEED_MAX_GRID the master
-    starts from every vertex, so the first round is the whole LP, solved cold,
-    and its pricing finds nothing; its seed (columns and keys) is cached per shape.
-    A larger grid's master starts from every strategy's best and worst response to
-    P.  Either way g = 0 is feasible.
+    Solves it by column generation over polytope vertices.  The master LP has weights
+    w >= 0 on a subset of vertices s t^T and 0 <= g <= 1, with sum_k w_k s_k t_k^T - g P
+    = 0 and sum w = 1.  Its equality duals (C, z) bound every master column by s^T C t
+    <= z; each round adds all best responses to C that beat z by more than
+    FEASIBILITY_TOL, until none does (or g reaches 1).  With m + n <=
+    FULL_SEED_MAX_GRID the master starts from every vertex, so the first round is the
+    whole LP, solved cold, and its pricing finds nothing; its seed (columns and keys)
+    is cached per shape.  A larger grid's master starts from every strategy's best and
+    worst response to P.  Either way g = 0 is feasible.
 
-    The equalities are taken in first differences, D_m (.) D_n^T, where D_k has
-    rows e_0 and e_i - e_(i-1): the same LP, but a column (D_m s)(D_n t)^T has
-    (1 + sign changes of s)(1 + sign changes of t) nonzeros, not m*n, and the
-    duals map back as C = D_m^T Y D_n.  A difference row sums entries of P, so
-    HiGHS's primal tolerance there is FEASIBILITY_TOL.  The master lives on this
-    thread's HiGHS instance (:func:`_thread_highs`), cleared of the last solve's
-    model.  A small grid's one round runs the primal simplex.  Column generation
-    solves its cold first round by the dual simplex; each later round appends its
-    new columns to the model and resumes the primal simplex from the last basis.
+    The equalities are taken in first differences, D_m (.) D_n^T, where D_k has rows
+    e_0 and e_i - e_(i-1): the same LP, but a column (D_m s)(D_n t)^T has (1 + sign
+    changes of s)(1 + sign changes of t) nonzeros, not m*n, and the duals map back as
+    C = D_m^T Y D_n.  A difference row sums entries of P, so HiGHS's primal tolerance
+    there is FEASIBILITY_TOL.  The master lives on this thread's HiGHS instance
+    (:func:`_thread_highs`), cleared of the last solve's model.  A small grid's one
+    round runs the primal simplex.  Column generation solves its cold first round by
+    the dual simplex; each later round appends its new columns to the model and
+    resumes the primal simplex from the last basis.
 
-    The last round's verdict is returned.  At g >= 1 - FEASIBILITY_TOL it is
-    feasible: the mixture of the weights > 1e-12, and as residual its largest
-    error against P, proven if at most FEASIBILITY_TOL.  Otherwise it is
-    infeasible: the certificate C scaled to C.P = 1, and as residual its margin
-    1 - bound, proven if above FEASIBILITY_TOL.  Once per solve, a round that is
-    not optimal or ends with an unproven verdict is repaired: the master is
-    rebuilt in the original coordinates on a fresh instance at HiGHS's default
-    tolerance, solved cold by the dual simplex and continued hot.  After that, a
-    failed round or an unproven infeasible verdict raises
-    :class:`FeasibilitySolverError`, and an unproven feasible verdict is returned
-    with its residual.  Each
-    solve logs one DEBUG record (status, rounds, columns, the master's nonzeros,
-    whether it was repaired, simplex iterations, g, the last round's pricing
-    violation max s^T C t - z, or 0 when that round stopped at g = 1 unpriced,
+    A round at g >= 1 - FEASIBILITY_TOL hands its weights to :func:`_prove`, a round
+    whose pricing finds no new column its dual C; the last round's verdict is returned.
+    Once per solve, a round that is not optimal or ends unproven is repaired: the
+    master is rebuilt in the original coordinates on a fresh instance at HiGHS's
+    default tolerance, solved cold by the dual simplex and continued hot.  After that,
+    a failed round or an unproven infeasible verdict raises
+    :class:`FeasibilitySolverError`, and an unproven feasible verdict is returned with
+    its residual.  Each solve logs one DEBUG record (status, rounds, columns, the
+    master's nonzeros, whether it was repaired, simplex iterations, g, the last round's
+    pricing violation max s^T C t - z, or 0 when that round stopped at g = 1 unpriced,
     and time) on the ``bellspace.feasibility`` logger.
     """
     # read off the module at each call, so a patched core._Highs takes effect
@@ -419,21 +429,14 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
         rounds += 1
         info, status = highs.getInfo(), highs.getModelStatus()
         iterations += info.simplex_iteration_count
-        result, fresh, violation = None, (), 0.0
+        result, proven, fresh, violation = None, False, (), 0.0
         if optimal := status == core.HighsModelStatus.kOptimal:
-            solution = highs.getSolution()
-            g, dual = -info.objective_function_value, np.array(solution.row_dual)
-            w = np.array(solution.col_value[1:])
-            coeff, level = dm.T @ dual[:-1].reshape(m, n) @ dn, -float(dual[-1])
+            g, solution = -info.objective_function_value, highs.getSolution()
         if optimal and g >= 1.0 - FEASIBILITY_TOL:
-            keep = np.flatnonzero(w > 1e-12)
-            rebuilt = np.einsum("k,ki,kj->ij", w[keep], s[keep], t[keep])
-            rows = zip(s[keep].astype(int).tolist(), t[keep].astype(int).tolist(),
-                       w[keep].tolist())
-            result = FeasibilityResult(
-                FEASIBLE, float(np.max(np.abs(rebuilt - target.matrix))),
-                tuple(StrategyWeight(tuple(a), tuple(b), weight) for a, b, weight in rows))
+            result, proven = _prove(target, mixture=(np.array(solution.col_value[1:]), s, t))
         elif optimal:
+            dual = np.array(solution.row_dual)
+            coeff, level = dm.T @ dual[:-1].reshape(m, n) @ dn, -float(dual[-1])
             s_new, t_new, values = best_responses(coeff)
             violation = float(values.max()) - level
             # within HiGHS's dual tolerance a master column may still beat z + FEASIBILITY_TOL
@@ -441,13 +444,8 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
             fresh_keys = _vertex_keys(s_new[fresh], t_new[fresh])
             new = keys[np.minimum(np.searchsorted(keys, fresh_keys), keys.size - 1)] != fresh_keys
             fresh = fresh[new]
-            value = float(np.sum(coeff * target.matrix))
-            if not fresh.size and value > 0.0:
-                certificate = BellCertificate(coeff / value)
-                result = FeasibilityResult(INFEASIBLE, 1.0 - certificate.bound,
-                                           certificate=certificate)
-        proven = result is not None and (result.residual <= FEASIBILITY_TOL if result.is_feasible
-                                         else result.residual > FEASIBILITY_TOL)
+            if not fresh.size:
+                result, proven = _prove(target, functional=coeff)
         if not repaired and not (len(fresh) or proven):
             repaired, dm, dn = True, np.eye(m), np.eye(n)
             highs = _master(_new_highs(core), target, _vertex_columns(s, t, dm, dn), dm, dn)
@@ -471,8 +469,8 @@ def _gauge_lp(target: CorrelationTarget) -> FeasibilityResult:
         )
     if not (proven or result and result.is_feasible):
         raise FeasibilitySolverError(
-            f"dual certificate with value {value!r} at the target and margin "
-            f"{result and result.residual!r} is inconsistent with gauge {g!r}"
+            f"dual certificate with value {float(np.sum(coeff * target.matrix))!r} at the "
+            f"target and margin {result and result.residual!r} is inconsistent with gauge {g!r}"
         )
     return result
 

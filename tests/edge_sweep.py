@@ -1,11 +1,15 @@
 """Membership verdicts on 3400 seeded targets at the local polytope's edges.
 
-A report, not a test (pytest does not collect this file): it prints how many
-verdicts are proven, how many are not, how many solves raised, how many ran
-the repair and how many a 2x2 CHSH facet decided before the gauge LP, so a
-change to membership can be read against ROADMAP items 6 and 22.  It also
-counts the feasible verdicts that an integer 2x2 CHSH functional contradicts:
-``verify_certificate`` accepts it against the target.
+It prints how many verdicts are proven, how many are not, how many solves
+raised, how many ran the repair and how many a 2x2 CHSH facet decided before
+the gauge LP, so a change to membership can be read against ROADMAP items 6
+and 22.  It also counts the feasible verdicts that an integer 2x2 CHSH
+functional contradicts: ``verify_certificate`` accepts it against the target.
+pytest does not collect this file; ``TestEdgeSweep`` in test_feasibility.py
+gates its counts: 0 unproven and 0 unverified verdicts, 0 solver errors, 3400
+verified, 2547 decided by a CHSH facet and at most 27 contradicted feasible
+verdicts.  The repairs, and the exact number of contradicted verdicts, are
+report only.
 
 Each target is 2..3 x 2..3 on the grids alphas ``range(m)`` and betas
 ``arange(n) + 0.5``.  Each entry, row-major, is picked by ``rng.integers(5)``:

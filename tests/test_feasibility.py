@@ -603,6 +603,67 @@ class TestChshScreen:
         assert local_polytope_membership(target) == feasibility._gauge_lp(target)
 
 
+class TestProver:
+    """``_prove``: the one place that builds a verdict and judges whether it is proven."""
+
+    def test_one_construction_site(self):
+        def builds(node):
+            return [call for call in ast.walk(node) if isinstance(call, ast.Call) and getattr(
+                call.func, "id", getattr(call.func, "attr", None)) == "FeasibilityResult"]
+
+        trees = {path.name: ast.parse(path.read_text())
+                 for path in Path(feasibility.__file__).parent.glob("*.py")}
+        assert sum(len(builds(tree)) for tree in trees.values()) == 1
+        (prove,) = [node for node in ast.walk(trees["feasibility.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "_prove"]
+        assert len(builds(prove)) == 1
+
+    def test_a_functional_at_or_below_zero_proves_nothing(self):
+        target = canonical_cosine_target(1.0)
+        chsh = chsh_certificate().coefficients
+        # C.P = -2 sqrt(2), 0 and 0 (the first row of P sums to 0)
+        for functional in (-chsh, np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]])):
+            assert feasibility._prove(target, functional=functional) == (None, False)
+
+    def test_the_chsh_functional_proves_the_canonical_target_infeasible(self):
+        target = canonical_cosine_target(1.0)
+        result, proven = feasibility._prove(target, functional=chsh_certificate().coefficients)
+        assert proven and result.status == INFEASIBLE and result.weights is None
+        assert abs(result.residual - (1.0 - 1.0 / SQRT2)) <= 1e-15
+        assert result.certificate.bound == 1.0 - result.residual
+        assert verify_certificate(result.certificate, target)
+
+    def test_a_margin_within_the_tolerance_is_unproven(self):
+        # CHSH exceeds 2 by 1e-9, so the margin 1 - 2/S is ~5e-10
+        target = CorrelationTarget((0.0, 1.0), (0.5, 1.5), np.array([[1.0, 1.0], [1e-9, 0.0]]))
+        result, proven = feasibility._prove(target, functional=np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert not proven and result.status == INFEASIBLE
+        assert 0.0 < result.residual <= FEASIBILITY_TOL
+
+    def test_an_exact_mixture_is_proven_on_its_support(self):
+        s = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+        t = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        matrix = 0.25 * np.outer(s[0], t[0]) + 0.75 * np.outer(s[1], t[1])
+        target = CorrelationTarget((0.0, 1.0), (0.5, 1.5), matrix)
+        w = np.array([0.25, 0.75, 1e-12, 0.0])
+        result, proven = feasibility._prove(target, mixture=(w, s, t))
+        assert proven and result.status == FEASIBLE and result.certificate is None
+        assert result.residual == 0.0
+        assert result.weights == (feasibility.StrategyWeight((1, 1), (1, -1), 0.25),
+                                  feasibility.StrategyWeight((1, -1), (1, 1), 0.75))
+
+    def test_a_mixture_off_by_2e_9_is_feasible_but_unproven(self):
+        s, t = np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])
+        matrix = np.outer(s[0], t[0])
+        matrix[1, 0] += 2e-9
+        target = CorrelationTarget((0.0, 1.0), (0.5, 1.5), matrix)
+        result, proven = feasibility._prove(target, mixture=(np.array([1.0]), s, t))
+        assert not proven and result.status == FEASIBLE
+        # the residual is |-1 - P_10| in floats, 2e-9 to within rounding
+        assert result.residual == matrix[1, 0] + 1.0 and abs(result.residual - 2e-9) < 1e-15
+        assert result.weights == (feasibility.StrategyWeight((1, -1), (1, 1), 1.0),)
+
+
 class TestSimplexStrategy:
     @staticmethod
     def recorded_runs(monkeypatch, target):
@@ -803,13 +864,17 @@ class TestReusedSolver:
 
 class TestEdgeSweep:
     def test_every_edge_verdict_is_proven(self):
-        # tests/edge_sweep.py, gated; "feasible, contradicted by a CHSH functional" stays
-        # report only (ROADMAP item 22)
+        # tests/edge_sweep.py, gated; the repairs stay report only
         import edge_sweep
 
         counts = edge_sweep.sweep()
         assert counts["unproven feasible"] == counts["unverified infeasible"] == 0
         assert counts["solver errors"] == 0
+        # the screen is numpy only, so no HiGHS build moves this count
+        assert counts["decided by a CHSH facet"] == 2547
+        # every infeasible verdict comes from the screen, so another HiGHS build can only
+        # lower this count; it stays above 0 until exact CHSH checks land (ROADMAP item 22)
+        assert counts["feasible, contradicted by a CHSH functional"] <= 27
         assert counts["verified feasible"] + counts["verified infeasible"] == (
             len(edge_sweep.SEEDS) * edge_sweep.TARGETS_PER_SEED) == 3400
 
